@@ -8,6 +8,11 @@ quantized coordinates on their centers (tracking further center motion)
 while exempt coordinates and the centers keep training. The returned model
 is the hard-quantized final iterate.
 
+One step kernel serves every trainer: the federated local update is the
+same step plus the coupling gradient lambda_p * (x - w), and fine-tuning is
+the same step with pinned assignments. One per-step record likewise builds
+the metrics of both the centralized and the federated trainers.
+
 Runs are single-threaded and deterministic: identical inputs produce
 bitwise-identical results.
 """
@@ -28,10 +33,9 @@ from .losses import (
     hard_quantize_grouped,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
-    quantize_grouped,
 )
 from .proxops import ProxParams, prox_c, prox_x
-from .quantizer import CenterVector, QuantConfig, quantize_assignments
+from .quantizer import CenterVector, QuantConfig, center_list, quantize_assignments
 from .rng import Rng
 
 __all__ = [
@@ -42,7 +46,6 @@ __all__ = [
     "centralized_step",
     "run_centralized",
     "stationarity_gap",
-    "stationarity_gap_subgradient",
     "safe_step_sizes",
     "init_weights",
     "init_centers_from_weights",
@@ -137,6 +140,8 @@ class HyperParams:
             raise ValueError("fine_tune_start must lie in [0, steps]")
         if self.metrics_every < 1:
             raise ValueError("metrics_every must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be a positive integer")
 
     def lam(self, t: int) -> float:
         return self.lambda_schedule.lam(t)
@@ -183,7 +188,7 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# step kernels (shared verbatim by the centralized and federated trainers)
+# the step kernel and per-step record (shared by the centralized and federated trainers)
 
 
 def _grad_step_loss(loss, hp: HyperParams, rng: Rng | None):
@@ -198,126 +203,101 @@ def _grad_step_loss(loss, hp: HyperParams, rng: Rng | None):
     return loss.subset(idx)
 
 
-def _step_xc(x, centers, loss, layout, hp: HyperParams, t: int, coupling=None, grad_loss=None):
-    """Alg. lines 2-5: prox-gradient in x, then in the centers."""
-    gl = loss if grad_loss is None else grad_loss
+def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | None,
+          coupling=None):
+    """Alg. lines 2-5: prox-gradient in x, then in the centers.
+
+    ``pinned`` (fine-tuning) holds per-group assignments: those coordinates
+    ride their centers instead of taking the x-prox, before and after the
+    center step. ``coupling`` is the federated term lambda_p * (x - w).
+    """
+    gl = _grad_step_loss(loss, hp, rng)
     lam_t = hp.lam(t)
     eta2_t = hp.eta2_at(t)
     cfg = hp.quant_cfg
-
-    g = gl.gradient(x) + loss_quant_gradient_x(gl, x, centers, layout, cfg)
-    if coupling is not None:
-        g = g + coupling
-    y = x - hp.eta1 * g
-    x_new = y.copy()
-    px = ProxParams(eta=hp.eta1, lam=lam_t)
-    for (start, stop), c in zip(layout.groups, centers):
-        x_new[start:stop] = prox_x(y[start:stop], c, px)
-
-    if eta2_t == 0.0:
-        return x_new, list(centers)
-    h_list = loss_quant_gradient_c(gl, x_new, centers, layout, cfg)
-    pc = ProxParams(eta=eta2_t, lam=lam_t)
-    centers_new = []
-    for (start, stop), c, h in zip(layout.groups, centers, h_list):
-        mu = c.values - eta2_t * h
-        centers_new.append(prox_c(mu, x_new[start:stop], c, pc))
-    return x_new, centers_new
-
-
-def _step_finetune(x, centers, pinned, loss, layout, hp: HyperParams, t: int,
-                   coupling=None, grad_loss=None):
-    """Fine-tune step: quantized coords ride their assigned centers; the rest train on."""
-    gl = loss if grad_loss is None else grad_loss
-    lam_t = hp.lam(t)
-    eta2_t = hp.eta2_at(t)
-    cfg = hp.quant_cfg
+    pins = [None] * len(layout.groups) if pinned is None else pinned
 
     g = gl.gradient(x) + loss_quant_gradient_x(gl, x, centers, layout, cfg)
     if coupling is not None:
         g = g + coupling
     x_new = x - hp.eta1 * g
-    for (start, stop), c, assign in zip(layout.groups, centers, pinned):
-        x_new[start:stop] = c.values[assign]
+    px = ProxParams(eta=hp.eta1, lam=lam_t)
+    for (start, stop), c, assign in zip(layout.groups, centers, pins):
+        x_new[start:stop] = prox_x(x_new[start:stop], c, px) if assign is None else c.values[assign]
 
     if eta2_t == 0.0:
         return x_new, list(centers)
     h_list = loss_quant_gradient_c(gl, x_new, centers, layout, cfg)
     pc = ProxParams(eta=eta2_t, lam=lam_t)
     centers_new = []
-    for (start, stop), c, h, assign in zip(layout.groups, centers, h_list, pinned):
-        mu = c.values - eta2_t * h
-        c_new = prox_c(mu, x_new[start:stop], c, pc)
+    for (start, stop), c, h, assign in zip(layout.groups, centers, h_list, pins):
+        c_new = prox_c(c.values - eta2_t * h, x_new[start:stop], c, pc)
         centers_new.append(c_new)
-        x_new[start:stop] = c_new.values[assign]
+        if assign is not None:
+            x_new[start:stop] = c_new.values[assign]
     return x_new, centers_new
 
 
-def _pin_assignments(x, centers, layout):
+def _pin_if_due(x, centers, pinned, layout, hp: HyperParams, t: int):
+    """At ``fine_tune_start``, snap quantized coordinates onto their centers and pin them."""
+    if pinned is not None or t != hp.ft_start() or not layout.groups:
+        return x, pinned
+    x = np.array(x, dtype=np.float64)
     pinned = []
-    x_new = np.array(x, dtype=np.float64)
     for (start, stop), c in zip(layout.groups, centers):
-        assign = quantize_assignments(x_new[start:stop], c)
+        assign = quantize_assignments(x[start:stop], c)
         pinned.append(assign)
-        x_new[start:stop] = c.values[assign]
-    return x_new, pinned
+        x[start:stop] = c.values[assign]
+    return x, pinned
+
+
+def _at_cadence(hp: HyperParams, t: int) -> bool:
+    return t % hp.metrics_every == 0 or t == hp.steps - 1
+
+
+def _record(t: int, hp: HyperParams, loss, layout, test, x, centers, x_prev, centers_prev,
+            w, lambda_p: float, f0: float, client_id: int | None = None) -> RoundMetrics:
+    """Metrics of the step-t iterate; DivergenceError past ``divergence_factor`` * max(1, |F_0|)."""
+    ev = eval_F_i_grouped(loss, x, centers, layout, w, hp.quant_cfg, hp.lam(t), lambda_p)
+    if not np.isfinite(ev.total) or ev.total > hp.divergence_factor * max(1.0, abs(f0)):
+        who = "objective" if client_id is None else f"client {client_id} objective"
+        raise DivergenceError(
+            f"{who} diverged at step {t}: total={ev.total!r}, initial={f0!r}, "
+            f"|x|={float(np.max(np.abs(x)))!r}"
+        )
+    gap = stationarity_gap(x_prev, x, centers_prev, centers, hp)
+    q_err = float(np.sum(np.abs(x - hard_quantize_grouped(x, centers, layout))))
+    acc = evaluate_accuracy(loss, x, test) if test is not None and _at_cadence(hp, t) else None
+    return RoundMetrics(
+        step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=ev.prox_penalty,
+        total=ev.total, stationarity_gap=gap, w_drift=0.0, quant_error=q_err, test_acc=acc,
+    )
 
 
 def centralized_step(state, loss, hp: HyperParams, t: int,
                      layout: QuantLayout | None = None):
-    """One alternating prox-gradient step on (x, c); returns the new pair."""
+    """One full-batch alternating prox-gradient step on (x, c); returns the new pair.
+
+    ``c`` is one CenterVector or a list per group, and comes back in the same
+    form. With ``hp.batch_size`` set it raises, having no stream to draw from.
+    """
     x, c = state
-    single = isinstance(c, CenterVector)
-    centers = [c] if single else list(c)
     if layout is None:
         layout = QuantLayout.full(loss.dim)
-    x_new, centers_new = _step_xc(np.asarray(x, dtype=np.float64), centers, loss, layout, hp, t)
-    return (x_new, centers_new[0] if single else centers_new)
+    x_new, centers_new = _step(np.asarray(x, dtype=np.float64), layout.check_centers(c), None,
+                               loss, layout, hp, t, None)
+    return (x_new, centers_new[0] if isinstance(c, CenterVector) else centers_new)
 
 
 def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:
     """Prox-residual stationarity measure ||z_next - z_prev||^2 / min(eta)^2."""
     dx = np.asarray(x_next, dtype=np.float64) - np.asarray(x_prev, dtype=np.float64)
     total = float(dx @ dx)
-    prevs = [c_prev] if isinstance(c_prev, CenterVector) else list(c_prev)
-    nexts = [c_next] if isinstance(c_next, CenterVector) else list(c_next)
-    for cp, cn in zip(prevs, nexts):
+    for cp, cn in zip(center_list(c_prev), center_list(c_next)):
         dc = cn.values - cp.values
         total += float(dc @ dc)
     eta_min = hp.eta1 if hp.eta2 == 0 else min(hp.eta1, hp.eta2)
     return total / (eta_min * eta_min)
-
-
-def stationarity_gap_subgradient(loss, x_next, c_prev, c_next, hp: HyperParams,
-                                 t: int, layout: QuantLayout | None = None) -> float:
-    """Explicit ||G||^2 using the ternary-sign subgradient of the regularizer.
-
-    Secondary diagnostic only: the regularizer is nonsmooth, so no
-    convergence statement is asserted on this measure.
-    """
-    if layout is None:
-        layout = QuantLayout.full(loss.dim)
-    prevs = [c_prev] if isinstance(c_prev, CenterVector) else list(c_prev)
-    nexts = [c_next] if isinstance(c_next, CenterVector) else list(c_next)
-    lam = hp.lam(t)
-    cfg = hp.quant_cfg
-    x_next = np.asarray(x_next, dtype=np.float64)
-
-    gx = loss.gradient(x_next) + loss_quant_gradient_x(loss, x_next, prevs, layout, cfg)
-    for (start, stop), c in zip(layout.groups, prevs):
-        q = c.values[quantize_assignments(x_next[start:stop], c)]
-        gx[start:stop] += lam * 0.5 * np.sign(x_next[start:stop] - q)
-    total = float(gx @ gx)
-
-    h_list = loss_quant_gradient_c(loss, x_next, nexts, layout, cfg)
-    for (start, stop), c, h in zip(layout.groups, nexts, h_list):
-        xg = x_next[start:stop]
-        assign = quantize_assignments(xg, c)
-        above = np.bincount(assign[xg > c.values[assign]], minlength=c.m)
-        below = np.bincount(assign[xg < c.values[assign]], minlength=c.m)
-        gc = h + lam * 0.5 * (below - above).astype(np.float64)
-        total += float(gc @ gc)
-    return total
 
 
 def _write_checkpoint(path, step, x, centers, rng, hp):
@@ -339,53 +319,29 @@ def run_centralized(loss, init_x, init_c, hp: HyperParams, *,
 
     ``init_c`` may be a single CenterVector (whole-vector quantization) or a
     list matching ``layout.groups``. ``test`` enables accuracy metrics every
-    ``hp.metrics_every`` steps for classifier losses. Aborts with
-    DivergenceError when the objective exceeds ``divergence_factor`` times
-    max(1, |F_0|).
+    ``hp.metrics_every`` steps for classifier losses. ``rng`` draws the
+    minibatches and is advanced. Aborts with DivergenceError when the
+    objective exceeds ``divergence_factor`` times max(1, |F_0|).
     """
     if layout is None:
         layout = QuantLayout.full(loss.dim)
-    centers = [init_c] if isinstance(init_c, CenterVector) else layout.check_centers(init_c)
+    centers = layout.check_centers(init_c)
     x = np.array(init_x, dtype=np.float64)
     if x.shape != (loss.dim,):
         raise ValueError("init_x dimension does not match the loss")
 
-    cfg = hp.quant_cfg
-    f0 = eval_F_i_grouped(loss, x, centers, layout, x, cfg, hp.lam(0), 0.0).total
-    bound = hp.divergence_factor * max(1.0, abs(f0))
-    ft_start = hp.ft_start()
+    f0 = eval_F_i_grouped(loss, x, centers, layout, x, hp.quant_cfg, hp.lam(0), 0.0).total
     history: list[RoundMetrics] = []
     pinned = None
 
     for t in range(hp.steps):
-        if t == ft_start and layout.groups:
-            x, pinned = _pin_assignments(x, centers, layout)
-        grad_loss = _grad_step_loss(loss, hp, rng)
+        x, pinned = _pin_if_due(x, centers, pinned, layout, hp, t)
         x_prev, centers_prev = x, centers
-        if pinned is None:
-            x, centers = _step_xc(x, centers, loss, layout, hp, t,
-                                  grad_loss=None if grad_loss is loss else grad_loss)
-        else:
-            x, centers = _step_finetune(x, centers, pinned, loss, layout, hp, t,
-                                        grad_loss=None if grad_loss is loss else grad_loss)
-
-        ev = eval_F_i_grouped(loss, x, centers, layout, x, cfg, hp.lam(t), 0.0)
-        if not np.isfinite(ev.total) or ev.total > bound:
-            raise DivergenceError(
-                f"objective diverged at step {t}: total={ev.total!r}, initial={f0!r}, "
-                f"|x|={float(np.max(np.abs(x)))!r}"
-            )
-        gap = stationarity_gap(x_prev, x, centers_prev, centers, hp)
-        q_err = float(np.sum(np.abs(x - hard_quantize_grouped(x, centers, layout))))
-        acc = None
-        if test is not None and (t % hp.metrics_every == 0 or t == hp.steps - 1):
-            acc = evaluate_accuracy(loss, x, test)
-        kappa = 0.0 if (t % hp.metrics_every == 0 or t == hp.steps - 1) else None
-        history.append(RoundMetrics(
-            step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=0.0,
-            total=ev.total, stationarity_gap=gap, w_drift=0.0, quant_error=q_err,
-            test_acc=acc, kappa_round=kappa,
-        ))
+        x, centers = _step(x, centers, pinned, loss, layout, hp, t, rng)
+        rec = _record(t, hp, loss, layout, test, x, centers, x_prev, centers_prev, x, 0.0, f0)
+        if _at_cadence(hp, t):
+            rec.kappa_round = 0.0
+        history.append(rec)
         if checkpoint_path is not None and hp.checkpoint_every:
             if (t + 1) % hp.checkpoint_every == 0:
                 _write_checkpoint(checkpoint_path, t + 1, x, centers, rng, hp)
@@ -430,7 +386,7 @@ def safe_step_sizes(loss, x0, centers0, hp_template: HyperParams | None = None, 
         cfg = hp_template.quant_cfg if hp_template is not None else QuantConfig(hard_limit=True)
     if layout is None:
         layout = QuantLayout.full(loss.dim)
-    centers = [centers0] if isinstance(centers0, CenterVector) else list(centers0)
+    centers = layout.check_centers(centers0)
     rng = Rng(seed)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = 1e-5

@@ -92,6 +92,7 @@ def build_hyper(cfg: dict) -> HyperParams:
     qcfg = QuantConfig(sharpness=float(quant.get("sharpness", 8.0)),
                        hard_limit=bool(quant.get("hard_limit", True)))
     decay = hyper.get("eta2_decay")
+    batch_size = hyper.get("batch_size")
     try:
         return HyperParams(
             eta1=float(hyper["eta1"]),
@@ -106,7 +107,7 @@ def build_hyper(cfg: dict) -> HyperParams:
             eta2_decay=tuple((int(s), float(f)) for s, f in decay) if decay else None,
             divergence_factor=float(hyper.get("divergence_factor", 1e6)),
             metrics_every=int(hyper.get("metrics_every", 1)),
-            batch_size=hyper.get("batch_size"),
+            batch_size=None if batch_size is None else int(batch_size),
             flip_w_update_sign=bool(hyper.get("flip_w_update_sign", False)),
             checkpoint_every=hyper.get("checkpoint_every"),
         )
@@ -199,6 +200,8 @@ def _run_centralized_mode(cfg: dict, seed: int, hp: HyperParams, out_dir: Path) 
         for f in ("targets", "curvature"):
             if f not in model:
                 raise ConfigError(f"model.{f}", "missing required field")
+        if hp.batch_size is not None:
+            raise ConfigError("hyper.batch_size", "the quadratic model has no samples to draw")
         loss = quadratic_loss(model["targets"], model["curvature"])
         layout = QuantLayout.full(loss.dim)
         test = None
@@ -213,9 +216,11 @@ def _run_centralized_mode(cfg: dict, seed: int, hp: HyperParams, out_dir: Path) 
     else:
         raise ConfigError("model.kind", f"centralized mode supports quadratic|mlp, got {kind!r}")
 
+    # a stream only when minibatches are drawn, so full-batch checkpoints keep rng_state null
+    data_rng = rng.spawn(2) if hp.batch_size is not None else None
     x0 = init_weights(loss.dim, rng)
     centers = [init_centers_from_weights(x0[s:e], m, c_max=c_max) for s, e in layout.groups]
-    res = run_centralized(loss, x0, centers, hp, layout=layout, test=test,
+    res = run_centralized(loss, x0, centers, hp, layout=layout, test=test, rng=data_rng,
                           checkpoint_path=out_dir / "checkpoint.json"
                           if hp.checkpoint_every else None)
     export_metrics(res.history, out_dir / "metrics.jsonl", fmt="jsonl")

@@ -100,13 +100,15 @@ def build_clients(
     All clients share one seeded initialization of the personalized model;
     each client's centers start at the per-group quantiles of that vector.
     The per-client test set is the global test split filtered to the
-    client's assigned classes.
+    client's assigned classes. Each client draws minibatches from its own
+    child stream ``data_rng``, keyed by its id.
     """
     if len(m_list) != n_clients:
         raise ValueError("m_list must have one entry per client")
     part = partition_noniid(task.train, n_clients, classes_per_client, seed)
     test_idx = filter_test_indices(task.test, part)
     rng = Rng(seed).spawn(1)
+    streams = Rng(seed).spawn(2)
     x0 = None
     clients = []
     for i in range(n_clients):
@@ -121,7 +123,7 @@ def build_clients(
         ]
         clients.append(ClientState(
             id=i, x=x0.copy(), centers=centers, w_local=x0.copy(), loss=loss,
-            layout=layout, test=task.test.take(test_idx[i]),
+            layout=layout, test=task.test.take(test_idx[i]), data_rng=streams.spawn(i),
         ))
     return clients
 
@@ -188,8 +190,9 @@ def compare_modes(task_cfg: dict, client_cfg: dict, hp: HyperParams,
     records = []
     for seed in seeds:
         task = build_blob_task(seed=seed, **task_cfg)
-        clients = build_clients(task, seed=seed, **client_cfg)
         for mode in modes:
+            # fresh clients per mode: trainers advance each client's data_rng
+            clients = build_clients(task, seed=seed, **client_cfg)
             rows, _, _ = run_mode(mode, clients, hp)
             records.append({"mode": mode, "seed": seed,
                             "avg_test_acc": avg_quantized_accuracy(rows)})

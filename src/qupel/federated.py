@@ -14,9 +14,12 @@ The w update descends the coupling penalty,
 variant is available behind ``flip_w_update_sign`` for comparison with the
 alternative sign convention.
 
-With lambda_p = 0 the w exchange cannot influence (x_i, c_i), and a QuPeL
-run is bitwise-identical to independent centralized runs per client: the
-same step kernels are invoked with the coupling term skipped entirely.
+The local update is the centralized trainers' one step kernel with the
+coupling gradient added, and each client-step is recorded by the same
+per-step record. With lambda_p = 0 the w exchange cannot influence
+(x_i, c_i), and a QuPeL run is bitwise-identical to independent centralized
+runs per client: the kernel is invoked with the coupling term skipped
+entirely.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from .centralized import (
     DivergenceError,
     HyperParams,
     TrainResult,
+    _at_cadence,
     _grad_step_loss,
-    _pin_assignments,
-    _step_finetune,
-    _step_xc,
+    _pin_if_due,
+    _record,
+    _step,
     run_centralized,
-    stationarity_gap,
 )
 from .diagnostics import RoundMetrics, evaluate_accuracy
 from .losses import QuantLayout, eval_F_i_grouped, hard_quantize_grouped
@@ -75,10 +78,9 @@ class ClientState:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
         self.w_local = np.asarray(self.w_local, dtype=np.float64)
-        if isinstance(self.centers, CenterVector):
-            self.centers = [self.centers]
         if self.layout is None:
             self.layout = QuantLayout.full(self.loss.dim)
+        self.centers = self.layout.check_centers(self.centers)
         if self.x.shape != (self.loss.dim,) or self.w_local.shape != self.x.shape:
             raise ValueError("client model and global copy must share the loss dimension")
 
@@ -108,19 +110,10 @@ def _coupling(cs: ClientState, hp: HyperParams):
 
 
 def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
-    """One local update of (x_i, c_i, w_i); does not touch other clients."""
-    grad_loss = _grad_step_loss(cs.loss, hp, cs.data_rng)
-    gl = None if grad_loss is cs.loss else grad_loss
-    x, centers, pinned = cs.x, cs.centers, cs.pinned
-    if t == hp.ft_start() and pinned is None and cs.layout.groups:
-        x, pinned = _pin_assignments(x, centers, cs.layout)
-    coupling = _coupling(cs, hp)
-    if pinned is None:
-        x_new, centers_new = _step_xc(x, centers, cs.loss, cs.layout, hp, t,
-                                      coupling=coupling, grad_loss=gl)
-    else:
-        x_new, centers_new = _step_finetune(x, centers, pinned, cs.loss, cs.layout, hp, t,
-                                            coupling=coupling, grad_loss=gl)
+    """One local update of (x_i, c_i, w_i); advances only this client's data_rng."""
+    x, pinned = _pin_if_due(cs.x, cs.centers, cs.pinned, cs.layout, hp, t)
+    x_new, centers_new = _step(x, cs.centers, pinned, cs.loss, cs.layout, hp, t, cs.data_rng,
+                               coupling=_coupling(cs, hp))
     if hp.lambda_p == 0.0 or hp.eta3 == 0.0:
         w_new = cs.w_local
     elif hp.flip_w_update_sign:
@@ -173,13 +166,8 @@ def run_qupel(clients: list[ClientState], hp: HyperParams) -> QupelResult:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.id)
     server = ServerState(w_global=clients[0].w_local.copy(), round=0)
-    cfg = hp.quant_cfg
-    f0 = []
-    for cs in clients:
-        ev = eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local,
-                              cfg, hp.lam(0), hp.lambda_p)
-        f0.append(ev.total)
-    bounds = [hp.divergence_factor * max(1.0, abs(v)) for v in f0]
+    f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local,
+                           hp.quant_cfg, hp.lam(0), hp.lambda_p).total for cs in clients]
     histories: list[list[RoundMetrics]] = [[] for _ in clients]
     global_history: list[dict] = []
 
@@ -188,29 +176,15 @@ def run_qupel(clients: list[ClientState], hp: HyperParams) -> QupelResult:
         if t % hp.tau == 0:
             clients, server = sync_round(clients, server)
             sync_dev = max(float(np.max(np.abs(c.w_local - server.w_global))) for c in clients)
-        at_cadence = t % hp.metrics_every == 0 or t == hp.steps - 1
+        at_cadence = _at_cadence(hp, t)
 
         new_clients = []
         for pos, cs in enumerate(clients):
-            prev_x, prev_centers = cs.x, cs.centers
             new = client_local_step(cs, hp, t)
-            ev = eval_F_i_grouped(new.loss, new.x, new.centers, new.layout, new.w_local,
-                                  cfg, hp.lam(t), hp.lambda_p)
-            if not np.isfinite(ev.total) or ev.total > bounds[pos]:
-                raise DivergenceError(
-                    f"client {new.id} diverged at step {t}: total={ev.total!r}"
-                )
-            gap = stationarity_gap(prev_x, new.x, prev_centers, new.centers, hp)
-            q_err = float(np.sum(np.abs(new.x - hard_quantize_grouped(new.x, new.centers, new.layout))))
-            drift = float(np.sum((new.w_local - server.w_global) ** 2))
-            acc = None
-            if new.test is not None and at_cadence:
-                acc = evaluate_accuracy(new.loss, new.x, new.test)
-            histories[pos].append(RoundMetrics(
-                step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=ev.prox_penalty,
-                total=ev.total, stationarity_gap=gap, w_drift=drift, quant_error=q_err,
-                test_acc=acc, kappa_round=None,
-            ))
+            rec = _record(t, hp, new.loss, new.layout, new.test, new.x, new.centers,
+                          cs.x, cs.centers, new.w_local, hp.lambda_p, f0[pos], client_id=new.id)
+            rec.w_drift = float(np.sum((new.w_local - server.w_global) ** 2))
+            histories[pos].append(rec)
             new_clients.append(new)
         clients = new_clients
 
@@ -264,7 +238,7 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
         for i, cs in enumerate(clients):
             grad_loss = _grad_step_loss(cs.loss, hp, cs.data_rng)
             w[i] = w[i] - hp.eta1 * grad_loss.gradient(w[i])
-        if t % hp.metrics_every == 0 or t == hp.steps - 1:
+        if _at_cadence(hp, t):
             w_mean = np.mean(np.stack(w), axis=0)
             mean_loss = float(np.mean([cs.loss.value(w_mean) for cs in clients]))
             accs = [evaluate_accuracy(cs.loss, w_mean, cs.test)

@@ -22,6 +22,7 @@ import numpy as np
 from .quantizer import (
     CenterVector,
     QuantConfig,
+    center_list,
     grad_soft_quantize_c,
     grad_soft_quantize_x,
     hard_grad_c,
@@ -307,7 +308,8 @@ class QuantLayout:
         return cls(loss.dim, tuple(ranges))
 
     def check_centers(self, centers) -> list[CenterVector]:
-        centers = list(centers)
+        """One center vector per group, as a list; a lone CenterVector counts as one group."""
+        centers = center_list(centers)
         if len(centers) != len(self.groups):
             raise ValueError("need one center vector per quantized group")
         return centers

@@ -30,6 +30,7 @@ __all__ = [
     "grad_soft_quantize_x",
     "grad_soft_quantize_c",
     "hard_grad_c",
+    "center_list",
 ]
 
 DEFAULT_C_MAX = 10.0
@@ -87,6 +88,11 @@ class CenterVector:
 
     def midpoints(self) -> np.ndarray:
         return (self.values[1:] + self.values[:-1]) / 2.0
+
+
+def center_list(centers) -> list[CenterVector]:
+    """One CenterVector (whole-vector quantization) or a sequence of them, as a list."""
+    return [centers] if isinstance(centers, CenterVector) else list(centers)
 
 
 @dataclass(frozen=True)

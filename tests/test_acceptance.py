@@ -222,6 +222,21 @@ def test_criterion_5_decoupling_and_symmetry():
     return "bitwise on all three checks"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "stationarity_gap at step fine_tune_start differs: run_centralized takes x_prev after "
+    "the fine-tune pin, run_qupel takes it before client_local_step pins"))
+def test_zero_coupling_matches_local_only_with_fine_tune():
+    hp = HyperParams(eta1=0.05, eta2=0.02, steps=60, tau=5, quant_cfg=hard_cfg(),
+                     lambda_schedule=LambdaSchedule.linear(1e-3, cap=0.2),
+                     lambda_p=0.0, eta3=0.2, fine_tune_start=48)
+    clients = [_quad_client(i, seed=100 + i) for i in range(4)]
+    fed = run_qupel(clients, hp)
+    loc = run_local_only(clients, hp)
+    for f, l in zip(fed.per_client, loc):
+        assert np.array_equal(f.x_final, l.x_final)  # holds: only the recorded gap differs
+    assert all(_results_identical(f, l) for f, l in zip(fed.per_client, loc))
+
+
 def _ordering_hp(steps=400):
     return HyperParams(eta1=0.1, eta2=0.005, steps=steps, tau=5, eta3=0.3, lambda_p=1.0,
                        lambda_schedule=LambdaSchedule.linear(1e-4, cap=0.05),

@@ -13,7 +13,6 @@ from qupel.centralized import (
     run_centralized,
     safe_step_sizes,
     stationarity_gap,
-    stationarity_gap_subgradient,
 )
 from qupel.losses import QuantLayout, eval_F_lambda_grouped, loss_quant_gradient_x, quadratic_loss
 from qupel.proxops import ProxParams, prox_x
@@ -95,6 +94,12 @@ class TestCentralizedStep:
         y = x - 0.5 * loss.gradient(x)
         want = prox_x(y, c, ProxParams(eta=0.5, lam=lam))
         np.testing.assert_array_equal(x1, want)
+
+    def test_minibatch_setting_is_not_silently_ignored(self):
+        loss = quadratic_loss([1.0], [1.0])
+        hp = HyperParams(eta1=0.5, eta2=0.0, steps=1, quant_cfg=hard_cfg(), batch_size=1)
+        with pytest.raises(ValueError, match="rng"):
+            centralized_step((np.array([0.0]), centers(0.0, 1.0)), loss, hp, t=0)
 
 
 class TestRunCentralized:
@@ -224,15 +229,6 @@ class TestStationarityGap:
         gaps = np.array([m.stationarity_gap for m in res.history])
         avg = np.cumsum(gaps) / np.arange(1, gaps.size + 1)
         assert np.all(np.diff(avg) <= 1e-12)
-
-    def test_subgradient_gap_finite_and_small_at_solution(self):
-        loss = quadratic_loss([0.1, 0.9], [1.0, 1.0])
-        hp = HyperParams(eta1=0.3, eta2=0.3, steps=1, quant_cfg=hard_cfg(),
-                         lambda_schedule=LambdaSchedule.constant(0.05))
-        c = centers(0.1, 0.9)
-        x = np.array([0.1, 0.9])
-        g = stationarity_gap_subgradient(loss, x, c, c, hp, t=0)
-        assert g == 0.0
 
 
 class TestSafeStepSizes:

@@ -42,6 +42,19 @@ def federated_cfg(mode, out_dir, lambda_p=0.0, steps=60):
     }
 
 
+def centralized_mlp_cfg(out_dir, steps=20):
+    return {
+        "mode": "centralized",
+        "seed": 2,
+        "out_dir": out_dir,
+        "model": {"kind": "mlp", "hidden": 6},
+        "dataset": {"kind": "blobs", "classes": 4, "dim": 4, "per_class": 30, "spread": 0.5},
+        "quantization": {"m": 4, "hard_limit": True, "c_max": 3.0},
+        "hyper": {"eta1": 0.1, "eta2": 0.01, "steps": steps, "fine_tune_start": 16,
+                  "metrics_every": 5},
+    }
+
+
 def read_summary(out_dir):
     with open(out_dir + "/summary.csv") as fh:
         return list(csv.DictReader(fh))
@@ -123,6 +136,38 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "q" / "partition.json").read_text())
         assert len(payload["indices"]) == 3
         assert all(len(a) == 2 for a in payload["assignments"])
+
+
+class TestMinibatchRuns:
+    @pytest.mark.parametrize("mode", ["qupel", "local", "fedavg", "centralized"])
+    def test_runs_and_repeats_bitwise(self, tmp_path, capsys, mode):
+        if mode == "centralized":
+            cfg_dict = centralized_mlp_cfg("")
+        else:
+            cfg_dict = federated_cfg(mode, "", lambda_p=0.5, steps=20)
+        cfg_dict["hyper"]["batch_size"] = 8
+        outs = []
+        for name in ("a", "b", "full"):
+            if name == "full":
+                del cfg_dict["hyper"]["batch_size"]
+            cfg_dict["out_dir"] = str(tmp_path / name)
+            assert main(["run", "--config", write_cfg(tmp_path, f"{name}.json", cfg_dict)]) == 0
+            outs.append((tmp_path / name / "metrics.jsonl").read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0] != outs[2]  # the minibatches were really drawn
+
+    def test_quadratic_model_rejects_batch_size(self, tmp_path, capsys):
+        cfg_dict = quadratic_cfg(str(tmp_path / "out"), steps=10)
+        cfg_dict["hyper"]["batch_size"] = 1
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        assert "hyper.batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_batch_size_rejected(self, tmp_path, capsys, batch_size):
+        cfg_dict = federated_cfg("qupel", str(tmp_path / "out"))
+        cfg_dict["hyper"]["batch_size"] = batch_size
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        assert "batch_size" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

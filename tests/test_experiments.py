@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from qupel.experiments import (
     avg_quantized_accuracy,
     build_blob_task,
     build_clients,
+    compare_modes,
     mixed_precision_m,
     run_mode,
 )
+from qupel.federated import run_local_only, run_qupel
 from qupel.losses import logistic_loss
 from qupel.quantizer import QuantConfig
 from qupel.rng import Rng
@@ -107,3 +111,43 @@ class TestMinibatchMode:
         c0 = init_centers_from_weights(np.array([0.1, -0.1]), 2, c_max=3.0)
         with pytest.raises(ValueError):
             run_centralized(loss, np.zeros(2), c0, hp)
+
+
+class TestMinibatchClients:
+    TASK = dict(n_classes=4, dim=4, per_class=30, spread=0.5)
+    CLIENTS = dict(n_clients=3, classes_per_client=2, m_list=[4] * 3, model="mlp", hidden=6)
+
+    def clients(self, seed=5):
+        task = build_blob_task(seed=seed, **self.TASK)
+        return build_clients(task, seed=seed, **self.CLIENTS)
+
+    def hp(self, lambda_p):
+        return HyperParams(eta1=0.1, eta2=0.01, steps=30, tau=5, eta3=0.3, lambda_p=lambda_p,
+                           quant_cfg=hard_cfg(), batch_size=8, metrics_every=10,
+                           lambda_schedule=LambdaSchedule.linear(1e-3, cap=0.05))
+
+    def test_each_client_has_its_own_stream(self):
+        states = {c.data_rng.getstate() for c in self.clients()}
+        assert len(states) == 3
+
+    def test_zero_coupling_matches_local_only_bitwise(self):
+        hp = self.hp(lambda_p=0.0)
+        fed = run_qupel(self.clients(), hp)
+        loc = run_local_only(self.clients(), hp)
+        for f, l in zip(fed.per_client, loc):
+            assert np.array_equal(f.x_final, l.x_final)
+            assert all(np.array_equal(a.values, b.values)
+                       for a, b in zip(f.centers_final, l.centers_final))
+            assert [m.as_record() for m in f.history] == [m.as_record() for m in l.history]
+        full = run_local_only(self.clients(), replace(hp, batch_size=None))
+        assert not np.array_equal(loc[0].x_final, full[0].x_final)
+
+    def test_compare_records_independent_of_mode_order(self):
+        hp = self.hp(lambda_p=1.0)
+        a = compare_modes(self.TASK, self.CLIENTS, hp, ["qupel", "local"], [1, 2])
+        b = compare_modes(self.TASK, self.CLIENTS, hp, ["local", "qupel"], [1, 2])
+
+        def key(r):
+            return r["mode"], r["seed"]
+
+        assert sorted(a, key=key) == sorted(b, key=key)
