@@ -12,8 +12,6 @@ from .losses import (
     LossModel,
     ObjectiveEval,
     QuantLayout,
-    eval_F_i,
-    eval_F_lambda,
     logistic_loss,
     mlp_loss,
     quadratic_loss,

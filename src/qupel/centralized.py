@@ -266,11 +266,11 @@ def _record(t: int, hp: HyperParams, loss, layout, test, x, centers, x_prev, cen
             f"|x|={float(np.max(np.abs(x)))!r}"
         )
     gap = stationarity_gap(x_prev, x, centers_prev, centers, hp)
-    q_err = float(np.sum(np.abs(x - hard_quantize_grouped(x, centers, layout))))
     acc = evaluate_accuracy(loss, x, test) if test is not None and _at_cadence(hp, t) else None
     return RoundMetrics(
         step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=ev.prox_penalty,
-        total=ev.total, stationarity_gap=gap, w_drift=0.0, quant_error=q_err, test_acc=acc,
+        total=ev.total, stationarity_gap=gap, w_drift=0.0, quant_error=ev.quant_error,
+        test_acc=acc,
     )
 
 

@@ -56,15 +56,21 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def _get(cfg: dict, path: str, required: bool = False, default=None):
+def _get(cfg: dict, path: str, required: bool = False, default=None, conv=None):
+    """The value at dotted ``path`` (null counts as absent), passed through ``conv`` if given."""
     node = cfg
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+        if not isinstance(node, dict) or node.get(part) is None:
             if required:
                 raise ConfigError(path, "missing required field")
             return default
         node = node[part]
-    return node
+    if conv is None:
+        return node
+    try:
+        return conv(node)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"expected {conv.__name__}, got {node!r}") from None
 
 
 def _lambda_schedule(node) -> LambdaSchedule:
@@ -85,32 +91,30 @@ def _lambda_schedule(node) -> LambdaSchedule:
 
 def build_hyper(cfg: dict) -> HyperParams:
     hyper = _get(cfg, "hyper", required=True)
-    for f in ("eta1", "eta2", "steps"):
-        if f not in hyper:
-            raise ConfigError(f"hyper.{f}", "missing required field")
     quant = cfg.get("quantization", {})
-    qcfg = QuantConfig(sharpness=float(quant.get("sharpness", 8.0)),
-                       hard_limit=bool(quant.get("hard_limit", True)))
     decay = hyper.get("eta2_decay")
-    batch_size = hyper.get("batch_size")
     try:
+        qcfg = QuantConfig(sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=float),
+                           hard_limit=bool(quant.get("hard_limit", True)))
         return HyperParams(
-            eta1=float(hyper["eta1"]),
-            eta2=float(hyper["eta2"]),
-            steps=int(hyper["steps"]),
-            eta3=float(hyper.get("eta3", 0.0)),
+            eta1=_get(cfg, "hyper.eta1", required=True, conv=float),
+            eta2=_get(cfg, "hyper.eta2", required=True, conv=float),
+            steps=_get(cfg, "hyper.steps", required=True, conv=int),
+            eta3=_get(cfg, "hyper.eta3", default=0.0, conv=float),
             lambda_schedule=_lambda_schedule(hyper.get("lambda")),
-            lambda_p=float(hyper.get("lambda_p", 0.0)),
-            tau=int(hyper.get("tau", 1)),
-            fine_tune_start=hyper.get("fine_tune_start"),
+            lambda_p=_get(cfg, "hyper.lambda_p", default=0.0, conv=float),
+            tau=_get(cfg, "hyper.tau", default=1, conv=int),
+            fine_tune_start=_get(cfg, "hyper.fine_tune_start", conv=int),
             quant_cfg=qcfg,
             eta2_decay=tuple((int(s), float(f)) for s, f in decay) if decay else None,
-            divergence_factor=float(hyper.get("divergence_factor", 1e6)),
-            metrics_every=int(hyper.get("metrics_every", 1)),
-            batch_size=None if batch_size is None else int(batch_size),
+            divergence_factor=_get(cfg, "hyper.divergence_factor", default=1e6, conv=float),
+            metrics_every=_get(cfg, "hyper.metrics_every", default=1, conv=int),
+            batch_size=_get(cfg, "hyper.batch_size", conv=int),
             flip_w_update_sign=bool(hyper.get("flip_w_update_sign", False)),
-            checkpoint_every=hyper.get("checkpoint_every"),
+            checkpoint_every=_get(cfg, "hyper.checkpoint_every", conv=int),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError("hyper", str(exc)) from exc
 
@@ -125,15 +129,20 @@ def _effective_seed(cfg: dict) -> int:
     return int(cfg.get("seed", 0))
 
 
+def _blob_fields(ds: dict) -> dict:
+    """The ``build_blob_task`` arguments of a blobs dataset config, except the seed."""
+    for f in ("classes", "dim", "per_class", "spread"):
+        if f not in ds:
+            raise ConfigError(f"dataset.{f}", "missing required field")
+    return dict(n_classes=int(ds["classes"]), dim=int(ds["dim"]),
+                per_class=int(ds["per_class"]), spread=float(ds["spread"]))
+
+
 def _build_task(cfg: dict, seed: int) -> BlobTask:
     ds = _get(cfg, "dataset", required=True)
     kind = ds.get("kind")
     if kind == "blobs":
-        for f in ("classes", "dim", "per_class", "spread"):
-            if f not in ds:
-                raise ConfigError(f"dataset.{f}", "missing required field")
-        return build_blob_task(int(ds["classes"]), int(ds["dim"]), int(ds["per_class"]),
-                               float(ds["spread"]), int(ds.get("seed", seed)))
+        return build_blob_task(seed=int(ds.get("seed", seed)), **_blob_fields(ds))
     if kind == "csv":
         for f in ("train", "test"):
             if f not in ds:
@@ -145,20 +154,28 @@ def _build_task(cfg: dict, seed: int) -> BlobTask:
     raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
 
 
-def _client_kwargs(cfg: dict, n_clients: int):
+def _client_kwargs(cfg: dict, n_clients: int, n_classes: int):
     quant = cfg.get("quantization", {})
     if "m_list" in quant:
         m_list = [int(m) for m in quant["m_list"]]
         if len(m_list) != n_clients:
             raise ConfigError("quantization.m_list", f"need {n_clients} entries")
     elif "case" in quant:
-        m_list = mixed_precision_m(quant["case"], n_clients)
+        try:
+            m_list = mixed_precision_m(quant["case"], n_clients)
+        except ValueError as exc:
+            raise ConfigError("quantization.case", str(exc)) from None
     else:
         m_list = [int(quant.get("m", 4))] * n_clients
     model = cfg.get("model", {})
+    kind = model.get("kind", "mlp")
+    if kind not in ("mlp", "logistic"):
+        raise ConfigError("model.kind", f"federated modes support mlp|logistic, got {kind!r}")
+    if kind == "logistic" and n_classes != 2:
+        raise ConfigError("model.kind", f"logistic clients need 2 classes, got {n_classes}")
     return dict(
         m_list=m_list,
-        model=model.get("kind", "mlp"),
+        model=kind,
         hidden=int(model.get("hidden", 12)),
         l2=float(model.get("l2", 0.0)),
         c_max=float(quant.get("c_max", 3.0)),
@@ -239,17 +256,17 @@ def _run_centralized_mode(cfg: dict, seed: int, hp: HyperParams, out_dir: Path) 
 
 def _run_federated_mode(cfg: dict, mode: str, seed: int, hp: HyperParams,
                         out_dir: Path) -> list[dict]:
-    part = _get(cfg, "partition", required=True)
-    for f in ("clients", "classes_per_client"):
-        if f not in part:
-            raise ConfigError(f"partition.{f}", "missing required field")
-    n = int(part["clients"])
-    k = int(part["classes_per_client"])
-    part_seed = int(part.get("seed", seed))
+    n = _get(cfg, "partition.clients", required=True, conv=int)
+    k = _get(cfg, "partition.classes_per_client", required=True, conv=int)
+    part_seed = _get(cfg, "partition.seed", default=seed, conv=int)
     task = _build_task(cfg, seed)
-    export_partition_json(partition_noniid(task.train, n, k, part_seed),
-                          out_dir / "partition.json")
-    clients = build_clients(task, n, k, seed=part_seed, **_client_kwargs(cfg, n))
+    kwargs = _client_kwargs(cfg, n, task.n_classes)
+    try:
+        partition = partition_noniid(task.train, n, k, part_seed)
+    except ValueError as exc:
+        raise ConfigError("partition", str(exc)) from None
+    export_partition_json(partition, out_dir / "partition.json")
+    clients = build_clients(task, n, k, seed=part_seed, **kwargs)
     rows, results, extra = run_mode(mode, clients, hp)
     records = []
     if mode in ("qupel", "local"):
@@ -276,6 +293,8 @@ def cmd_run(config_path: str, out_override=None) -> int:
         hp = build_hyper(cfg)
         out_dir = Path(out_override or cfg.get("out_dir", f"runs/{mode}"))
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("metrics.jsonl", "summary.csv", "partition.json", "checkpoint.json"):
+            (out_dir / name).unlink(missing_ok=True)  # a rerun must not append to old outputs
         _write_manifest(out_dir, cfg, seed, hp)
         if mode == "centralized":
             rows = _run_centralized_mode(cfg, seed, hp, out_dir)
@@ -330,12 +349,13 @@ def cmd_compare(config_path: str, out_override=None) -> int:
         if seeds is None:
             seeds = list(range(1, int(cfg.get("num_seeds", 3)) + 1))
         ds = _get(cfg, "dataset", required=True)
-        part = _get(cfg, "partition", required=True)
-        task_cfg = dict(n_classes=int(ds["classes"]), dim=int(ds["dim"]),
-                        per_class=int(ds["per_class"]), spread=float(ds["spread"]))
-        n = int(part["clients"])
-        client_cfg = dict(n_clients=n, classes_per_client=int(part["classes_per_client"]),
-                          **_client_kwargs(cfg, n))
+        if ds.get("kind", "blobs") != "blobs":
+            raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
+        task_cfg = _blob_fields(ds)
+        n = _get(cfg, "partition.clients", required=True, conv=int)
+        k = _get(cfg, "partition.classes_per_client", required=True, conv=int)
+        client_cfg = dict(n_clients=n, classes_per_client=k,
+                          **_client_kwargs(cfg, n, task_cfg["n_classes"]))
         hp = build_hyper(cfg)
         out_dir = Path(out_override or cfg.get("out_dir", "runs/compare"))
         out_dir.mkdir(parents=True, exist_ok=True)

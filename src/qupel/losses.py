@@ -1,4 +1,4 @@
-"""Smooth loss models with analytic gradients, and the composed objectives.
+"""Smooth loss models with analytic gradients, and the composed objective.
 
 Three loss families are provided: a separable quadratic (exact smoothness
 constant, used by the convergence suites), l2-regularized binary logistic
@@ -10,6 +10,10 @@ The module also owns the parameter partition used for layer-wise
 quantization: a ``QuantLayout`` lists the coordinate ranges that are
 quantized (each range carrying its own center vector); everything outside
 those ranges is exempt and passes through the quantizer untouched.
+
+One evaluator, ``eval_F_i_grouped``, computes the per-client objective
+F_i = f(x) + f(Q(x, c)) + lambda R(x, c) + lambda_p/2 ||x - w||^2 part by
+part; lambda_p = 0 gives the centralized objective F_lambda.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ from .quantizer import (
     grad_soft_quantize_c,
     grad_soft_quantize_x,
     hard_grad_c,
-    hard_quantize,
     quantize_assignments,
     soft_quantize,
 )
-from .proxops import regularizer
 
 __all__ = [
     "LossModel",
@@ -43,12 +45,9 @@ __all__ = [
     "QuantLayout",
     "ObjectiveEval",
     "quantize_grouped",
-    "regularizer_grouped",
+    "hard_quantize_grouped",
     "loss_quant_gradient_x",
     "loss_quant_gradient_c",
-    "eval_F_lambda",
-    "eval_F_lambda_grouped",
-    "eval_F_i",
     "eval_F_i_grouped",
 ]
 
@@ -318,28 +317,26 @@ class QuantLayout:
 def quantize_grouped(x, centers, layout: QuantLayout, cfg: QuantConfig) -> np.ndarray:
     """Apply the (soft or hard) quantizer per group; exempt coordinates pass through."""
     centers = layout.check_centers(centers)
+    if cfg.hard_limit:
+        return hard_quantize_grouped(x, centers, layout)
     out = np.array(x, dtype=np.float64)
     for (start, stop), c in zip(layout.groups, centers):
-        if cfg.hard_limit:
-            out[start:stop] = hard_quantize(out[start:stop], c)
-        else:
-            out[start:stop] = soft_quantize(out[start:stop], c, cfg)
+        out[start:stop] = soft_quantize(out[start:stop], c, cfg)
     return out
+
+
+def _hard_assign_grouped(x, centers, layout: QuantLayout):
+    """Nearest-center image of x per group, and the assignments that give it."""
+    out = np.array(x, dtype=np.float64)
+    assigns = []
+    for (start, stop), c in zip(layout.groups, centers):
+        assigns.append(quantize_assignments(out[start:stop], c))
+        out[start:stop] = c.values[assigns[-1]]
+    return out, assigns
 
 
 def hard_quantize_grouped(x, centers, layout: QuantLayout) -> np.ndarray:
-    out = np.array(x, dtype=np.float64)
-    for (start, stop), c in zip(layout.groups, centers):
-        out[start:stop] = hard_quantize(out[start:stop], c)
-    return out
-
-
-def regularizer_grouped(x, centers, layout: QuantLayout) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    total = 0.0
-    for (start, stop), c in zip(layout.groups, centers):
-        total += regularizer(x[start:stop], c)
-    return total
+    return _hard_assign_grouped(x, centers, layout)[0]
 
 
 def loss_quant_gradient_x(loss, x, centers, layout, cfg) -> np.ndarray:
@@ -359,21 +356,18 @@ def loss_quant_gradient_x(loss, x, centers, layout, cfg) -> np.ndarray:
 def loss_quant_gradient_c(loss, x, centers, layout, cfg) -> list[np.ndarray]:
     """Chain-rule gradient of c -> f(Qs(x)) per group (indicator sums in hard mode)."""
     x = np.asarray(x, dtype=np.float64)
-    y = quantize_grouped(x, centers, layout, cfg)
-    gy = loss.gradient(y)
-    grads = []
-    for (start, stop), c in zip(layout.groups, centers):
-        if cfg.hard_limit:
-            assign = quantize_assignments(x[start:stop], c)
-            grads.append(hard_grad_c(assign, gy[start:stop], c.m))
-        else:
-            jac = grad_soft_quantize_c(x[start:stop], c, cfg)
-            grads.append(jac @ gy[start:stop])
-    return grads
+    if cfg.hard_limit:
+        y, assigns = _hard_assign_grouped(x, centers, layout)
+        gy = loss.gradient(y)
+        return [hard_grad_c(a, gy[start:stop], c.m)
+                for (start, stop), c, a in zip(layout.groups, centers, assigns)]
+    gy = loss.gradient(quantize_grouped(x, centers, layout, cfg))
+    return [grad_soft_quantize_c(x[start:stop], c, cfg) @ gy[start:stop]
+            for (start, stop), c in zip(layout.groups, centers)]
 
 
 # ---------------------------------------------------------------------------
-# composed objectives
+# the composed objective
 
 
 @dataclass(frozen=True)
@@ -385,43 +379,28 @@ class ObjectiveEval:
     reg: float
     prox_penalty: float
     total: float
-
-
-def eval_F_lambda_grouped(loss, x, centers, layout, cfg, lam) -> ObjectiveEval:
-    x = np.asarray(x, dtype=np.float64)
-    f_x = loss.value(x)
-    f_q = loss.value(quantize_grouped(x, centers, layout, cfg))
-    reg = lam * regularizer_grouped(x, centers, layout)
-    total = f_x + f_q + reg + 0.0
-    return ObjectiveEval(f_x=f_x, f_q=f_q, reg=reg, prox_penalty=0.0, total=total)
-
-
-def eval_F_lambda(loss, x, c: CenterVector, cfg, lam) -> ObjectiveEval:
-    """Centralized objective f(x) + lambda R(x, c) + f(Qs(x)) with one center group."""
-    layout = QuantLayout.full(loss.dim)
-    return eval_F_lambda_grouped(loss, x, [c], layout, cfg, lam)
+    quant_error: float  # ||x - Q_hard(x, c)||_1, not part of the total
 
 
 def eval_F_i_grouped(loss, x, centers, layout, w, cfg, lam, lambda_p) -> ObjectiveEval:
+    """F_i = f(x) + f(Q(x, c)) + lam * R(x, c) + lambda_p/2 * ||x - w||^2, by part.
+
+    With lambda_p = 0 this is the centralized objective F_lambda. Each group
+    is hard-quantized once: R and ``quant_error`` read that vector, and so
+    does f(Q) in hard mode; soft mode adds one soft pass for f(Q).
+    """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != x.shape:
         raise ValueError("personalized model and global model differ in dimension")
-    base = eval_F_lambda_grouped(loss, x, centers, layout, cfg, lam)
-    if lambda_p != 0.0:
-        pen = 0.5 * lambda_p * float(np.sum((x - w) ** 2))
-    else:
-        pen = 0.0
-    return ObjectiveEval(
-        f_x=base.f_x,
-        f_q=base.f_q,
-        reg=base.reg,
-        prox_penalty=pen,
-        total=base.f_x + base.f_q + base.reg + pen,
-    )
-
-
-def eval_F_i(loss, x, c: CenterVector, w, cfg, lam, lambda_p) -> ObjectiveEval:
-    """Per-client objective: the centralized one plus lambda_p/2 * ||x - w||^2."""
-    layout = QuantLayout.full(loss.dim)
-    return eval_F_i_grouped(loss, x, [c], layout, w, cfg, lam, lambda_p)
+    centers = layout.check_centers(centers)
+    q = hard_quantize_grouped(x, centers, layout)
+    r = 0.0
+    for start, stop in layout.groups:
+        r += 0.5 * float(np.sum(np.abs(x[start:stop] - q[start:stop])))
+    f_x = loss.value(x)
+    f_q = loss.value(q if cfg.hard_limit else quantize_grouped(x, centers, layout, cfg))
+    reg = lam * r
+    pen = 0.5 * lambda_p * float(np.sum((x - w) ** 2)) if lambda_p != 0.0 else 0.0
+    return ObjectiveEval(f_x=f_x, f_q=f_q, reg=reg, prox_penalty=pen,
+                         total=f_x + f_q + reg + pen, quant_error=float(np.sum(np.abs(x - q))))

@@ -32,7 +32,7 @@ from qupel.federated import ClientState, run_local_only, run_qupel
 from qupel.losses import (
     LogisticLoss,
     QuantLayout,
-    eval_F_lambda_grouped,
+    eval_F_i_grouped,
     mlp_loss,
     quadratic_loss,
 )
@@ -104,15 +104,15 @@ def test_criterion_3_centralized_convergence():
             lx_hat = 1.0 / (2.0 * e1)
             x, cs = x0, [c0]
             gaps = np.empty(hp.steps)
-            f_prev = eval_F_lambda_grouped(loss, x, cs, layout, cfg, lam).total
+            f_prev = eval_F_i_grouped(loss, x, cs, layout, x, cfg, lam, 0.0).total
             for t in range(hp.steps):
                 x_new, cs_new = centralized_step((x, cs), loss, hp, t, layout=layout)
-                f_mid = eval_F_lambda_grouped(loss, x_new, cs, layout, cfg, lam).total
+                f_mid = eval_F_i_grouped(loss, x_new, cs, layout, x_new, cfg, lam, 0.0).total
                 dx = float(np.sum((x_new - x) ** 2))
                 # per-step sufficient decrease in the weights
                 assert f_mid + 0.5 * lx_hat * dx <= f_prev + 1e-10, \
                     f"seed={seed} m={m} t={t}: sufficient decrease violated"
-                f_new = eval_F_lambda_grouped(loss, x_new, cs_new, layout, cfg, lam).total
+                f_new = eval_F_i_grouped(loss, x_new, cs_new, layout, x_new, cfg, lam, 0.0).total
                 # monotone decrease of the full objective
                 assert f_new <= f_prev + 1e-10, \
                     f"seed={seed} m={m} t={t}: objective increased {f_prev} -> {f_new}"

@@ -14,7 +14,7 @@ from qupel.centralized import (
     safe_step_sizes,
     stationarity_gap,
 )
-from qupel.losses import QuantLayout, eval_F_lambda_grouped, loss_quant_gradient_x, quadratic_loss
+from qupel.losses import QuantLayout, eval_F_i_grouped, loss_quant_gradient_x, quadratic_loss
 from qupel.proxops import ProxParams, prox_x
 from qupel.quantizer import CenterVector, QuantConfig
 from qupel.rng import Rng
@@ -144,10 +144,10 @@ class TestRunCentralized:
         lx = 1.0 / (2.0 * e1)
         x, cs = x0, [c0]
         for t in range(hp.steps):
-            before = eval_F_lambda_grouped(loss, x, cs, layout, cfg, lam).total
+            before = eval_F_i_grouped(loss, x, cs, layout, x, cfg, lam, 0.0).total
             g = loss.gradient(x) + loss_quant_gradient_x(loss, x, cs, layout, cfg)
             x_mid = prox_x(x - e1 * g, cs[0], ProxParams(eta=e1, lam=lam))
-            mid = eval_F_lambda_grouped(loss, x_mid, cs, layout, cfg, lam).total
+            mid = eval_F_i_grouped(loss, x_mid, cs, layout, x_mid, cfg, lam, 0.0).total
             dx = float(np.sum((x_mid - x) ** 2))
             assert mid + 0.5 * lx * dx <= before + 1e-10
             x, cs = centralized_step((x, cs), loss, hp, t, layout=layout)

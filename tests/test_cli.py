@@ -208,3 +208,53 @@ class TestCompareCommand:
         assert {r["mode"] for r in rows} == {"qupel", "local", "fedavg"}
         out = capsys.readouterr().out
         assert "ordering" in out
+
+
+class TestRerunSameOutDir:
+    def test_second_run_replaces_the_first(self, tmp_path, capsys):
+        cfg_dict = federated_cfg("qupel", str(tmp_path / "twice"), lambda_p=0.4, steps=3)
+        cfg = write_cfg(tmp_path, "c.json", cfg_dict)
+        assert main(["run", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "once")]) == 0
+        for name in ("metrics.jsonl", "summary.csv", "partition.json"):
+            assert (tmp_path / "twice" / name).read_bytes() == \
+                (tmp_path / "once" / name).read_bytes(), name
+
+    def test_diverged_rerun_leaves_no_stale_outputs(self, tmp_path, capsys):
+        cfg_dict = quadratic_cfg(str(tmp_path / "out"), steps=300)
+        assert main(["run", "--config", write_cfg(tmp_path, "a.json", cfg_dict)]) == 0
+        cfg_dict["hyper"]["eta1"] = 5.0
+        cfg_dict["model"]["curvature"] = [10.0, 10.0]
+        assert main(["run", "--config", write_cfg(tmp_path, "b.json", cfg_dict)]) == 3
+        assert not (tmp_path / "out" / "metrics.jsonl").exists()
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def compare_cfg(out_dir):
+    base = federated_cfg("qupel", out_dir, lambda_p=0.4, steps=5)
+    return {"modes": ["qupel", "local"], "seeds": [1], "out_dir": out_dir,
+            **{k: base[k] for k in ("model", "dataset", "partition", "quantization", "hyper")}}
+
+
+@pytest.mark.parametrize("command, edit, field", [
+    ("compare", lambda c: c["dataset"].pop("classes"), "dataset.classes"),
+    ("compare", lambda c: c.update(dataset={"kind": "csv", "train": "a.csv", "test": "b.csv"}),
+     "dataset.kind"),
+    ("compare", lambda c: c["partition"].pop("clients"), "partition.clients"),
+    ("run", lambda c: c["model"].update(kind="foo"), "model.kind"),
+    ("run", lambda c: c["model"].update(kind="logistic"), "model.kind"),  # on 4 classes
+    ("run", lambda c: c["quantization"].update(case="7bits"), "quantization.case"),
+    ("run", lambda c: c["partition"].update(clients=1000), "partition"),
+    ("run", lambda c: c["hyper"].update(fine_tune_start="x"), "hyper.fine_tune_start"),
+    ("run", lambda c: c["hyper"].update(checkpoint_every="x"), "hyper.checkpoint_every"),
+    ("run", lambda c: c["quantization"].update(sharpness="sharp"), "quantization.sharpness"),
+], ids=["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
+        "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
+        "checkpoint-every", "sharpness"])
+def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, command, edit, field):
+    out = str(tmp_path / "out")
+    cfg_dict = compare_cfg(out) if command == "compare" else federated_cfg("qupel", out, steps=5)
+    edit(cfg_dict)
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+    assert f"invalid config: {field}:" in capsys.readouterr().err

@@ -5,9 +5,8 @@ import pytest
 
 from qupel.losses import (
     QuantLayout,
-    eval_F_i,
-    eval_F_lambda,
-    eval_F_lambda_grouped,
+    eval_F_i_grouped,
+    hard_quantize_grouped,
     logistic_loss,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
@@ -15,7 +14,9 @@ from qupel.losses import (
     quadratic_loss,
     quantize_grouped,
 )
-from qupel.quantizer import CenterVector, QuantConfig
+from qupel import losses, quantizer
+from qupel.proxops import regularizer
+from qupel.quantizer import CenterVector, QuantConfig, hard_grad_c, quantize_assignments
 from qupel.diagnostics import finite_diff_check
 from qupel.rng import Rng
 
@@ -123,14 +124,16 @@ class TestMlp:
 class TestComposedObjectives:
     def test_hard_mode_on_centers(self):
         loss = quadratic_loss([0.0, 1.0], [1.0, 1.0])
-        ev = eval_F_lambda(loss, np.array([0.0, 1.0]), centers(0.0, 1.0),
-                           QuantConfig(hard_limit=True), lam=0.0)
+        x = np.array([0.0, 1.0])
+        ev = eval_F_i_grouped(loss, x, centers(0.0, 1.0), QuantLayout.full(2), x,
+                              QuantConfig(hard_limit=True), lam=0.0, lambda_p=0.0)
         assert ev.total == 2 * ev.f_x == 0.0
 
     def test_hand_example(self):
         loss = quadratic_loss([1.0], [1.0])
-        ev = eval_F_lambda(loss, np.array([0.6]), centers(0.0, 1.0),
-                           QuantConfig(hard_limit=True), lam=0.1)
+        x = np.array([0.6])
+        ev = eval_F_i_grouped(loss, x, centers(0.0, 1.0), QuantLayout.full(1), x,
+                              QuantConfig(hard_limit=True), lam=0.1, lambda_p=0.0)
         assert ev.f_x == pytest.approx(0.08, abs=1e-15)
         assert ev.f_q == 0.0
         assert ev.reg == pytest.approx(0.02, abs=1e-15)
@@ -140,28 +143,30 @@ class TestComposedObjectives:
         rng = Rng(13)
         loss = quadratic_loss(rng.uniform(-1, 1, 5), rng.uniform(0.5, 2, 5))
         x = rng.uniform(-1, 1, 5)
-        ev = eval_F_lambda(loss, x, centers(-0.5, 0.5), QuantConfig(sharpness=4.0), lam=0.3)
+        ev = eval_F_i_grouped(loss, x, centers(-0.5, 0.5), QuantLayout.full(5), x,
+                              QuantConfig(sharpness=4.0), lam=0.3, lambda_p=0.0)
         assert ev.total == ev.f_x + ev.f_q + ev.reg + ev.prox_penalty
         assert ev.total >= ev.f_x
 
     def test_F_i_penalty(self):
         loss = quadratic_loss([1.0], [1.0])
-        ev = eval_F_i(loss, np.array([0.6]), centers(0.0, 1.0), np.array([0.8]),
-                      QuantConfig(hard_limit=True), lam=0.1, lambda_p=0.5)
+        ev = eval_F_i_grouped(loss, np.array([0.6]), centers(0.0, 1.0), QuantLayout.full(1),
+                              np.array([0.8]), QuantConfig(hard_limit=True), lam=0.1, lambda_p=0.5)
         assert ev.prox_penalty == pytest.approx(0.01, abs=1e-15)
         assert ev.total == pytest.approx(0.11, abs=1e-15)
 
     def test_F_i_zero_penalty_when_models_agree(self):
         loss = quadratic_loss([1.0], [1.0])
         x = np.array([0.3])
-        ev = eval_F_i(loss, x, centers(0.0, 1.0), x, QuantConfig(hard_limit=True), 0.1, 2.0)
+        ev = eval_F_i_grouped(loss, x, centers(0.0, 1.0), QuantLayout.full(1), x,
+                              QuantConfig(hard_limit=True), 0.1, 2.0)
         assert ev.prox_penalty == 0.0
 
     def test_F_i_dimension_mismatch(self):
         loss = quadratic_loss([1.0], [1.0])
         with pytest.raises(ValueError):
-            eval_F_i(loss, np.array([0.5]), centers(0.0), np.array([0.5, 0.5]),
-                     QuantConfig(hard_limit=True), 0.0, 1.0)
+            eval_F_i_grouped(loss, np.array([0.5]), centers(0.0), QuantLayout.full(1),
+                             np.array([0.5, 0.5]), QuantConfig(hard_limit=True), 0.0, 1.0)
 
     def test_penalty_gradient_wrt_w(self):
         rng = Rng(14)
@@ -171,7 +176,8 @@ class TestComposedObjectives:
         lam_p = 0.7
 
         def pen(w):
-            return eval_F_i(loss, x, c, w, QuantConfig(hard_limit=True), 0.0, lam_p).prox_penalty
+            return eval_F_i_grouped(loss, x, c, QuantLayout.full(4), w,
+                                    QuantConfig(hard_limit=True), 0.0, lam_p).prox_penalty
 
         rep = finite_diff_check(pen, lambda w: lam_p * (w - x), rng.uniform(-1, 1, 4), tol=1e-8)
         assert rep.passed
@@ -234,5 +240,60 @@ class TestChainRuleGradients:
         with pytest.raises(ValueError):
             QuantLayout(4, ((0, 5),))
         with pytest.raises(ValueError):
-            eval_F_lambda_grouped(quadratic_loss([0.0], [1.0]), np.array([0.0]),
-                                  [], QuantLayout.full(1), QuantConfig(hard_limit=True), 0.0)
+            eval_F_i_grouped(quadratic_loss([0.0], [1.0]), np.array([0.0]), [],
+                             QuantLayout.full(1), np.array([0.0]), QuantConfig(hard_limit=True),
+                             0.0, 0.0)
+
+
+class TestObjectiveEvaluator:
+    """Each part of eval_F_i_grouped equals its reference definition bitwise."""
+
+    CFGS = [QuantConfig(hard_limit=True), QuantConfig(sharpness=6.0)]
+
+    def make(self):
+        rng = Rng(18)
+        loss = mlp_loss([3, 4, 2], rng.normal(30).reshape(10, 3),
+                        np.array([0, 1] * 5, dtype=np.int64))
+        layout = QuantLayout.for_mlp(loss)  # two weight groups; the biases are exempt
+        x = rng.uniform(-1, 1, loss.dim)
+        w = rng.uniform(-1, 1, loss.dim)
+        return loss, layout, x, [centers(-0.6, 0.0, 0.5), centers(-0.3, 0.4)], w
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=["hard", "soft"])
+    def test_parts_match_references(self, cfg):
+        loss, layout, x, cs, w = self.make()
+        lam, lam_p = 0.3, 0.7
+        ev = eval_F_i_grouped(loss, x, cs, layout, w, cfg, lam, lam_p)
+        r = 0.0
+        for (start, stop), c in zip(layout.groups, cs):
+            r += regularizer(x[start:stop], c)
+        assert ev.f_x == loss.value(x)
+        assert ev.f_q == loss.value(quantize_grouped(x, cs, layout, cfg))
+        assert ev.reg == lam * r
+        assert ev.quant_error == float(np.sum(np.abs(x - hard_quantize_grouped(x, cs, layout))))
+        assert ev.prox_penalty == 0.5 * lam_p * float(np.sum((x - w) ** 2))
+        assert ev.total == ev.f_x + ev.f_q + ev.reg + ev.prox_penalty
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=["hard", "soft"])
+    def test_quantizes_each_group_once(self, cfg, monkeypatch):
+        loss, layout, x, cs, w = self.make()
+        calls = []
+
+        def counted(xg, c):
+            calls.append(xg.size)
+            return quantize_assignments(xg, c)
+
+        monkeypatch.setattr(quantizer, "quantize_assignments", counted)
+        monkeypatch.setattr(losses, "quantize_assignments", counted)
+        eval_F_i_grouped(loss, x, cs, layout, w, cfg, 0.3, 0.7)
+        assert calls == [stop - start for start, stop in layout.groups]
+
+    def test_hard_center_gradient_matches_reference(self):
+        loss, layout, x, cs, _ = self.make()
+        cfg = QuantConfig(hard_limit=True)
+        got = loss_quant_gradient_c(loss, x, cs, layout, cfg)
+        gy = loss.gradient(quantize_grouped(x, cs, layout, cfg))
+        assert len(got) == len(cs)
+        for (start, stop), c, g in zip(layout.groups, cs, got):
+            want = hard_grad_c(quantize_assignments(x[start:stop], c), gy[start:stop], c.m)
+            assert np.array_equal(g, want)
