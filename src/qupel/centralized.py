@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +49,6 @@ __all__ = [
     "init_weights",
     "init_centers_from_weights",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):

@@ -27,40 +27,78 @@ from .centralized import (
     DivergenceError,
     HyperParams,
     LambdaSchedule,
-    init_centers_from_weights,
     init_weights,
     run_centralized,
 )
-from .data import export_partition_json, load_csv, partition_noniid
-from .diagnostics import evaluate_accuracy, export_metrics, run_gradient_suite, run_prox_suite
+from .data import PartitionError, export_partition_json, load_csv, partition_noniid
+from .diagnostics import export_metrics, format_value, run_gradient_suite, run_prox_suite
 from .experiments import (
     BlobTask,
+    _make_loss,
     build_blob_task,
     build_clients,
     compare_modes,
+    make_client,
     mixed_precision_m,
     run_mode,
+    summarize_clients,
 )
-from .losses import QuantLayout, mlp_loss, quadratic_loss
+from .losses import quadratic_loss
 from .quantizer import QuantConfig
 from .rng import Rng
-
-logger = logging.getLogger(__name__)
 
 MODES = ("centralized", "qupel", "fedavg", "local")
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
+    """An unusable config field; not a ValueError, so no handler below re-labels it."""
+
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
 
 
+def _checked(conv, name: str, ok=lambda value: True):
+    """A ``_get`` converter: ``conv``, refusing results that fail ``ok``; ``name`` says why."""
+    def read(value):
+        value = conv(value)
+        if not ok(value):
+            raise ValueError(name)
+        return value
+    read.__name__ = name
+    return read
+
+
+def _list_of(conv):
+    def read(value):
+        if not isinstance(value, list):
+            raise TypeError("not a list")
+        return [conv(v) for v in value]
+    read.__name__ = f"list of {conv.__name__}"
+    return read
+
+
+def _step_value(pair):
+    step, value = pair
+    return int(step), float(value)
+
+
+_pairs = _list_of(_checked(_step_value, "[step, value]"))
+_flag = _checked(lambda v: v, "true or false", lambda v: isinstance(v, bool))
+_pos_int = _checked(int, "integer >= 1", lambda v: v >= 1)
+_nonneg = _checked(float, "finite number >= 0", lambda v: 0.0 <= v < float("inf"))
+_pos = _checked(float, "finite number > 0", lambda v: 0.0 < v < float("inf"))
+_compare_mode = _checked(str, "qupel|local|fedavg", lambda v: v in ("qupel", "local", "fedavg"))
+
+
 def _get(cfg: dict, path: str, required: bool = False, default=None, conv=None):
     """The value at dotted ``path`` (null counts as absent), passed through ``conv`` if given."""
     node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or node.get(part) is None:
+    parts = path.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(parts[:i]) or "config", f"expected an object, got {node!r}")
+        if node.get(part) is None:
             if required:
                 raise ConfigError(path, "missing required field")
             return default
@@ -73,240 +111,224 @@ def _get(cfg: dict, path: str, required: bool = False, default=None, conv=None):
         raise ConfigError(path, f"expected {conv.__name__}, got {node!r}") from None
 
 
-def _lambda_schedule(node) -> LambdaSchedule:
-    if node is None:
-        return LambdaSchedule.constant(0.0)
-    if isinstance(node, (int, float)):
-        return LambdaSchedule.constant(float(node))
-    kind = node.get("kind", "constant")
+def _lambda_schedule(cfg: dict) -> LambdaSchedule:
+    if not isinstance(_get(cfg, "hyper.lambda", default={}), dict):
+        return LambdaSchedule.constant(_get(cfg, "hyper.lambda", conv=_nonneg))
+    kind = _get(cfg, "hyper.lambda.kind", default="constant")
     if kind == "constant":
-        return LambdaSchedule.constant(float(node.get("value", 0.0)))
+        return LambdaSchedule.constant(_get(cfg, "hyper.lambda.value", default=0.0, conv=_nonneg))
     if kind == "linear":
-        return LambdaSchedule.linear(float(node.get("base", 0.0)),
-                                     cap=float(node.get("cap", float("inf"))))
+        return LambdaSchedule.linear(_get(cfg, "hyper.lambda.base", default=0.0, conv=_nonneg),
+                                     cap=_get(cfg, "hyper.lambda.cap", default=float("inf"),
+                                              conv=float))
     if kind == "piecewise":
-        return LambdaSchedule.piecewise(node.get("points", []))
+        return LambdaSchedule.piecewise(_get(cfg, "hyper.lambda.points", default=[], conv=_pairs))
     raise ConfigError("hyper.lambda.kind", f"unknown schedule kind {kind!r}")
 
 
 def build_hyper(cfg: dict) -> HyperParams:
-    hyper = _get(cfg, "hyper", required=True)
-    quant = cfg.get("quantization", {})
-    decay = hyper.get("eta2_decay")
     try:
         qcfg = QuantConfig(sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=float),
-                           hard_limit=bool(quant.get("hard_limit", True)))
+                           hard_limit=_get(cfg, "quantization.hard_limit", default=True, conv=_flag))
         return HyperParams(
             eta1=_get(cfg, "hyper.eta1", required=True, conv=float),
             eta2=_get(cfg, "hyper.eta2", required=True, conv=float),
             steps=_get(cfg, "hyper.steps", required=True, conv=int),
             eta3=_get(cfg, "hyper.eta3", default=0.0, conv=float),
-            lambda_schedule=_lambda_schedule(hyper.get("lambda")),
+            lambda_schedule=_lambda_schedule(cfg),
             lambda_p=_get(cfg, "hyper.lambda_p", default=0.0, conv=float),
             tau=_get(cfg, "hyper.tau", default=1, conv=int),
             fine_tune_start=_get(cfg, "hyper.fine_tune_start", conv=int),
             quant_cfg=qcfg,
-            eta2_decay=tuple((int(s), float(f)) for s, f in decay) if decay else None,
+            eta2_decay=tuple(_get(cfg, "hyper.eta2_decay", default=[], conv=_pairs)) or None,
             divergence_factor=_get(cfg, "hyper.divergence_factor", default=1e6, conv=float),
             metrics_every=_get(cfg, "hyper.metrics_every", default=1, conv=int),
             batch_size=_get(cfg, "hyper.batch_size", conv=int),
-            flip_w_update_sign=bool(hyper.get("flip_w_update_sign", False)),
+            flip_w_update_sign=_get(cfg, "hyper.flip_w_update_sign", default=False, conv=_flag),
             checkpoint_every=_get(cfg, "hyper.checkpoint_every", conv=int),
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError("hyper", str(exc)) from exc
 
 
 def _effective_seed(cfg: dict) -> int:
-    env = os.environ.get("QUPEL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("QUPEL_SEED", f"not an integer: {env!r}") from None
-    return int(cfg.get("seed", 0))
+    env = os.environ.get("QUPEL_SEED")  # the environment wins over the config
+    if env is None:
+        return _get(cfg, "seed", default=0, conv=int)
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError("QUPEL_SEED", f"not an integer: {env!r}") from None
 
 
-def _blob_fields(ds: dict) -> dict:
+def _blob_fields(cfg: dict) -> dict:
     """The ``build_blob_task`` arguments of a blobs dataset config, except the seed."""
-    for f in ("classes", "dim", "per_class", "spread"):
-        if f not in ds:
-            raise ConfigError(f"dataset.{f}", "missing required field")
-    return dict(n_classes=int(ds["classes"]), dim=int(ds["dim"]),
-                per_class=int(ds["per_class"]), spread=float(ds["spread"]))
+    return dict(n_classes=_get(cfg, "dataset.classes", required=True,
+                               conv=_checked(int, "integer >= 2", lambda v: v >= 2)),
+                dim=_get(cfg, "dataset.dim", required=True, conv=_pos_int),
+                per_class=_get(cfg, "dataset.per_class", required=True, conv=_pos_int),
+                spread=_get(cfg, "dataset.spread", required=True, conv=_nonneg))
+
+
+def _read_csv(cfg: dict, field: str):
+    try:
+        return load_csv(_get(cfg, field, required=True, conv=str))
+    except (OSError, ValueError) as exc:  # a missing file or a malformed row
+        raise ConfigError(field, str(exc)) from None
 
 
 def _build_task(cfg: dict, seed: int) -> BlobTask:
-    ds = _get(cfg, "dataset", required=True)
-    kind = ds.get("kind")
+    kind = _get(cfg, "dataset.kind", required=True)
     if kind == "blobs":
-        return build_blob_task(seed=int(ds.get("seed", seed)), **_blob_fields(ds))
+        return build_blob_task(seed=_get(cfg, "dataset.seed", default=seed, conv=int),
+                               **_blob_fields(cfg))
     if kind == "csv":
-        for f in ("train", "test"):
-            if f not in ds:
-                raise ConfigError(f"dataset.{f}", "missing required field")
-        train = load_csv(ds["train"])
-        test = load_csv(ds["test"])
-        return BlobTask(train=train, test=test, n_classes=train.n_classes,
-                        dim=train.features.shape[1])
+        train, test = (_read_csv(cfg, f"dataset.{f}") for f in ("train", "test"))
+        return BlobTask(train=train, test=test, n_classes=train.n_classes)
     raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
 
 
-def _client_kwargs(cfg: dict, n_clients: int, n_classes: int):
-    quant = cfg.get("quantization", {})
-    if "m_list" in quant:
-        m_list = [int(m) for m in quant["m_list"]]
+def _client_spec(cfg: dict, n_clients: int, n_classes: int | None = None,
+                 kinds=("mlp", "logistic"), default_kind="mlp") -> dict:
+    """The model and quantization fields as ``build_clients`` keyword arguments.
+
+    ``model.kind`` is one of ``kinds``, and required if ``default_kind`` is None.
+    """
+    kind = _get(cfg, "model.kind", required=default_kind is None, default=default_kind)
+    if kind not in kinds:
+        raise ConfigError("model.kind", f"this mode supports {'|'.join(kinds)}, got {kind!r}")
+    if kind == "logistic" and n_classes != 2:
+        raise ConfigError("model.kind", f"logistic clients need 2 classes, got {n_classes}")
+    m_list = _get(cfg, "quantization.m_list", conv=_list_of(_pos_int))
+    case = _get(cfg, "quantization.case", conv=str)
+    if m_list is not None:
         if len(m_list) != n_clients:
             raise ConfigError("quantization.m_list", f"need {n_clients} entries")
-    elif "case" in quant:
+    elif case is not None:
         try:
-            m_list = mixed_precision_m(quant["case"], n_clients)
+            m_list = mixed_precision_m(case, n_clients)
         except ValueError as exc:
             raise ConfigError("quantization.case", str(exc)) from None
     else:
-        m_list = [int(quant.get("m", 4))] * n_clients
-    model = cfg.get("model", {})
-    kind = model.get("kind", "mlp")
-    if kind not in ("mlp", "logistic"):
-        raise ConfigError("model.kind", f"federated modes support mlp|logistic, got {kind!r}")
-    if kind == "logistic" and n_classes != 2:
-        raise ConfigError("model.kind", f"logistic clients need 2 classes, got {n_classes}")
+        m_list = [_get(cfg, "quantization.m", default=4, conv=_pos_int)] * n_clients
     return dict(
         m_list=m_list,
         model=kind,
-        hidden=int(model.get("hidden", 12)),
-        l2=float(model.get("l2", 0.0)),
-        c_max=float(quant.get("c_max", 3.0)),
-        exempt_first_last=bool(quant.get("exempt_first_last", False)),
+        hidden=_get(cfg, "model.hidden", default=12, conv=_pos_int),
+        l2=_get(cfg, "model.l2", default=0.0, conv=_nonneg),
+        c_max=_get(cfg, "quantization.c_max", default=3.0, conv=_pos),
+        exempt_first_last=_get(cfg, "quantization.exempt_first_last", default=False, conv=_flag),
     )
 
 
-def _write_summary(path, rows):
-    fields = ["client_id", "bits", "acc_fp_eval", "acc_quantized", "final_total", "final_gap"]
+def _partition_size(cfg: dict) -> tuple[int, int]:
+    return (_get(cfg, "partition.clients", required=True, conv=_pos_int),
+            _get(cfg, "partition.classes_per_client", required=True, conv=_pos_int))
+
+
+def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
+    """``train(out_dir)`` of a centralized run: one model, initialised from ``Rng(seed)``."""
+    for field in ("quantization.m_list", "quantization.case"):
+        if _get(cfg, field) is not None:
+            raise ConfigError(field, "centralized mode trains one model; set quantization.m")
+    spec = _client_spec(cfg, 1, kinds=("quadratic", "mlp"), default_kind=None)
+    if spec["model"] == "quadratic":
+        targets = _get(cfg, "model.targets", required=True,
+                       conv=_checked(_list_of(float), "nonempty list of float", len))
+        curvature = _get(cfg, "model.curvature", required=True, conv=_list_of(_pos))
+        if len(curvature) != len(targets):
+            raise ConfigError("model.curvature", f"need {len(targets)} entries, one per target")
+        if hp.batch_size is not None:
+            raise ConfigError("hyper.batch_size", "the quadratic model has no samples to draw")
+        loss, test = quadratic_loss(targets, curvature), None
+    else:
+        task = _build_task(cfg, seed)
+        loss = _make_loss("mlp", task.train, task.n_classes, spec["hidden"], spec["l2"])
+        test = task.test
+    rng = Rng(seed)
+    # a stream only when minibatches are drawn, so full-batch checkpoints keep rng_state null
+    data_rng = rng.spawn(2) if hp.batch_size is not None else None
+    client = make_client(0, loss, init_weights(loss.dim, rng), spec["m_list"][0],
+                         c_max=spec["c_max"], exempt_first_last=spec["exempt_first_last"],
+                         test=test, data_rng=data_rng)
+
+    def train(out_dir: Path):
+        res = run_centralized(loss, client.x, client.centers, hp, layout=client.layout,
+                              test=test, rng=data_rng, checkpoint_path=out_dir / "checkpoint.json"
+                              if hp.checkpoint_every else None)
+        return summarize_clients([res], [client]), res.history
+    return train
+
+
+def _write_csv(path, fields, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        for row in rows:
-            writer.writerow(["" if row.get(f) is None else
-                             (f"{row[f]:.17g}" if isinstance(row[f], float) else row[f])
-                             for f in fields])
+        writer.writerows([format_value(row.get(f)) for f in fields] for row in rows)
 
 
-def _write_manifest(out_dir: Path, cfg: dict, seed: int, hp: HyperParams):
-    manifest = {
-        "package_version": __version__,
-        "seed": seed,
-        "hyperparams_hash": hp.config_hash(),
-        "config": cfg,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+def _config_command(body):
+    """Wrap ``body(cfg, out_override)`` with the JSON read and the exit-code mapping."""
+    def command(config_path: str, out_override=None) -> int:
+        try:
+            cfg = json.loads(Path(config_path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read config: {exc}", file=sys.stderr)
+            return 2
+        try:
+            return body(cfg, out_override)
+        except PartitionError as exc:
+            print(f"error: invalid config: partition: {exc}", file=sys.stderr)
+            return 2
+        except ConfigError as exc:
+            print(f"error: invalid config: {exc}", file=sys.stderr)
+            return 2
+        except DivergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+    return command
 
 
-def _run_centralized_mode(cfg: dict, seed: int, hp: HyperParams, out_dir: Path) -> list[dict]:
-    model = _get(cfg, "model", required=True)
-    kind = model.get("kind")
-    quant = cfg.get("quantization", {})
-    m = int(quant.get("m", 4))
-    c_max = float(quant.get("c_max", 3.0))
-    rng = Rng(seed)
+def read_run_config(cfg: dict):
+    """``(mode, seed, hp, train)`` of a checked ``run`` config; nothing has run yet.
 
-    if kind == "quadratic":
-        for f in ("targets", "curvature"):
-            if f not in model:
-                raise ConfigError(f"model.{f}", "missing required field")
-        if hp.batch_size is not None:
-            raise ConfigError("hyper.batch_size", "the quadratic model has no samples to draw")
-        loss = quadratic_loss(model["targets"], model["curvature"])
-        layout = QuantLayout.full(loss.dim)
-        test = None
-    elif kind == "mlp":
-        task = _build_task(cfg, seed)
-        loss = mlp_loss([task.dim, int(model.get("hidden", 12)), task.n_classes],
-                        task.train.features, task.train.labels,
-                        l2=float(model.get("l2", 0.0)))
-        layout = QuantLayout.for_mlp(loss, exempt_first_last=bool(
-            quant.get("exempt_first_last", False)))
-        test = task.test
-    else:
-        raise ConfigError("model.kind", f"centralized mode supports quadratic|mlp, got {kind!r}")
-
-    # a stream only when minibatches are drawn, so full-batch checkpoints keep rng_state null
-    data_rng = rng.spawn(2) if hp.batch_size is not None else None
-    x0 = init_weights(loss.dim, rng)
-    centers = [init_centers_from_weights(x0[s:e], m, c_max=c_max) for s, e in layout.groups]
-    res = run_centralized(loss, x0, centers, hp, layout=layout, test=test, rng=data_rng,
-                          checkpoint_path=out_dir / "checkpoint.json"
-                          if hp.checkpoint_every else None)
-    export_metrics(res.history, out_dir / "metrics.jsonl", fmt="jsonl")
-    last = res.history[-1] if res.history else None
-    acc_fp = evaluate_accuracy(loss, res.x_final, test) if test is not None else None
-    acc_q = evaluate_accuracy(loss, res.x_hard, test) if test is not None else None
-    return [{
-        "client_id": 0,
-        "bits": float(np.log2(m)),
-        "acc_fp_eval": acc_fp,
-        "acc_quantized": acc_q,
-        "final_total": last.total if last else None,
-        "final_gap": last.stationarity_gap if last else None,
-    }]
-
-
-def _run_federated_mode(cfg: dict, mode: str, seed: int, hp: HyperParams,
-                        out_dir: Path) -> list[dict]:
-    n = _get(cfg, "partition.clients", required=True, conv=int)
-    k = _get(cfg, "partition.classes_per_client", required=True, conv=int)
-    part_seed = _get(cfg, "partition.seed", default=seed, conv=int)
+    ``train(out_dir)`` runs the mode, writes its partition or checkpoint to
+    ``out_dir`` if it has one, and returns the summary rows and metrics records.
+    """
+    mode = _get(cfg, "mode", required=True)
+    if mode not in MODES:
+        raise ConfigError("mode", f"must be one of {MODES}")
+    seed = _effective_seed(cfg)
+    hp = build_hyper(cfg)
+    if mode == "centralized":
+        return mode, seed, hp, _centralized_train(cfg, seed, hp)
     task = _build_task(cfg, seed)
-    kwargs = _client_kwargs(cfg, n, task.n_classes)
-    try:
-        partition = partition_noniid(task.train, n, k, part_seed)
-    except ValueError as exc:
-        raise ConfigError("partition", str(exc)) from None
-    export_partition_json(partition, out_dir / "partition.json")
-    clients = build_clients(task, n, k, seed=part_seed, **kwargs)
-    rows, results, extra = run_mode(mode, clients, hp)
-    records = []
-    if mode in ("qupel", "local"):
-        for cs, res in zip(sorted(clients, key=lambda c: c.id), results):
-            records.extend(m.as_record(client_id=cs.id) for m in res.history)
-    else:
-        records.extend(m.as_record(client_id=-1) for m in results[0].history)
-    records.sort(key=lambda r: (r["step"], r.get("client_id", 0)))
+    part_seed = _get(cfg, "partition.seed", default=seed, conv=int)
+    partition = partition_noniid(task.train, *_partition_size(cfg), part_seed)
+    spec = _client_spec(cfg, partition.n_clients, task.n_classes)
+    clients = build_clients(task, partition, seed=part_seed, **spec)
+
+    def train(out_dir: Path):
+        export_partition_json(partition, out_dir / "partition.json")
+        return run_mode(mode, clients, hp)
+    return mode, seed, hp, train
+
+
+@_config_command
+def cmd_run(cfg: dict, out_override) -> int:
+    mode, seed, hp, train = read_run_config(cfg)
+    out_dir = Path(out_override or _get(cfg, "out_dir", default=f"runs/{mode}", conv=str))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("metrics.jsonl", "summary.csv", "partition.json", "checkpoint.json"):
+        (out_dir / name).unlink(missing_ok=True)  # a rerun must not append to old outputs
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump({"package_version": __version__, "seed": seed,
+                   "hyperparams_hash": hp.config_hash(), "config": cfg}, fh, indent=2)
+    rows, records = train(out_dir)
     export_metrics(records, out_dir / "metrics.jsonl", fmt="jsonl")
-    return rows
+    _write_csv(out_dir / "summary.csv", ["client_id", "bits", "acc_fp_eval", "acc_quantized",
+                                         "final_total", "final_gap"], rows)
 
-
-def cmd_run(config_path: str, out_override=None) -> int:
-    try:
-        cfg = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        mode = _get(cfg, "mode", required=True)
-        if mode not in MODES:
-            raise ConfigError("mode", f"must be one of {MODES}")
-        seed = _effective_seed(cfg)
-        hp = build_hyper(cfg)
-        out_dir = Path(out_override or cfg.get("out_dir", f"runs/{mode}"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in ("metrics.jsonl", "summary.csv", "partition.json", "checkpoint.json"):
-            (out_dir / name).unlink(missing_ok=True)  # a rerun must not append to old outputs
-        _write_manifest(out_dir, cfg, seed, hp)
-        if mode == "centralized":
-            rows = _run_centralized_mode(cfg, seed, hp, out_dir)
-        else:
-            rows = _run_federated_mode(cfg, mode, seed, hp, out_dir)
-        _write_summary(out_dir / "summary.csv", rows)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     accs = [r["acc_quantized"] for r in rows if r.get("acc_quantized") is not None]
     gap = rows[0].get("final_gap")
     bits = ", ".join(f"{r['bits']:g}" for r in rows[:8])
@@ -332,45 +354,37 @@ def cmd_gradcheck(tol: float = 1e-5, instances: int = 1000, seed: int = 20240,
     return 0 if (grad.passed and prox.passed) else 1
 
 
-def cmd_compare(config_path: str, out_override=None) -> int:
-    try:
-        cfg = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        modes = cfg.get("modes", [])
-        if not modes:
-            raise ConfigError("modes", "must list at least one mode")
-        for m in modes:
-            if m not in ("qupel", "local", "fedavg"):
-                raise ConfigError("modes", f"unsupported mode {m!r}")
-        seeds = cfg.get("seeds")
-        if seeds is None:
-            seeds = list(range(1, int(cfg.get("num_seeds", 3)) + 1))
-        ds = _get(cfg, "dataset", required=True)
-        if ds.get("kind", "blobs") != "blobs":
-            raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
-        task_cfg = _blob_fields(ds)
-        n = _get(cfg, "partition.clients", required=True, conv=int)
-        k = _get(cfg, "partition.classes_per_client", required=True, conv=int)
-        client_cfg = dict(n_clients=n, classes_per_client=k,
-                          **_client_kwargs(cfg, n, task_cfg["n_classes"]))
-        hp = build_hyper(cfg)
-        out_dir = Path(out_override or cfg.get("out_dir", "runs/compare"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        records = compare_modes(task_cfg, client_cfg, hp, modes, seeds)
-    except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    with open(out_dir / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "seed", "avg_test_acc"])
-        for rec in records:
-            writer.writerow([rec["mode"], rec["seed"], f"{rec['avg_test_acc']:.17g}"])
+def read_compare_config(cfg: dict):
+    """The ``compare_modes`` arguments ``(modes, seeds, task_cfg, client_cfg, hp)``, checked."""
+    modes = _get(cfg, "modes", default=[], conv=_list_of(_compare_mode))
+    if not modes:
+        raise ConfigError("modes", "must list at least one mode")
+    seeds = _get(cfg, "seeds", conv=_list_of(int))
+    if seeds is None:
+        seeds = list(range(1, _get(cfg, "num_seeds", default=3, conv=_pos_int) + 1))
+    if not seeds:
+        raise ConfigError("seeds", "must list at least one seed")
+    for field in ("dataset.seed", "partition.seed"):
+        if _get(cfg, field) is not None:
+            raise ConfigError(field, "compare draws the dataset and the partition from "
+                                     "each entry of seeds")
+    if _get(cfg, "dataset.kind", default="blobs") != "blobs":
+        raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
+    task_cfg = _blob_fields(cfg)
+    n, k = _partition_size(cfg)
+    client_cfg = dict(n_clients=n, classes_per_client=k,
+                      **_client_spec(cfg, n, task_cfg["n_classes"]))
+    return modes, seeds, task_cfg, client_cfg, build_hyper(cfg)
+
+
+@_config_command
+def cmd_compare(cfg: dict, out_override) -> int:
+    """Run several protocols on the dataset and partition drawn from each seed."""
+    modes, seeds, task_cfg, client_cfg, hp = read_compare_config(cfg)
+    out_dir = Path(out_override or _get(cfg, "out_dir", default="runs/compare", conv=str))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = compare_modes(task_cfg, client_cfg, hp, modes, seeds)
+    _write_csv(out_dir / "comparison.csv", ["mode", "seed", "avg_test_acc"], records)
     by_seed = {}
     for rec in records:
         by_seed.setdefault(rec["seed"], {})[rec["mode"]] = rec["avg_test_acc"]
@@ -378,10 +392,7 @@ def cmd_compare(config_path: str, out_override=None) -> int:
         line = " ".join(f"{m}={v:.4f}" for m, v in sorted(by_seed[seed].items()))
         print(f"seed {seed}: {line}")
     if {"qupel", "local", "fedavg"} <= set(modes):
-        ordered = sum(
-            1 for accs in by_seed.values()
-            if accs["qupel"] > accs["local"] > accs["fedavg"]
-        )
+        ordered = sum(a["qupel"] > a["local"] > a["fedavg"] for a in by_seed.values())
         print(f"ordering qupel > local > fedavg holds in {ordered}/{len(by_seed)} seeds")
     print(f"outputs in {out_dir}")
     return 0
@@ -393,9 +404,11 @@ def main(argv=None) -> int:
     parser.add_argument("--log-level", default="WARNING")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one experiment from a JSON config")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
+    for name, text in (("run", "execute one experiment from a JSON config"),
+                       ("compare", "run several protocols on identical partitions")):
+        p_cfg = sub.add_parser(name, help=text)
+        p_cfg.add_argument("--config", required=True)
+        p_cfg.add_argument("--out", default=None)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference and prox oracle suites")
     p_grad.add_argument("--tol", type=float, default=1e-5)
@@ -403,21 +416,13 @@ def main(argv=None) -> int:
     p_grad.add_argument("--inject-fault", action="store_true",
                         help=argparse.SUPPRESS)  # detector self-test
 
-    p_cmp = sub.add_parser("compare", help="run several protocols on identical partitions")
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--out", default=None)
-
     args = parser.parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
 
-    if args.command == "run":
-        return cmd_run(args.config, args.out)
     if args.command == "gradcheck":
         return cmd_gradcheck(tol=args.tol, instances=args.instances,
                              inject_fault=args.inject_fault)
-    if args.command == "compare":
-        return cmd_compare(args.config, args.out)
-    return 2
+    return {"run": cmd_run, "compare": cmd_compare}[args.command](args.config, args.out)
 
 
 if __name__ == "__main__":

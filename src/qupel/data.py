@@ -17,6 +17,7 @@ from .rng import Rng
 __all__ = [
     "Dataset",
     "Partition",
+    "PartitionError",
     "make_blobs",
     "partition_noniid",
     "filter_test_indices",
@@ -107,6 +108,10 @@ class Partition:
         return len(self.client_indices)
 
 
+class PartitionError(ValueError):
+    """The dataset cannot be split across the clients as asked."""
+
+
 def partition_noniid(ds: Dataset, n_clients: int, k: int, seed: int) -> Partition:
     """Assign k random classes to each client and deal samples evenly.
 
@@ -115,14 +120,14 @@ def partition_noniid(ds: Dataset, n_clients: int, k: int, seed: int) -> Partitio
     and dealt round-robin to the clients holding that class; every
     (client, class) pair keeps the same quota (the smallest feasible one
     across classes) so all clients end up with identical sample counts;
-    leftovers are discarded. Raises naming the limiting class when even one
-    sample per pair is infeasible.
+    leftovers are discarded. Raises ``PartitionError``, naming the limiting
+    class when even one sample per pair is infeasible.
     """
     n_cls = ds.n_classes
     if not 1 <= k <= n_cls:
-        raise ValueError(f"classes_per_client must lie in [1, {n_cls}]")
+        raise PartitionError(f"classes_per_client must lie in [1, {n_cls}]")
     if n_clients < 1:
-        raise ValueError("need at least one client")
+        raise PartitionError("need at least one client")
     rng = Rng(seed)
     assigned = [np.sort(rng.sample(n_cls, k)) for _ in range(n_clients)]
     holders: dict[int, list[int]] = {c: [] for c in range(n_cls)}
@@ -139,9 +144,9 @@ def partition_noniid(ds: Dataset, n_clients: int, k: int, seed: int) -> Partitio
         if quota is None or per_holder < quota:
             quota, limiting = per_holder, c
     if quota is None:
-        raise ValueError("no class was assigned to any client")
+        raise PartitionError("no class was assigned to any client")
     if quota == 0:
-        raise ValueError(
+        raise PartitionError(
             f"cannot give every client equal data: class {limiting} has too few samples "
             f"for {len(holders[limiting])} clients"
         )

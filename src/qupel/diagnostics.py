@@ -127,7 +127,8 @@ def evaluate_accuracy(model, params, test) -> float:
     return float(np.mean(pred == test.labels))
 
 
-def _fmt(v) -> str:
+def format_value(v) -> str:
+    """A CSV cell: empty for None, 17 significant digits for a float."""
     if v is None:
         return ""
     if isinstance(v, float):
@@ -163,7 +164,7 @@ def export_metrics(history, path, fmt: str = "jsonl") -> None:
             if new_file:
                 writer.writerow(fields)
             for rec in records:
-                writer.writerow([_fmt(rec.get(f)) for f in fields])
+                writer.writerow([format_value(rec.get(f)) for f in fields])
     else:
         raise ValueError(f"unknown metrics format: {fmt}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centralized import HyperParams, init_centers_from_weights, init_weights
-from .data import Dataset, filter_test_indices, make_blobs, partition_noniid
+from .data import Dataset, Partition, filter_test_indices, make_blobs, partition_noniid
 from .diagnostics import evaluate_accuracy
 from .federated import ClientState, run_fedavg, run_local_only, run_qupel
 from .losses import LogisticLoss, MlpLoss, QuantLayout, mlp_loss
@@ -25,9 +25,8 @@ __all__ = [
     "mixed_precision_m",
     "BlobTask",
     "build_blob_task",
+    "make_client",
     "build_clients",
-    "quantized_accuracy",
-    "full_precision_accuracy",
     "summarize_clients",
     "run_mode",
     "compare_modes",
@@ -56,12 +55,11 @@ class BlobTask:
     train: Dataset
     test: Dataset
     n_classes: int
-    dim: int
 
 
 def build_blob_task(n_classes: int, dim: int, per_class: int, spread: float, seed: int) -> BlobTask:
     train, test = make_blobs(n_classes, dim, per_class, spread, seed)
-    return BlobTask(train=train, test=test, n_classes=n_classes, dim=dim)
+    return BlobTask(train=train, test=test, n_classes=n_classes)
 
 
 def _make_loss(kind: str, train: Dataset, n_classes: int, hidden: int, l2: float):
@@ -76,16 +74,22 @@ def _make_loss(kind: str, train: Dataset, n_classes: int, hidden: int, l2: float
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _layout_for(loss, exempt_first_last: bool) -> QuantLayout:
+def make_client(id: int, loss, x0: np.ndarray, m: int, *, c_max: float = 3.0,
+                exempt_first_last: bool = False, test: Dataset | None = None,
+                data_rng: Rng | None = None) -> ClientState:
+    """A client at ``x0`` whose centers start at the per-group quantiles of ``x0``."""
     if isinstance(loss, MlpLoss):
-        return QuantLayout.for_mlp(loss, exempt_first_last=exempt_first_last)
-    return QuantLayout.full(loss.dim)
+        layout = QuantLayout.for_mlp(loss, exempt_first_last=exempt_first_last)
+    else:
+        layout = QuantLayout.full(loss.dim)
+    centers = [init_centers_from_weights(x0[s:e], m, c_max=c_max) for s, e in layout.groups]
+    return ClientState(id=id, x=x0.copy(), centers=centers, w_local=x0.copy(), loss=loss,
+                       layout=layout, test=test, data_rng=data_rng)
 
 
 def build_clients(
     task: BlobTask,
-    n_clients: int,
-    classes_per_client: int,
+    partition: Partition,
     m_list: list[int],
     seed: int,
     *,
@@ -95,7 +99,7 @@ def build_clients(
     c_max: float = 3.0,
     exempt_first_last: bool = False,
 ) -> list[ClientState]:
-    """Partition the task across clients and assemble their trainer states.
+    """Assemble one trainer state per client of ``partition``.
 
     All clients share one seeded initialization of the personalized model;
     each client's centers start at the per-group quantiles of that vector.
@@ -103,76 +107,61 @@ def build_clients(
     client's assigned classes. Each client draws minibatches from its own
     child stream ``data_rng``, keyed by its id.
     """
-    if len(m_list) != n_clients:
+    if len(m_list) != partition.n_clients:
         raise ValueError("m_list must have one entry per client")
-    part = partition_noniid(task.train, n_clients, classes_per_client, seed)
-    test_idx = filter_test_indices(task.test, part)
+    test_idx = filter_test_indices(task.test, partition)
     rng = Rng(seed).spawn(1)
     streams = Rng(seed).spawn(2)
     x0 = None
     clients = []
-    for i in range(n_clients):
-        train_i = task.train.take(part.client_indices[i])
-        loss = _make_loss(model, train_i, task.n_classes, hidden, l2)
+    for i, idx in enumerate(partition.client_indices):
+        loss = _make_loss(model, task.train.take(idx), task.n_classes, hidden, l2)
         if x0 is None:
             x0 = init_weights(loss.dim, rng)
-        layout = _layout_for(loss, exempt_first_last)
-        centers = [
-            init_centers_from_weights(x0[s:e], m_list[i], c_max=c_max)
-            for (s, e) in layout.groups
-        ]
-        clients.append(ClientState(
-            id=i, x=x0.copy(), centers=centers, w_local=x0.copy(), loss=loss,
-            layout=layout, test=task.test.take(test_idx[i]), data_rng=streams.spawn(i),
-        ))
+        clients.append(make_client(i, loss, x0, m_list[i], c_max=c_max,
+                                   exempt_first_last=exempt_first_last,
+                                   test=task.test.take(test_idx[i]), data_rng=streams.spawn(i)))
     return clients
 
 
-def quantized_accuracy(result, client: ClientState) -> float:
-    return evaluate_accuracy(client.loss, result.x_hard, client.test)
-
-
-def full_precision_accuracy(result, client: ClientState) -> float:
-    return evaluate_accuracy(client.loss, result.x_final, client.test)
-
-
 def summarize_clients(results, clients) -> list[dict]:
+    """One summary row per client; a result without centers is a full-precision model."""
     rows = []
     for res, cs in zip(results, clients):
-        bits = float(np.log2(cs.centers[0].m)) if cs.centers else 32.0
         last = res.history[-1] if res.history else None
+        acc_fp = evaluate_accuracy(cs.loss, res.x_final, cs.test) if cs.test is not None else None
         rows.append({
             "client_id": cs.id,
-            "bits": bits,
-            "acc_fp_eval": full_precision_accuracy(res, cs) if cs.test is not None else None,
-            "acc_quantized": quantized_accuracy(res, cs) if cs.test is not None else None,
+            "bits": float(np.log2(res.centers_final[0].m)) if res.centers_final else 32.0,
+            "acc_fp_eval": acc_fp,
+            "acc_quantized": evaluate_accuracy(cs.loss, res.x_hard, cs.test)
+            if cs.test is not None and res.centers_final else acc_fp,
             "final_total": last.total if last else None,
             "final_gap": last.stationarity_gap if last else None,
         })
     return rows
 
 
-def run_mode(mode: str, clients, hp: HyperParams):
-    """Dispatch one protocol run; returns (per-client summary rows, results, extra)."""
-    if mode == "qupel":
-        fed = run_qupel(clients, hp)
-        return summarize_clients(fed.per_client, fed.clients), fed.per_client, fed
-    if mode == "local":
-        results = run_local_only(clients, hp)
-        return summarize_clients(results, sorted(clients, key=lambda c: c.id)), results, None
-    if mode == "fedavg":
+def run_mode(mode: str, clients, hp: HyperParams) -> tuple[list[dict], list[dict]]:
+    """Run one protocol; returns its summary rows and its metrics records by (step, client).
+
+    fedavg's one global model records ``client_id = -1``.
+    """
+    clients = sorted(clients, key=lambda c: c.id)
+    if mode == "fedavg":  # every client is summarised on the one global model
         res = run_fedavg(clients, hp)
-        ordered = sorted(clients, key=lambda c: c.id)
-        rows = []
-        for cs in ordered:
-            acc = evaluate_accuracy(cs.loss, res.x_final, cs.test) if cs.test is not None else None
-            rows.append({
-                "client_id": cs.id, "bits": 32.0, "acc_fp_eval": acc, "acc_quantized": acc,
-                "final_total": res.history[-1].total if res.history else None,
-                "final_gap": 0.0,
-            })
-        return rows, [res], res
-    raise ValueError(f"unknown mode {mode!r}")
+        return (summarize_clients([res] * len(clients), clients),
+                [m.as_record(client_id=-1) for m in res.history])
+    if mode == "qupel":
+        results = run_qupel(clients, hp).per_client
+    elif mode == "local":
+        results = run_local_only(clients, hp)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    records = [m.as_record(client_id=cs.id) for cs, res in zip(clients, results)
+               for m in res.history]
+    records.sort(key=lambda r: (r["step"], r["client_id"]))
+    return summarize_clients(results, clients), records
 
 
 def avg_quantized_accuracy(rows) -> float:
@@ -184,16 +173,21 @@ def compare_modes(task_cfg: dict, client_cfg: dict, hp: HyperParams,
                   modes: list[str], seeds: list[int]) -> list[dict]:
     """Run the requested modes on identical per-seed partitions.
 
-    Returns one record per (mode, seed) with the average quantized-model
-    test accuracy across clients (full precision for fedavg).
+    ``client_cfg`` holds ``n_clients``, ``classes_per_client`` and the
+    ``build_clients`` keyword arguments; each seed draws one task and one
+    partition. Returns one record per (mode, seed) with the average
+    quantized-model test accuracy across clients (full precision for fedavg).
     """
+    kwargs = dict(client_cfg)
+    n_clients, k = kwargs.pop("n_clients"), kwargs.pop("classes_per_client")
     records = []
     for seed in seeds:
         task = build_blob_task(seed=seed, **task_cfg)
+        partition = partition_noniid(task.train, n_clients, k, seed)
         for mode in modes:
             # fresh clients per mode: trainers advance each client's data_rng
-            clients = build_clients(task, seed=seed, **client_cfg)
-            rows, _, _ = run_mode(mode, clients, hp)
+            clients = build_clients(task, partition, seed=seed, **kwargs)
+            rows, _ = run_mode(mode, clients, hp)
             records.append({"mode": mode, "seed": seed,
                             "avg_test_acc": avg_quantized_accuracy(rows)})
     return records

@@ -24,7 +24,6 @@ entirely.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +56,6 @@ __all__ = [
     "run_local_only",
     "estimate_diversity",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -136,7 +133,7 @@ def sync_round(clients: list[ClientState], server: ServerState):
 
 
 def estimate_diversity(clients: list[ClientState], server: ServerState,
-                       t: int, lambda_p: float) -> DiversityEstimate:
+                       lambda_p: float) -> DiversityEstimate:
     """Spread of per-client w-gradients lambda_p * (w - x_i) around their mean."""
     ordered = sorted(clients, key=lambda c: c.id)
     grads = np.stack([lambda_p * (server.w_global - c.x) for c in ordered])
@@ -193,7 +190,7 @@ def run_qupel(clients: list[ClientState], hp: HyperParams) -> QupelResult:
         w_mean = w_stack.mean(axis=0)
         record["consensus_drift"] = float(np.mean(np.sum((w_stack - w_mean) ** 2, axis=1)))
         if at_cadence:
-            div = estimate_diversity(clients, server, t, hp.lambda_p)
+            div = estimate_diversity(clients, server, hp.lambda_p)
             record["kappa"] = div.kappa
             for pos, hist in enumerate(histories):
                 hist[-1].kappa_round = float(div.kappa_i[pos])

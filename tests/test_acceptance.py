@@ -20,7 +20,7 @@ from qupel.centralized import (
     safe_step_sizes,
     stationarity_gap,
 )
-from qupel.data import Dataset, make_blobs
+from qupel.data import Dataset, make_blobs, partition_noniid
 from qupel.diagnostics import evaluate_accuracy, run_gradient_suite, run_prox_suite
 from qupel.experiments import (
     avg_quantized_accuracy,
@@ -251,11 +251,11 @@ def test_criterion_6_table_ordering():
     gaps_ql, gaps_lf = [], []
     for seed in range(1, 6):
         task = build_blob_task(n_classes=10, dim=8, per_class=40, spread=0.65, seed=seed)
-        clients = build_clients(task, n_clients=10, classes_per_client=4,
+        clients = build_clients(task, partition_noniid(task.train, 10, 4, seed),
                                 m_list=[4] * 10, seed=seed, model="mlp", hidden=12)
         accs = {}
         for mode in ("qupel", "local", "fedavg"):
-            rows, _, _ = run_mode(mode, clients, hp)
+            rows, _ = run_mode(mode, clients, hp)
             accs[mode] = avg_quantized_accuracy(rows)
         joint += accs["qupel"] > accs["local"] > accs["fedavg"]
         gaps_ql.append(accs["qupel"] - accs["local"])
@@ -316,10 +316,10 @@ def test_criterion_9_resource_heterogeneity():
         task = build_blob_task(n_classes=10, dim=8, per_class=40, spread=0.65, seed=seed)
         accs = {}
         for name, partner_m in (("rich", 4), ("poor", 2)):
-            clients = build_clients(task, n_clients=10, classes_per_client=4,
+            clients = build_clients(task, partition_noniid(task.train, 10, 4, seed),
                                     m_list=[2] * 5 + [partner_m] * 5, seed=seed,
                                     model="mlp", hidden=12)
-            rows, _, _ = run_mode("qupel", clients, hp)
+            rows, _ = run_mode("qupel", clients, hp)
             control = [r["acc_quantized"] for r in rows if r["client_id"] < 5]
             accs[name] = float(np.mean(control))
         wins += accs["rich"] >= accs["poor"]

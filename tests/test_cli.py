@@ -1,9 +1,15 @@
 import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qupel import cli, experiments
 from qupel.cli import main
+from qupel.data import partition_noniid
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -237,6 +243,14 @@ def compare_cfg(out_dir):
             **{k: base[k] for k in ("model", "dataset", "partition", "quantization", "hyper")}}
 
 
+BASES = {  # base config name -> (command, config builder)
+    "compare": ("compare", compare_cfg),
+    "run": ("run", lambda out: federated_cfg("qupel", out, steps=5)),
+    "centralized": ("run", centralized_mlp_cfg),
+    "quadratic": ("run", lambda out: quadratic_cfg(out, steps=5)),
+}
+
+
 @pytest.mark.parametrize("command, edit, field", [
     ("compare", lambda c: c["dataset"].pop("classes"), "dataset.classes"),
     ("compare", lambda c: c.update(dataset={"kind": "csv", "train": "a.csv", "test": "b.csv"}),
@@ -249,12 +263,97 @@ def compare_cfg(out_dir):
     ("run", lambda c: c["hyper"].update(fine_tune_start="x"), "hyper.fine_tune_start"),
     ("run", lambda c: c["hyper"].update(checkpoint_every="x"), "hyper.checkpoint_every"),
     ("run", lambda c: c["quantization"].update(sharpness="sharp"), "quantization.sharpness"),
+    ("compare", lambda c: c["partition"].update(clients=1000), "partition"),
+    ("compare", lambda c: c["partition"].update(classes_per_client=99), "partition"),
+    ("compare", lambda c: c["quantization"].update(c_max=-1), "quantization.c_max"),
+    ("compare", lambda c: c["dataset"].update(seed=5), "dataset.seed"),
+    ("compare", lambda c: c["partition"].update(seed=5), "partition.seed"),
+    ("run", lambda c: c["quantization"].update(m_list=["x", 4, 4]), "quantization.m_list"),
+    ("run", lambda c: c["quantization"].update(c_max=-1), "quantization.c_max"),
+    ("run", lambda c: c["quantization"].update(m=0), "quantization.m"),
+    ("run", lambda c: c.update(quantization="x"), "quantization"),
+    ("run", lambda c: c["model"].update(hidden="x"), "model.hidden"),
+    ("run", lambda c: c["model"].update(l2=-1), "model.l2"),
+    ("run", lambda c: c["dataset"].update(per_class="x"), "dataset.per_class"),
+    ("run", lambda c: c["dataset"].update(spread=-1), "dataset.spread"),
+    ("run", lambda c: c["hyper"].update({"lambda": "x"}), "hyper.lambda"),
+    ("run", lambda c: c.update(seed="x"), "seed"),
+    ("centralized", lambda c: c["quantization"].update(m="x"), "quantization.m"),
+    ("centralized", lambda c: c["model"].update(hidden="x"), "model.hidden"),
+    ("quadratic", lambda c: c["model"].update(curvature=[-1, 1]), "model.curvature"),
+    ("quadratic", lambda c: c["model"].update(targets=[], curvature=[]), "model.targets"),
+    ("run", lambda c: c["dataset"].update(classes=1), "dataset.classes"),
+    ("run", lambda c: c["quantization"].update(hard_limit="false"), "quantization.hard_limit"),
+    ("run", lambda c: c["hyper"].update(flip_w_update_sign="no"), "hyper.flip_w_update_sign"),
+    ("run", lambda c: c["quantization"].update(exempt_first_last=1),
+     "quantization.exempt_first_last"),
+    ("centralized", lambda c: c["quantization"].update(m_list=[8]), "quantization.m_list"),
+    ("centralized", lambda c: c["quantization"].update(case="3bits"), "quantization.case"),
 ], ids=["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
-        "checkpoint-every", "sharpness"])
+        "checkpoint-every", "sharpness", "compare-infeasible-partition",
+        "compare-classes-per-client", "compare-c-max", "compare-dataset-seed",
+        "compare-partition-seed", "m-list", "c-max", "m-zero", "quantization-not-object",
+        "hidden", "l2", "per-class", "spread", "lambda", "seed", "centralized-m",
+        "centralized-hidden", "quadratic-curvature", "quadratic-no-targets", "one-class",
+        "hard-limit-string", "flip-sign-string", "exempt-number", "centralized-m-list",
+        "centralized-case"])
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, command, edit, field):
     out = str(tmp_path / "out")
-    cfg_dict = compare_cfg(out) if command == "compare" else federated_cfg("qupel", out, steps=5)
+    command, make_cfg = BASES[command]
+    cfg_dict = make_cfg(out)
     edit(cfg_dict)
     assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
     assert f"invalid config: {field}:" in capsys.readouterr().err
+
+
+def test_invalid_config_leaves_earlier_outputs(tmp_path, capsys):
+    cfg_dict = federated_cfg("qupel", str(tmp_path / "out"), steps=3)
+    assert main(["run", "--config", write_cfg(tmp_path, "a.json", cfg_dict)]) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    cfg_dict["partition"]["clients"] = 1000
+    assert main(["run", "--config", write_cfg(tmp_path, "b.json", cfg_dict)]) == 2
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_is_valid(path, monkeypatch):
+    monkeypatch.delenv("QUPEL_SEED", raising=False)
+    cfg = json.loads(path.read_text())
+    if "modes" in cfg:
+        cli.read_compare_config(cfg)
+    else:
+        cli.read_run_config(cfg)
+
+
+def test_run_and_compare_agree(tmp_path, capsys):
+    cfg_dict = compare_cfg(str(tmp_path / "cmp"))
+    cfg_dict["modes"] = ["qupel", "local", "fedavg"]
+    cfg_dict["hyper"].update(steps=20, fine_tune_start=16)
+    assert main(["compare", "--config", write_cfg(tmp_path, "cmp.json", cfg_dict)]) == 0
+    with open(tmp_path / "cmp" / "comparison.csv") as fh:
+        compared = {r["mode"]: r["avg_test_acc"] for r in csv.DictReader(fh)}
+    for mode in cfg_dict["modes"]:
+        run_dict = {k: v for k, v in cfg_dict.items() if k not in ("modes", "seeds")}
+        run_dict.update(mode=mode, seed=cfg_dict["seeds"][0], out_dir=str(tmp_path / mode))
+        assert main(["run", "--config", write_cfg(tmp_path, f"{mode}.json", run_dict)]) == 0
+        accs = [float(r["acc_quantized"]) for r in read_summary(str(tmp_path / mode))]
+        assert f"{float(np.mean(accs)):.17g}" == compared[mode], mode
+
+
+def test_partition_drawn_once_per_run_and_per_compare_seed(tmp_path, capsys, monkeypatch):
+    seeds = []
+
+    def counting(ds, n_clients, k, seed):
+        seeds.append(seed)
+        return partition_noniid(ds, n_clients, k, seed)
+
+    monkeypatch.setattr(cli, "partition_noniid", counting)
+    monkeypatch.setattr(experiments, "partition_noniid", counting)
+    run_dict = federated_cfg("qupel", str(tmp_path / "run"), steps=2)
+    assert main(["run", "--config", write_cfg(tmp_path, "run.json", run_dict)]) == 0
+    assert seeds == [3]
+    cmp_dict = compare_cfg(str(tmp_path / "cmp"))
+    cmp_dict.update(modes=["qupel", "local", "fedavg"], seeds=[1, 2])
+    assert main(["compare", "--config", write_cfg(tmp_path, "cmp.json", cmp_dict)]) == 0
+    assert seeds == [3, 1, 2]

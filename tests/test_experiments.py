@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qupel.centralized import HyperParams, LambdaSchedule, run_centralized
+from qupel.data import partition_noniid
 from qupel.experiments import (
     avg_quantized_accuracy,
     build_blob_task,
@@ -43,8 +44,10 @@ class TestMixedPrecisionPresets:
 class TestBuildClients:
     def test_shapes_and_determinism(self):
         task = build_blob_task(n_classes=4, dim=4, per_class=30, spread=0.5, seed=2)
-        a = build_clients(task, 3, 2, m_list=[4, 4, 8], seed=2, model="mlp", hidden=6)
-        b = build_clients(task, 3, 2, m_list=[4, 4, 8], seed=2, model="mlp", hidden=6)
+        a = build_clients(task, partition_noniid(task.train, 3, 2, 2),
+                          m_list=[4, 4, 8], seed=2, model="mlp", hidden=6)
+        b = build_clients(task, partition_noniid(task.train, 3, 2, 2),
+                          m_list=[4, 4, 8], seed=2, model="mlp", hidden=6)
         assert [c.m_values for c in a] == [(4, 4), (4, 4), (8, 8)]
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.x, cb.x)
@@ -52,18 +55,20 @@ class TestBuildClients:
 
     def test_common_init_across_clients(self):
         task = build_blob_task(n_classes=4, dim=4, per_class=30, spread=0.5, seed=3)
-        clients = build_clients(task, 3, 2, m_list=[4] * 3, seed=3, model="mlp", hidden=6)
+        clients = build_clients(task, partition_noniid(task.train, 3, 2, 3),
+                                m_list=[4] * 3, seed=3, model="mlp", hidden=6)
         for c in clients[1:]:
             assert np.array_equal(c.x, clients[0].x)
 
     def test_m_list_length_validated(self):
         task = build_blob_task(n_classes=4, dim=4, per_class=30, spread=0.5, seed=2)
         with pytest.raises(ValueError):
-            build_clients(task, 3, 2, m_list=[4, 4], seed=2)
+            build_clients(task, partition_noniid(task.train, 3, 2, 2), m_list=[4, 4], seed=2)
 
     def test_client_tests_filtered_to_assigned_classes(self):
         task = build_blob_task(n_classes=6, dim=3, per_class=30, spread=0.5, seed=4)
-        clients = build_clients(task, 4, 2, m_list=[4] * 4, seed=4, model="mlp", hidden=6)
+        clients = build_clients(task, partition_noniid(task.train, 4, 2, 4),
+                                m_list=[4] * 4, seed=4, model="mlp", hidden=6)
         for c in clients:
             assert len(set(c.test.labels.tolist())) <= 2
 
@@ -73,12 +78,13 @@ class TestIidSanity:
         # every client holds all classes: a single global model suffices,
         # and pooling beats training on small local shards (within noise)
         task = build_blob_task(n_classes=4, dim=4, per_class=40, spread=0.6, seed=6)
-        clients = build_clients(task, 4, 4, m_list=[4] * 4, seed=6, model="mlp", hidden=8)
+        clients = build_clients(task, partition_noniid(task.train, 4, 4, 6),
+                                m_list=[4] * 4, seed=6, model="mlp", hidden=8)
         hp = HyperParams(eta1=0.1, eta2=0.005, steps=300, tau=5, quant_cfg=hard_cfg(),
                          lambda_schedule=LambdaSchedule.linear(1e-4, cap=0.05),
                          fine_tune_start=240, metrics_every=150)
-        rows_f, _, _ = run_mode("fedavg", clients, hp)
-        rows_l, _, _ = run_mode("local", clients, hp)
+        rows_f, _ = run_mode("fedavg", clients, hp)
+        rows_l, _ = run_mode("local", clients, hp)
         assert avg_quantized_accuracy(rows_f) >= avg_quantized_accuracy(rows_l) - 0.05
 
 
@@ -119,7 +125,10 @@ class TestMinibatchClients:
 
     def clients(self, seed=5):
         task = build_blob_task(seed=seed, **self.TASK)
-        return build_clients(task, seed=seed, **self.CLIENTS)
+        kwargs = dict(self.CLIENTS)
+        part = partition_noniid(task.train, kwargs.pop("n_clients"),
+                                kwargs.pop("classes_per_client"), seed)
+        return build_clients(task, part, seed=seed, **kwargs)
 
     def hp(self, lambda_p):
         return HyperParams(eta1=0.1, eta2=0.01, steps=30, tau=5, eta3=0.3, lambda_p=lambda_p,

@@ -244,7 +244,7 @@ class TestEstimateDiversity:
         for c in clients:
             c.x = x.copy()
         server = ServerState(w_global=np.zeros(4))
-        div = estimate_diversity(clients, server, t=0, lambda_p=1.5)
+        div = estimate_diversity(clients, server, lambda_p=1.5)
         assert np.array_equal(div.kappa_i, np.zeros(3))
         assert div.kappa == 0.0
 
@@ -253,15 +253,15 @@ class TestEstimateDiversity:
                          w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
         c2 = ClientState(id=1, x=np.array([-1.0]), centers=centers(0.0),
                          w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
-        div = estimate_diversity([c1, c2], ServerState(w_global=np.zeros(1)), t=0, lambda_p=1.0)
+        div = estimate_diversity([c1, c2], ServerState(w_global=np.zeros(1)), lambda_p=1.0)
         np.testing.assert_allclose(div.kappa_i, [1.0, 1.0], atol=1e-15)
         assert div.kappa == pytest.approx(1.0, abs=1e-15)
 
     def test_scales_quadratically_in_lambda_p(self):
         clients = [make_client(i) for i in range(3)]
         server = ServerState(w_global=np.zeros(4))
-        d1 = estimate_diversity(clients, server, t=0, lambda_p=1.0)
-        d2 = estimate_diversity(clients, server, t=0, lambda_p=3.0)
+        d1 = estimate_diversity(clients, server, lambda_p=1.0)
+        d2 = estimate_diversity(clients, server, lambda_p=3.0)
         assert d2.kappa == pytest.approx(9.0 * d1.kappa, rel=1e-12)
 
 
