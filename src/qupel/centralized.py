@@ -21,20 +21,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .diagnostics import RoundMetrics, evaluate_accuracy
+from .diagnostics import RoundMetrics, evaluate_accuracy, write_atomic
 from .losses import (
     QuantLayout,
+    _hard_assign_grouped,
     eval_F_i_grouped,
     hard_quantize_grouped,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
 )
 from .proxops import ProxParams, prox_c, prox_x
-from .quantizer import CenterVector, QuantConfig, center_list, quantize_assignments
+from .quantizer import CenterVector, QuantConfig, center_list
 from .rng import Rng
 
 __all__ = [
@@ -68,6 +69,13 @@ class LambdaSchedule:
     base: float = 0.0
     cap: float = float("inf")
     points: tuple[tuple[int, float], ...] = ()
+
+    def __post_init__(self):
+        values = (self.value, self.base, *(v for _, v in self.points))
+        if not all(0.0 <= v < np.inf for v in values):
+            raise ValueError("lambda values must be finite and >= 0")
+        if not self.cap >= 0.0:
+            raise ValueError("lambda cap must be >= 0 or +inf")
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
@@ -127,8 +135,8 @@ class HyperParams:
     def __post_init__(self):
         if not (self.eta1 > 0 and np.isfinite(self.eta1)):
             raise ValueError("eta1 must be positive")
-        if self.eta2 < 0 or self.eta3 < 0 or self.lambda_p < 0:
-            raise ValueError("eta2, eta3 and lambda_p must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in (self.eta2, self.eta3, self.lambda_p)):
+            raise ValueError("eta2, eta3 and lambda_p must be finite and nonnegative")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.tau < 1:
@@ -139,6 +147,12 @@ class HyperParams:
             raise ValueError("metrics_every must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
+        if not self.divergence_factor > 0:
+            raise ValueError("divergence_factor must be positive")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1 when set")
+        if not all(0.0 <= f < np.inf for _, f in self.eta2_decay or ()):
+            raise ValueError("eta2_decay factors must be finite and >= 0")
 
     def lam(self, t: int) -> float:
         return self.lambda_schedule.lam(t)
@@ -156,21 +170,7 @@ class HyperParams:
         return self.steps if self.fine_tune_start is None else self.fine_tune_start
 
     def config_hash(self) -> str:
-        blob = json.dumps(
-            {
-                "eta1": self.eta1, "eta2": self.eta2, "eta3": self.eta3,
-                "lambda": [self.lambda_schedule.kind, self.lambda_schedule.value,
-                           self.lambda_schedule.base, self.lambda_schedule.cap,
-                           list(self.lambda_schedule.points)],
-                "lambda_p": self.lambda_p, "tau": self.tau, "steps": self.steps,
-                "fine_tune_start": self.fine_tune_start,
-                "quant": [self.quant_cfg.sharpness, self.quant_cfg.hard_limit],
-                "eta2_decay": list(self.eta2_decay) if self.eta2_decay else None,
-                "batch_size": self.batch_size,
-                "flip_w_update_sign": self.flip_w_update_sign,
-            },
-            sort_keys=True,
-        )
+        blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -239,13 +239,7 @@ def _pin_if_due(x, centers, pinned, layout, hp: HyperParams, t: int):
     """At ``fine_tune_start``, snap quantized coordinates onto their centers and pin them."""
     if pinned is not None or t != hp.ft_start() or not layout.groups:
         return x, pinned
-    x = np.array(x, dtype=np.float64)
-    pinned = []
-    for (start, stop), c in zip(layout.groups, centers):
-        assign = quantize_assignments(x[start:stop], c)
-        pinned.append(assign)
-        x[start:stop] = c.values[assign]
-    return x, pinned
+    return _hard_assign_grouped(x, centers, layout)
 
 
 def _at_cadence(hp: HyperParams, t: int) -> bool:
@@ -305,8 +299,7 @@ def _write_checkpoint(path, step, x, centers, rng, hp):
         "rng_state": list(rng.getstate()) if rng is not None else None,
         "hyperparams_hash": hp.config_hash(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_atomic(path, [json.dumps(payload)])
 
 
 def run_centralized(loss, init_x, init_c, hp: HyperParams, *,

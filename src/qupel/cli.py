@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,7 +33,7 @@ from .centralized import (
     run_centralized,
 )
 from .data import PartitionError, export_partition_json, load_csv, partition_noniid
-from .diagnostics import export_metrics, format_value, run_gradient_suite, run_prox_suite
+from .diagnostics import export_metrics, run_gradient_suite, run_prox_suite, write_atomic
 from .experiments import (
     BlobTask,
     _make_loss,
@@ -78,16 +80,34 @@ def _list_of(conv):
     return read
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string or a boolean is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as 4.0 counts, a fraction does not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
+
+
 def _step_value(pair):
     step, value = pair
-    return int(step), float(value)
+    return _integer(step), _nonneg(value)
 
 
-_pairs = _list_of(_checked(_step_value, "[step, value]"))
 _flag = _checked(lambda v: v, "true or false", lambda v: isinstance(v, bool))
-_pos_int = _checked(int, "integer >= 1", lambda v: v >= 1)
-_nonneg = _checked(float, "finite number >= 0", lambda v: 0.0 <= v < float("inf"))
-_pos = _checked(float, "finite number > 0", lambda v: 0.0 < v < float("inf"))
+_pos_int = _checked(_integer, "integer >= 1", lambda v: v >= 1)
+_nonneg_int = _checked(_integer, "integer >= 0", lambda v: v >= 0)
+_finite = _checked(_number, "finite number", math.isfinite)
+_nonneg = _checked(_number, "finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_pos = _checked(_number, "finite number > 0", lambda v: 0.0 < v < math.inf)
+_pairs = _list_of(_checked(_step_value, "[integer step, finite value >= 0]"))
 _compare_mode = _checked(str, "qupel|local|fedavg", lambda v: v in ("qupel", "local", "fedavg"))
 
 
@@ -107,8 +127,15 @@ def _get(cfg: dict, path: str, required: bool = False, default=None, conv=None):
         return node
     try:
         return conv(node)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"expected {conv.__name__}, got {node!r}") from None
+
+
+def _refuse(cfg: dict, fields, why: str) -> None:
+    """Refuse each of ``fields`` that ``cfg`` sets; ``why`` says why it does not apply."""
+    for field in fields:
+        if _get(cfg, field) is not None:
+            raise ConfigError(field, why)
 
 
 def _lambda_schedule(cfg: dict) -> LambdaSchedule:
@@ -119,8 +146,9 @@ def _lambda_schedule(cfg: dict) -> LambdaSchedule:
         return LambdaSchedule.constant(_get(cfg, "hyper.lambda.value", default=0.0, conv=_nonneg))
     if kind == "linear":
         return LambdaSchedule.linear(_get(cfg, "hyper.lambda.base", default=0.0, conv=_nonneg),
-                                     cap=_get(cfg, "hyper.lambda.cap", default=float("inf"),
-                                              conv=float))
+                                     cap=_get(cfg, "hyper.lambda.cap", default=math.inf,
+                                              conv=_checked(_number, "number >= 0",
+                                                            lambda v: v >= 0)))
     if kind == "piecewise":
         return LambdaSchedule.piecewise(_get(cfg, "hyper.lambda.points", default=[], conv=_pairs))
     raise ConfigError("hyper.lambda.kind", f"unknown schedule kind {kind!r}")
@@ -128,24 +156,24 @@ def _lambda_schedule(cfg: dict) -> LambdaSchedule:
 
 def build_hyper(cfg: dict) -> HyperParams:
     try:
-        qcfg = QuantConfig(sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=float),
+        qcfg = QuantConfig(sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=_pos),
                            hard_limit=_get(cfg, "quantization.hard_limit", default=True, conv=_flag))
         return HyperParams(
-            eta1=_get(cfg, "hyper.eta1", required=True, conv=float),
-            eta2=_get(cfg, "hyper.eta2", required=True, conv=float),
-            steps=_get(cfg, "hyper.steps", required=True, conv=int),
-            eta3=_get(cfg, "hyper.eta3", default=0.0, conv=float),
+            eta1=_get(cfg, "hyper.eta1", required=True, conv=_pos),
+            eta2=_get(cfg, "hyper.eta2", required=True, conv=_nonneg),
+            steps=_get(cfg, "hyper.steps", required=True, conv=_nonneg_int),
+            eta3=_get(cfg, "hyper.eta3", default=0.0, conv=_nonneg),
             lambda_schedule=_lambda_schedule(cfg),
-            lambda_p=_get(cfg, "hyper.lambda_p", default=0.0, conv=float),
-            tau=_get(cfg, "hyper.tau", default=1, conv=int),
-            fine_tune_start=_get(cfg, "hyper.fine_tune_start", conv=int),
+            lambda_p=_get(cfg, "hyper.lambda_p", default=0.0, conv=_nonneg),
+            tau=_get(cfg, "hyper.tau", default=1, conv=_pos_int),
+            fine_tune_start=_get(cfg, "hyper.fine_tune_start", conv=_nonneg_int),
             quant_cfg=qcfg,
             eta2_decay=tuple(_get(cfg, "hyper.eta2_decay", default=[], conv=_pairs)) or None,
-            divergence_factor=_get(cfg, "hyper.divergence_factor", default=1e6, conv=float),
-            metrics_every=_get(cfg, "hyper.metrics_every", default=1, conv=int),
-            batch_size=_get(cfg, "hyper.batch_size", conv=int),
+            divergence_factor=_get(cfg, "hyper.divergence_factor", default=1e6, conv=_pos),
+            metrics_every=_get(cfg, "hyper.metrics_every", default=1, conv=_pos_int),
+            batch_size=_get(cfg, "hyper.batch_size", conv=_pos_int),
             flip_w_update_sign=_get(cfg, "hyper.flip_w_update_sign", default=False, conv=_flag),
-            checkpoint_every=_get(cfg, "hyper.checkpoint_every", conv=int),
+            checkpoint_every=_get(cfg, "hyper.checkpoint_every", conv=_pos_int),
         )
     except ValueError as exc:
         raise ConfigError("hyper", str(exc)) from exc
@@ -154,20 +182,22 @@ def build_hyper(cfg: dict) -> HyperParams:
 def _effective_seed(cfg: dict) -> int:
     env = os.environ.get("QUPEL_SEED")  # the environment wins over the config
     if env is None:
-        return _get(cfg, "seed", default=0, conv=int)
+        return _get(cfg, "seed", default=0, conv=_nonneg_int)
     try:
-        return int(env)
+        return _nonneg_int(int(env))
     except ValueError:
-        raise ConfigError("QUPEL_SEED", f"not an integer: {env!r}") from None
+        raise ConfigError("QUPEL_SEED", f"not an integer >= 0: {env!r}") from None
 
 
 def _blob_fields(cfg: dict) -> dict:
     """The ``build_blob_task`` arguments of a blobs dataset config, except the seed."""
     return dict(n_classes=_get(cfg, "dataset.classes", required=True,
-                               conv=_checked(int, "integer >= 2", lambda v: v >= 2)),
+                               conv=_checked(_integer, "integer >= 2", lambda v: v >= 2)),
                 dim=_get(cfg, "dataset.dim", required=True, conv=_pos_int),
-                per_class=_get(cfg, "dataset.per_class", required=True, conv=_pos_int),
-                spread=_get(cfg, "dataset.spread", required=True, conv=_nonneg))
+                # a fifth of each class is held out for testing
+                per_class=_get(cfg, "dataset.per_class", required=True,
+                               conv=_checked(_integer, "integer >= 5", lambda v: v >= 5)),
+                spread=_get(cfg, "dataset.spread", required=True, conv=_pos))
 
 
 def _read_csv(cfg: dict, field: str):
@@ -180,7 +210,7 @@ def _read_csv(cfg: dict, field: str):
 def _build_task(cfg: dict, seed: int) -> BlobTask:
     kind = _get(cfg, "dataset.kind", required=True)
     if kind == "blobs":
-        return build_blob_task(seed=_get(cfg, "dataset.seed", default=seed, conv=int),
+        return build_blob_task(seed=_get(cfg, "dataset.seed", default=seed, conv=_nonneg_int),
                                **_blob_fields(cfg))
     if kind == "csv":
         train, test = (_read_csv(cfg, f"dataset.{f}") for f in ("train", "test"))
@@ -228,13 +258,12 @@ def _partition_size(cfg: dict) -> tuple[int, int]:
 
 def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
     """``train(out_dir)`` of a centralized run: one model, initialised from ``Rng(seed)``."""
-    for field in ("quantization.m_list", "quantization.case"):
-        if _get(cfg, field) is not None:
-            raise ConfigError(field, "centralized mode trains one model; set quantization.m")
+    _refuse(cfg, ("quantization.m_list", "quantization.case"),
+            "centralized mode trains one model; set quantization.m")
     spec = _client_spec(cfg, 1, kinds=("quadratic", "mlp"), default_kind=None)
     if spec["model"] == "quadratic":
         targets = _get(cfg, "model.targets", required=True,
-                       conv=_checked(_list_of(float), "nonempty list of float", len))
+                       conv=_checked(_list_of(_finite), "nonempty list of finite number", len))
         curvature = _get(cfg, "model.curvature", required=True, conv=_list_of(_pos))
         if len(curvature) != len(targets):
             raise ConfigError("model.curvature", f"need {len(targets)} entries, one per target")
@@ -256,15 +285,25 @@ def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
         res = run_centralized(loss, client.x, client.centers, hp, layout=client.layout,
                               test=test, rng=data_rng, checkpoint_path=out_dir / "checkpoint.json"
                               if hp.checkpoint_every else None)
-        return summarize_clients([res], [client]), res.history
+        return summarize_clients([res], [client]), [m.as_record() for m in res.history]
     return train
 
 
+def _cell(v) -> str:
+    """A CSV cell: empty for None, 17 significant digits for a float."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
 def _write_csv(path, fields, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows([format_value(row.get(f)) for f in fields] for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(fields)
+    writer.writerows([_cell(row.get(f)) for f in fields] for row in rows)
+    write_atomic(path, [text.getvalue()])
 
 
 def _config_command(body):
@@ -302,8 +341,9 @@ def read_run_config(cfg: dict):
     hp = build_hyper(cfg)
     if mode == "centralized":
         return mode, seed, hp, _centralized_train(cfg, seed, hp)
+    _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
     task = _build_task(cfg, seed)
-    part_seed = _get(cfg, "partition.seed", default=seed, conv=int)
+    part_seed = _get(cfg, "partition.seed", default=seed, conv=_nonneg_int)
     partition = partition_noniid(task.train, *_partition_size(cfg), part_seed)
     spec = _client_spec(cfg, partition.n_clients, task.n_classes)
     clients = build_clients(task, partition, seed=part_seed, **spec)
@@ -320,12 +360,12 @@ def cmd_run(cfg: dict, out_override) -> int:
     out_dir = Path(out_override or _get(cfg, "out_dir", default=f"runs/{mode}", conv=str))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("metrics.jsonl", "summary.csv", "partition.json", "checkpoint.json"):
-        (out_dir / name).unlink(missing_ok=True)  # a rerun must not append to old outputs
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump({"package_version": __version__, "seed": seed,
-                   "hyperparams_hash": hp.config_hash(), "config": cfg}, fh, indent=2)
+        (out_dir / name).unlink(missing_ok=True)  # a diverged rerun must leave no stale outputs
+    write_atomic(out_dir / "manifest.json", [json.dumps(
+        {"package_version": __version__, "seed": seed, "hyperparams_hash": hp.config_hash(),
+         "config": cfg}, indent=2)])
     rows, records = train(out_dir)
-    export_metrics(records, out_dir / "metrics.jsonl", fmt="jsonl")
+    export_metrics(records, out_dir / "metrics.jsonl")
     _write_csv(out_dir / "summary.csv", ["client_id", "bits", "acc_fp_eval", "acc_quantized",
                                          "final_total", "final_gap"], rows)
 
@@ -359,15 +399,14 @@ def read_compare_config(cfg: dict):
     modes = _get(cfg, "modes", default=[], conv=_list_of(_compare_mode))
     if not modes:
         raise ConfigError("modes", "must list at least one mode")
-    seeds = _get(cfg, "seeds", conv=_list_of(int))
+    seeds = _get(cfg, "seeds", conv=_list_of(_nonneg_int))
     if seeds is None:
         seeds = list(range(1, _get(cfg, "num_seeds", default=3, conv=_pos_int) + 1))
     if not seeds:
         raise ConfigError("seeds", "must list at least one seed")
-    for field in ("dataset.seed", "partition.seed"):
-        if _get(cfg, field) is not None:
-            raise ConfigError(field, "compare draws the dataset and the partition from "
-                                     "each entry of seeds")
+    _refuse(cfg, ("dataset.seed", "partition.seed"),
+            "compare draws the dataset and the partition from each entry of seeds")
+    _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
     if _get(cfg, "dataset.kind", default="blobs") != "blobs":
         raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
     task_cfg = _blob_fields(cfg)
@@ -382,8 +421,8 @@ def cmd_compare(cfg: dict, out_override) -> int:
     """Run several protocols on the dataset and partition drawn from each seed."""
     modes, seeds, task_cfg, client_cfg, hp = read_compare_config(cfg)
     out_dir = Path(out_override or _get(cfg, "out_dir", default="runs/compare", conv=str))
+    records = compare_modes(task_cfg, client_cfg, hp, modes, seeds)  # may refuse a partition
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = compare_modes(task_cfg, client_cfg, hp, modes, seeds)
     _write_csv(out_dir / "comparison.csv", ["mode", "seed", "avg_test_acc"], records)
     by_seed = {}
     for rec in records:

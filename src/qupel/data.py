@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import write_atomic
 from .rng import Rng
 
 __all__ = [
@@ -180,8 +181,7 @@ def export_partition_json(partition: Partition, path) -> None:
         "assignments": [[int(c) for c in a] for a in partition.assigned_classes],
         "indices": [[int(i) for i in idx] for idx in partition.client_indices],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_atomic(path, [json.dumps(payload)])
 
 
 def load_csv(path) -> Dataset:
@@ -227,8 +227,8 @@ def load_csv(path) -> Dataset:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    d = ds.features.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
+    def lines():
+        yield ",".join([f"f{i}" for i in range(ds.features.shape[1])] + ["label"]) + "\n"
         for row, lab in zip(ds.features, ds.labels):
-            fh.write(",".join(f"{v:.17g}" for v in row) + f",{int(lab)}\n")
+            yield ",".join(f"{v:.17g}" for v in row) + f",{int(lab)}\n"
+    write_atomic(path, lines())

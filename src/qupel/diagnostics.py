@@ -8,10 +8,11 @@ closed-form prox are validated, both in the test suite and through the
 
 from __future__ import annotations
 
-import csv
 import json
+import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "prox_oracle_1d",
     "evaluate_accuracy",
     "export_metrics",
+    "write_atomic",
     "run_gradient_suite",
     "run_prox_suite",
 ]
@@ -127,46 +129,31 @@ def evaluate_accuracy(model, params, test) -> float:
     return float(np.mean(pred == test.labels))
 
 
-def format_value(v) -> str:
-    """A CSV cell: empty for None, 17 significant digits for a float."""
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def write_atomic(path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` whole, or leave ``path`` as it was.
 
-
-def export_metrics(history, path, fmt: str = "jsonl") -> None:
-    """Append metric records to a JSONL or CSV file (17 significant digits).
-
-    ``history`` is an iterable of dicts (see ``RoundMetrics.as_record``) or
-    RoundMetrics. Appending twice concatenates records; values round-trip
-    exactly through ``float()`` / JSON parsing.
+    The chunks go one at a time into ``<path>.tmp`` beside ``path``, which
+    ``os.replace`` then moves over ``path``; a write that raises removes the
+    temporary file. There is no fsync: a killed process leaves whole files,
+    which is not durability across a power loss.
     """
-    records = [h.as_record() if isinstance(h, RoundMetrics) else dict(h) for h in history]
-    if fmt == "jsonl":
-        with open(path, "a", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-    elif fmt == "csv":
-        fields = [
-            "step", "client_id", "f_x", "f_q", "reg", "prox_penalty", "F_total",
-            "stationarity_gap", "w_drift", "quant_error", "test_acc", "kappa_round",
-        ]
-        new_file = True
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                new_file = fh.readline() == ""
-        except FileNotFoundError:
-            pass
-        with open(path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if new_file:
-                writer.writerow(fields)
-            for rec in records:
-                writer.writerow([format_value(rec.get(f)) for f in fields])
-    else:
-        raise ValueError(f"unknown metrics format: {fmt}")
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def export_metrics(records, path) -> None:
+    """Write metric records (dicts, see ``RoundMetrics.as_record``) to ``path`` as JSONL.
+
+    One record per line, streamed through ``write_atomic``; values round-trip
+    exactly through JSON parsing.
+    """
+    write_atomic(path, (json.dumps(rec) + "\n" for rec in records))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -66,6 +67,53 @@ class TestSchedules:
             HyperParams(eta1=0.0, eta2=0.1, steps=5)
         with pytest.raises(ValueError):
             HyperParams(eta1=0.1, eta2=0.1, steps=5, fine_tune_start=9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LambdaSchedule.constant(-0.1),
+    lambda: LambdaSchedule.constant(float("nan")),
+    lambda: LambdaSchedule.linear(float("inf")),
+    lambda: LambdaSchedule.linear(0.1, cap=-1.0),
+    lambda: LambdaSchedule.linear(0.1, cap=float("nan")),
+    lambda: LambdaSchedule.piecewise([(0, -0.1)]),
+    lambda: LambdaSchedule.piecewise([(0, 0.1), (5, float("inf"))]),
+], ids=["constant-negative", "constant-nan", "base-inf", "cap-negative", "cap-nan",
+        "point-negative", "point-inf"])
+def test_lambda_schedule_refuses_out_of_range(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("bad", [
+    dict(eta2=float("nan")), dict(eta3=float("inf")), dict(lambda_p=float("nan")),
+    dict(divergence_factor=0.0), dict(divergence_factor=-1.0),
+    dict(divergence_factor=float("nan")), dict(checkpoint_every=0),
+    dict(checkpoint_every=-1), dict(eta2_decay=((0, -1.0),)),
+    dict(eta2_decay=((0, 1.0), (5, float("nan")))),
+], ids=["eta2-nan", "eta3-inf", "lambda-p-nan", "divergence-zero", "divergence-negative",
+        "divergence-nan", "checkpoint-zero", "checkpoint-negative", "decay-negative",
+        "decay-nan"])
+def test_hyperparams_refuse_out_of_range(bad):
+    with pytest.raises(ValueError):
+        HyperParams(**{"eta1": 0.1, "eta2": 0.1, "steps": 10, **bad})
+
+
+# one value per HyperParams field that differs from BASE_HP's
+OTHER_HP_VALUES = {
+    "eta1": 0.2, "eta2": 0.2, "steps": 11, "eta3": 0.5,
+    "lambda_schedule": LambdaSchedule.constant(0.01), "lambda_p": 1.0, "tau": 2,
+    "fine_tune_start": 5, "quant_cfg": QuantConfig(sharpness=2.0), "eta2_decay": ((0, 0.5),),
+    "divergence_factor": 1e3, "metrics_every": 5, "batch_size": 4,
+    "flip_w_update_sign": True, "checkpoint_every": 3,
+}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(HyperParams), ids=lambda f: f.name)
+def test_config_hash_covers_every_field(field):
+    base = HyperParams(eta1=0.1, eta2=0.1, steps=10)
+    other = dataclasses.replace(base, **{field.name: OTHER_HP_VALUES[field.name]})
+    assert getattr(other, field.name) != getattr(base, field.name)
+    assert other.config_hash() != base.config_hash()
 
 
 class TestCentralizedStep:

@@ -251,7 +251,13 @@ BASES = {  # base config name -> (command, config builder)
 }
 
 
-@pytest.mark.parametrize("command, edit, field", [
+def per_class_4(cfg):
+    cfg["dataset"]["per_class"] = 4  # no test split
+    if "partition" in cfg:
+        cfg["partition"]["clients"] = 2
+
+
+INVALID_CONFIGS = [
     ("compare", lambda c: c["dataset"].pop("classes"), "dataset.classes"),
     ("compare", lambda c: c.update(dataset={"kind": "csv", "train": "a.csv", "test": "b.csv"}),
      "dataset.kind"),
@@ -289,7 +295,34 @@ BASES = {  # base config name -> (command, config builder)
      "quantization.exempt_first_last"),
     ("centralized", lambda c: c["quantization"].update(m_list=[8]), "quantization.m_list"),
     ("centralized", lambda c: c["quantization"].update(case="3bits"), "quantization.case"),
-], ids=["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
+    ("run", lambda c: c["hyper"].update(steps="3"), "hyper.steps"),
+    ("run", lambda c: c["hyper"].update(steps=True), "hyper.steps"),
+    ("run", lambda c: c["hyper"].update(tau=2.9), "hyper.tau"),
+    ("run", lambda c: c["partition"].update(clients=2.5), "partition.clients"),
+    ("run", lambda c: c["quantization"].update(m=4.7), "quantization.m"),
+    ("run", lambda c: c["hyper"].update(eta1="0.1"), "hyper.eta1"),
+    ("run", lambda c: c["hyper"].update(eta1=True), "hyper.eta1"),
+    ("run", lambda c: c["hyper"].update(eta1=10**400), "hyper.eta1"),  # too large for a float
+    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "linear", "base": 0.1, "cap": -1}}),
+     "hyper.lambda.cap"),
+    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise", "points": [[0, -0.1]]}}),
+     "hyper.lambda.points"),
+    ("run", lambda c: c["hyper"].update(eta2_decay=[[0, -1.0]]), "hyper.eta2_decay"),
+    ("run", lambda c: c["hyper"].update(eta2=float("nan")), "hyper.eta2"),
+    ("run", lambda c: c["hyper"].update(lambda_p=float("nan")), "hyper.lambda_p"),
+    ("run", lambda c: c.update(seed=-5), "seed"),
+    ("compare", lambda c: c.update(seeds=[-1]), "seeds"),
+    ("run", per_class_4, "dataset.per_class"),
+    ("compare", per_class_4, "dataset.per_class"),
+    ("centralized", per_class_4, "dataset.per_class"),
+    ("run", lambda c: c["dataset"].update(spread=0), "dataset.spread"),
+    ("run", lambda c: c["hyper"].update(divergence_factor=-1), "hyper.divergence_factor"),
+    ("centralized", lambda c: c["hyper"].update(checkpoint_every=0), "hyper.checkpoint_every"),
+    ("centralized", lambda c: c["hyper"].update(checkpoint_every=-1), "hyper.checkpoint_every"),
+    ("run", lambda c: c["hyper"].update(checkpoint_every=2), "hyper.checkpoint_every"),
+    ("compare", lambda c: c["hyper"].update(checkpoint_every=2), "hyper.checkpoint_every"),
+]
+INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
         "checkpoint-every", "sharpness", "compare-infeasible-partition",
         "compare-classes-per-client", "compare-c-max", "compare-dataset-seed",
@@ -297,7 +330,16 @@ BASES = {  # base config name -> (command, config builder)
         "hidden", "l2", "per-class", "spread", "lambda", "seed", "centralized-m",
         "centralized-hidden", "quadratic-curvature", "quadratic-no-targets", "one-class",
         "hard-limit-string", "flip-sign-string", "exempt-number", "centralized-m-list",
-        "centralized-case"])
+        "centralized-case", "steps-string", "steps-bool", "tau-fraction", "clients-fraction",
+        "m-fraction", "eta1-string", "eta1-bool", "eta1-overflow", "lambda-cap-negative",
+        "lambda-point-negative", "eta2-decay-negative", "eta2-nan", "lambda-p-nan",
+        "seed-negative", "compare-seed-negative", "per-class-4", "compare-per-class-4",
+        "centralized-per-class-4", "spread-zero", "divergence-factor-negative",
+        "checkpoint-every-zero", "checkpoint-every-negative", "checkpoint-every-qupel",
+        "compare-checkpoint-every"]
+
+
+@pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, command, edit, field):
     out = str(tmp_path / "out")
     command, make_cfg = BASES[command]
@@ -305,6 +347,15 @@ def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, command, edit
     edit(cfg_dict)
     assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
     assert f"invalid config: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)
+def test_invalid_config_writes_nothing(tmp_path, capsys, command, edit, field):
+    command, make_cfg = BASES[command]
+    cfg_dict = make_cfg(str(tmp_path / "out"))
+    edit(cfg_dict)
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_leaves_earlier_outputs(tmp_path, capsys):

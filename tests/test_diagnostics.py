@@ -87,53 +87,44 @@ class TestExportMetrics:
         return [
             RoundMetrics(step=0, f_x=0.5, f_q=0.25, reg=0.1, prox_penalty=0.0,
                          total=0.85, stationarity_gap=1e-3, w_drift=0.0,
-                         quant_error=0.2, test_acc=None, kappa_round=0.0),
+                         quant_error=0.2, test_acc=None, kappa_round=0.0).as_record(),
             RoundMetrics(step=1, f_x=0.4, f_q=0.2, reg=0.1, prox_penalty=0.0,
                          total=0.7, stationarity_gap=5e-4, w_drift=0.0,
-                         quant_error=0.1, test_acc=0.9, kappa_round=None),
+                         quant_error=0.1, test_acc=0.9, kappa_round=None).as_record(),
         ]
 
     def test_jsonl_round_trip_exact(self, tmp_path):
         path = tmp_path / "m.jsonl"
         hist = self.sample_history()
-        export_metrics(hist, path, fmt="jsonl")
+        export_metrics(hist, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert rec["F_total"] == 0.85
         assert rec["test_acc"] is None
 
-    def test_append_concatenates(self, tmp_path):
+    def test_second_write_replaces_the_first(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        export_metrics(self.sample_history(), path, fmt="jsonl")
-        export_metrics(self.sample_history(), path, fmt="jsonl")
-        assert len(path.read_text().strip().split("\n")) == 4
+        export_metrics(self.sample_history(), path)
+        once = path.read_bytes()
+        export_metrics(self.sample_history(), path)
+        assert path.read_bytes() == once
+        assert len(once.decode().strip().split("\n")) == 2
 
     def test_empty_history_jsonl(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        export_metrics([], path, fmt="jsonl")
+        export_metrics([], path)
         assert path.read_text() == ""
 
-    def test_csv_header_once(self, tmp_path):
-        path = tmp_path / "m.csv"
-        export_metrics([], path, fmt="csv")
-        export_metrics(self.sample_history(), path, fmt="csv")
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("step,")
-        assert len(lines) == 3
-
-    def test_csv_values_round_trip(self, tmp_path):
-        path = tmp_path / "m.csv"
-        export_metrics(self.sample_history(), path, fmt="csv")
-        lines = path.read_text().strip().split("\n")
-        fields = lines[0].split(",")
-        rec = dict(zip(fields, lines[1].split(",")))
-        assert float(rec["F_total"]) == 0.85
-        assert float(rec["stationarity_gap"]) == 1e-3
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_metrics([], tmp_path / "m.xml", fmt="xml")
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        export_metrics(self.sample_history(), path)
+        before = path.read_bytes()
+        records = self.sample_history() + [{"step": 2, "F_total": object()}]
+        with pytest.raises(TypeError):  # json cannot encode the third record
+            export_metrics(records, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
 
 
 class TestSuites:
