@@ -11,7 +11,8 @@ is the hard-quantized final iterate.
 One step kernel serves every trainer: the federated local update is the
 same step plus the coupling gradient lambda_p * (x - w), and fine-tuning is
 the same step with pinned assignments. One per-step record likewise builds
-the metrics of both the centralized and the federated trainers.
+the metrics of every trainer. A centralized run is one client of the
+trainer loop in ``qupel.federated``, run without the server.
 
 Runs are single-threaded and deterministic: identical inputs produce
 bitwise-identical results.
@@ -28,7 +29,6 @@ import numpy as np
 from .diagnostics import RoundMetrics, evaluate_accuracy, write_atomic
 from .losses import (
     QuantLayout,
-    _hard_assign_grouped,
     eval_F_i_grouped,
     hard_quantize_grouped,
     loss_quant_gradient_c,
@@ -76,6 +76,9 @@ class LambdaSchedule:
             raise ValueError("lambda values must be finite and >= 0")
         if not self.cap >= 0.0:
             raise ValueError("lambda cap must be >= 0 or +inf")
+        # lam() keeps the last point whose step has passed, so the steps must increase
+        if any(a >= b for (a, _), (b, _) in zip(self.points, self.points[1:])):
+            raise ValueError("lambda schedule steps must be strictly increasing")
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
@@ -151,8 +154,11 @@ class HyperParams:
             raise ValueError("divergence_factor must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1 when set")
-        if not all(0.0 <= f < np.inf for _, f in self.eta2_decay or ()):
+        decay = self.eta2_decay or ()
+        if not all(0.0 <= f < np.inf for _, f in decay):
             raise ValueError("eta2_decay factors must be finite and >= 0")
+        if any(a >= b for (a, _), (b, _) in zip(decay, decay[1:])):  # as in LambdaSchedule
+            raise ValueError("eta2_decay steps must be strictly increasing")
 
     def lam(self, t: int) -> float:
         return self.lambda_schedule.lam(t)
@@ -185,7 +191,7 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# the step kernel and per-step record (shared by the centralized and federated trainers)
+# the step kernel and per-step record (used by the one trainer loop in qupel.federated)
 
 
 def _grad_step_loss(loss, hp: HyperParams, rng: Rng | None):
@@ -235,26 +241,18 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
     return x_new, centers_new
 
 
-def _pin_if_due(x, centers, pinned, layout, hp: HyperParams, t: int):
-    """At ``fine_tune_start``, snap quantized coordinates onto their centers and pin them."""
-    if pinned is not None or t != hp.ft_start() or not layout.groups:
-        return x, pinned
-    return _hard_assign_grouped(x, centers, layout)
-
-
 def _at_cadence(hp: HyperParams, t: int) -> bool:
     return t % hp.metrics_every == 0 or t == hp.steps - 1
 
 
 def _record(t: int, hp: HyperParams, loss, layout, test, x, centers, x_prev, centers_prev,
-            w, lambda_p: float, f0: float, client_id: int | None = None) -> RoundMetrics:
+            w, lambda_p: float, f0: float, client_id: int) -> RoundMetrics:
     """Metrics of the step-t iterate; DivergenceError past ``divergence_factor`` * max(1, |F_0|)."""
     ev = eval_F_i_grouped(loss, x, centers, layout, w, hp.quant_cfg, hp.lam(t), lambda_p)
     if not np.isfinite(ev.total) or ev.total > hp.divergence_factor * max(1.0, abs(f0)):
-        who = "objective" if client_id is None else f"client {client_id} objective"
         raise DivergenceError(
-            f"{who} diverged at step {t}: total={ev.total!r}, initial={f0!r}, "
-            f"|x|={float(np.max(np.abs(x)))!r}"
+            f"client {client_id} objective diverged at step {t}: total={ev.total!r}, "
+            f"initial={f0!r}, |x|={float(np.max(np.abs(x)))!r}"
         )
     gap = stationarity_gap(x_prev, x, centers_prev, centers, hp)
     acc = evaluate_accuracy(loss, x, test) if test is not None and _at_cadence(hp, t) else None
@@ -291,12 +289,13 @@ def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:
     return total / (eta_min * eta_min)
 
 
-def _write_checkpoint(path, step, x, centers, rng, hp):
+def _write_checkpoint(path, step, cs, hp):
+    """``cs``'s state after ``step`` steps (a ``qupel.federated.ClientState``)."""
     payload = {
         "step": step,
-        "x": [float(v) for v in x],
-        "c": [[float(v) for v in c.values] for c in centers],
-        "rng_state": list(rng.getstate()) if rng is not None else None,
+        "x": [float(v) for v in cs.x],
+        "c": [[float(v) for v in c.values] for c in cs.centers],
+        "rng_state": list(cs.data_rng.getstate()) if cs.data_rng is not None else None,
         "hyperparams_hash": hp.config_hash(),
     }
     write_atomic(path, [json.dumps(payload)])
@@ -311,33 +310,16 @@ def run_centralized(loss, init_x, init_c, hp: HyperParams, *,
     list matching ``layout.groups``. ``test`` enables accuracy metrics every
     ``hp.metrics_every`` steps for classifier losses. ``rng`` draws the
     minibatches and is advanced. Aborts with DivergenceError when the
-    objective exceeds ``divergence_factor`` times max(1, |F_0|).
+    objective exceeds ``divergence_factor`` times max(1, |F_0|). The run is
+    client 0 of the trainer loop in ``qupel.federated``, without the server;
+    ``checkpoint_path`` receives its state every ``hp.checkpoint_every`` steps.
     """
-    if layout is None:
-        layout = QuantLayout.full(loss.dim)
-    centers = layout.check_centers(init_c)
+    from .federated import ClientState, _train  # qupel.federated imports this module
+
     x = np.array(init_x, dtype=np.float64)
-    if x.shape != (loss.dim,):
-        raise ValueError("init_x dimension does not match the loss")
-
-    f0 = eval_F_i_grouped(loss, x, centers, layout, x, hp.quant_cfg, hp.lam(0), 0.0).total
-    history: list[RoundMetrics] = []
-    pinned = None
-
-    for t in range(hp.steps):
-        x, pinned = _pin_if_due(x, centers, pinned, layout, hp, t)
-        x_prev, centers_prev = x, centers
-        x, centers = _step(x, centers, pinned, loss, layout, hp, t, rng)
-        rec = _record(t, hp, loss, layout, test, x, centers, x_prev, centers_prev, x, 0.0, f0)
-        if _at_cadence(hp, t):
-            rec.kappa_round = 0.0
-        history.append(rec)
-        if checkpoint_path is not None and hp.checkpoint_every:
-            if (t + 1) % hp.checkpoint_every == 0:
-                _write_checkpoint(checkpoint_path, t + 1, x, centers, rng, hp)
-
-    x_hard = hard_quantize_grouped(x, centers, layout)
-    return TrainResult(x_final=x, centers_final=centers, x_hard=x_hard, history=history)
+    client = ClientState(id=0, x=x, centers=init_c, w_local=x, loss=loss, layout=layout,
+                         test=test, data_rng=rng)
+    return _train([client], hp, federated=False, checkpoint_path=checkpoint_path).per_client[0]
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,9 @@ _nonneg_int = _checked(_integer, "integer >= 0", lambda v: v >= 0)
 _finite = _checked(_number, "finite number", math.isfinite)
 _nonneg = _checked(_number, "finite number >= 0", lambda v: 0.0 <= v < math.inf)
 _pos = _checked(_number, "finite number > 0", lambda v: 0.0 < v < math.inf)
-_pairs = _list_of(_checked(_step_value, "[integer step, finite value >= 0]"))
+_pairs = _checked(_list_of(_checked(_step_value, "[integer step, finite value >= 0]")),
+                  "list of [integer step, finite value >= 0] with increasing steps",
+                  lambda pairs: all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])))
 _compare_mode = _checked(str, "qupel|local|fedavg", lambda v: v in ("qupel", "local", "fedavg"))
 
 
@@ -402,8 +404,8 @@ def read_compare_config(cfg: dict):
     seeds = _get(cfg, "seeds", conv=_list_of(_nonneg_int))
     if seeds is None:
         seeds = list(range(1, _get(cfg, "num_seeds", default=3, conv=_pos_int) + 1))
-    if not seeds:
-        raise ConfigError("seeds", "must list at least one seed")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds", "must list at least one seed, and no seed twice")
     _refuse(cfg, ("dataset.seed", "partition.seed"),
             "compare draws the dataset and the partition from each entry of seeds")
     _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")

@@ -14,12 +14,12 @@ The w update descends the coupling penalty,
 variant is available behind ``flip_w_update_sign`` for comparison with the
 alternative sign convention.
 
-The local update is the centralized trainers' one step kernel with the
-coupling gradient added, and each client-step is recorded by the same
-per-step record. With lambda_p = 0 the w exchange cannot influence
-(x_i, c_i), and a QuPeL run is bitwise-identical to independent centralized
-runs per client: the kernel is invoked with the coupling term skipped
-entirely.
+One trainer loop, ``_train``, pins, steps (the centralized step kernel)
+and records (the one per-step record) every client at every step. The
+server runs only under ``run_qupel``; ``run_local_only`` is the loop
+without it, and ``run_centralized`` is that loop on one client. With
+lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a QuPeL run is
+bitwise-identical to local-only training: the kernel skips the coupling.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from .centralized import (
     TrainResult,
     _at_cadence,
     _grad_step_loss,
-    _pin_if_due,
     _record,
     _step,
-    run_centralized,
+    _write_checkpoint,
 )
 from .diagnostics import RoundMetrics, evaluate_accuracy
-from .losses import QuantLayout, eval_F_i_grouped, hard_quantize_grouped
+from .losses import QuantLayout, _hard_assign_grouped, eval_F_i_grouped, hard_quantize_grouped
 from .quantizer import CenterVector
 from .rng import Rng
 
@@ -100,24 +99,27 @@ class DiversityEstimate:
     kappa: float
 
 
-def _coupling(cs: ClientState, hp: HyperParams):
-    if hp.lambda_p == 0.0:
-        return None
-    return hp.lambda_p * (cs.x - cs.w_local)
+def _pin(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
+    """At ``fine_tune_start``, snap the quantized coordinates onto their centers and pin them."""
+    if cs.pinned is not None or t != hp.ft_start() or not cs.layout.groups:
+        return cs
+    x, pinned = _hard_assign_grouped(cs.x, cs.centers, cs.layout)
+    return replace(cs, x=x, pinned=pinned)
 
 
 def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
     """One local update of (x_i, c_i, w_i); advances only this client's data_rng."""
-    x, pinned = _pin_if_due(cs.x, cs.centers, cs.pinned, cs.layout, hp, t)
-    x_new, centers_new = _step(x, cs.centers, pinned, cs.loss, cs.layout, hp, t, cs.data_rng,
-                               coupling=_coupling(cs, hp))
+    cs = _pin(cs, hp, t)
+    coupling = hp.lambda_p * (cs.x - cs.w_local) if hp.lambda_p != 0.0 else None
+    x_new, centers_new = _step(cs.x, cs.centers, cs.pinned, cs.loss, cs.layout, hp, t,
+                               cs.data_rng, coupling=coupling)
     if hp.lambda_p == 0.0 or hp.eta3 == 0.0:
         w_new = cs.w_local
     elif hp.flip_w_update_sign:
         w_new = cs.w_local - hp.eta3 * hp.lambda_p * (x_new - cs.w_local)
     else:
         w_new = cs.w_local + hp.eta3 * hp.lambda_p * (x_new - cs.w_local)
-    return replace(cs, x=x_new, centers=centers_new, w_local=w_new, pinned=pinned)
+    return replace(cs, x=x_new, centers=centers_new, w_local=w_new)
 
 
 def sync_round(clients: list[ClientState], server: ServerState):
@@ -146,74 +148,87 @@ def estimate_diversity(clients: list[ClientState], server: ServerState,
 class QupelResult:
     per_client: list[TrainResult]
     global_history: list[dict]
-    server: ServerState
+    server: ServerState | None  # None without the server (local-only and centralized runs)
     clients: list[ClientState]
+
+
+def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
+           checkpoint_path=None) -> QupelResult:
+    """The one trainer loop. ``federated`` adds the server: sync every tau steps,
+    coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``."""
+    clients = sorted(clients, key=lambda c: c.id)
+    lambda_p = hp.lambda_p if federated else 0.0
+    server = ServerState(w_global=clients[0].w_local.copy()) if federated else None
+    f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
+                           hp.lam(0), lambda_p).total for cs in clients]
+    histories: list[list[RoundMetrics]] = [[] for _ in clients]
+    global_history: list[dict] = []
+
+    for t in range(hp.steps):
+        sync_dev = None
+        if federated and t % hp.tau == 0:
+            clients, server = sync_round(clients, server)
+            sync_dev = max(float(np.max(np.abs(c.w_local - server.w_global))) for c in clients)
+
+        for pos, cs in enumerate(clients):
+            cs = _pin(cs, hp, t)  # the gap then measures the prox step, not the pin jump
+            if federated:
+                new = client_local_step(cs, hp, t)
+            else:
+                x, centers = _step(cs.x, cs.centers, cs.pinned, cs.loss, cs.layout, hp, t,
+                                   cs.data_rng)
+                new = replace(cs, x=x, centers=centers)
+            rec = _record(t, hp, cs.loss, cs.layout, cs.test, new.x, new.centers, cs.x,
+                          cs.centers, new.w_local, lambda_p, f0[pos], cs.id)
+            if federated:
+                rec.w_drift = float(np.sum((new.w_local - server.w_global) ** 2))
+            elif _at_cadence(hp, t):
+                rec.kappa_round = 0.0
+            histories[pos].append(rec)
+            clients[pos] = new
+
+        if federated:
+            record = {"step": t, "synced": sync_dev is not None, "post_sync_dev": sync_dev}
+            w_stack = np.stack([c.w_local for c in clients])
+            w_mean = w_stack.mean(axis=0)
+            record["consensus_drift"] = float(np.mean(np.sum((w_stack - w_mean) ** 2, axis=1)))
+            if _at_cadence(hp, t):
+                div = estimate_diversity(clients, server, hp.lambda_p)
+                record["kappa"] = div.kappa
+                for pos, hist in enumerate(histories):
+                    hist[-1].kappa_round = float(div.kappa_i[pos])
+                accs = [h[-1].test_acc for h in histories if h[-1].test_acc is not None]
+                record["mean_test_acc"] = float(np.mean(accs)) if accs else None
+            global_history.append(record)
+        if checkpoint_path is not None and hp.checkpoint_every \
+                and (t + 1) % hp.checkpoint_every == 0:
+            _write_checkpoint(checkpoint_path, t + 1, clients[0], hp)
+
+    per_client = [TrainResult(x_final=cs.x, centers_final=cs.centers,
+                              x_hard=hard_quantize_grouped(cs.x, cs.centers, cs.layout),
+                              history=hist) for cs, hist in zip(clients, histories)]
+    return QupelResult(per_client=per_client, global_history=global_history,
+                       server=server, clients=clients)
 
 
 def run_qupel(clients: list[ClientState], hp: HyperParams) -> QupelResult:
     """Run the personalized protocol for ``hp.steps`` steps.
 
     Every step performs one local update on every client (ascending id);
-    steps divisible by tau first synchronize the w_i through the server,
-    including step 0 so all clients start from a common global model. The
-    returned per-client results carry the hard-quantized personalized
-    models.
+    steps divisible by tau, step 0 included, first synchronize the w_i
+    through the server. The per-client results carry the hard-quantized models.
     """
     if not clients:
         raise ValueError("need at least one client")
-    clients = sorted(clients, key=lambda c: c.id)
-    server = ServerState(w_global=clients[0].w_local.copy(), round=0)
-    f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local,
-                           hp.quant_cfg, hp.lam(0), hp.lambda_p).total for cs in clients]
-    histories: list[list[RoundMetrics]] = [[] for _ in clients]
-    global_history: list[dict] = []
-
-    for t in range(hp.steps):
-        sync_dev = None
-        if t % hp.tau == 0:
-            clients, server = sync_round(clients, server)
-            sync_dev = max(float(np.max(np.abs(c.w_local - server.w_global))) for c in clients)
-        at_cadence = _at_cadence(hp, t)
-
-        new_clients = []
-        for pos, cs in enumerate(clients):
-            new = client_local_step(cs, hp, t)
-            rec = _record(t, hp, new.loss, new.layout, new.test, new.x, new.centers,
-                          cs.x, cs.centers, new.w_local, hp.lambda_p, f0[pos], client_id=new.id)
-            rec.w_drift = float(np.sum((new.w_local - server.w_global) ** 2))
-            histories[pos].append(rec)
-            new_clients.append(new)
-        clients = new_clients
-
-        record = {"step": t, "synced": sync_dev is not None, "post_sync_dev": sync_dev}
-        w_stack = np.stack([c.w_local for c in clients])
-        w_mean = w_stack.mean(axis=0)
-        record["consensus_drift"] = float(np.mean(np.sum((w_stack - w_mean) ** 2, axis=1)))
-        if at_cadence:
-            div = estimate_diversity(clients, server, hp.lambda_p)
-            record["kappa"] = div.kappa
-            for pos, hist in enumerate(histories):
-                hist[-1].kappa_round = float(div.kappa_i[pos])
-            accs = [h[-1].test_acc for h in histories if h and h[-1].test_acc is not None]
-            record["mean_test_acc"] = float(np.mean(accs)) if accs else None
-        global_history.append(record)
-
-    per_client = []
-    for cs, hist in zip(clients, histories):
-        x_hard = hard_quantize_grouped(cs.x, cs.centers, cs.layout)
-        per_client.append(TrainResult(x_final=cs.x, centers_final=cs.centers,
-                                      x_hard=x_hard, history=hist))
-    return QupelResult(per_client=per_client, global_history=global_history,
-                       server=server, clients=clients)
+    return _train(clients, hp, federated=True)
 
 
 def run_local_only(clients: list[ClientState], hp: HyperParams) -> list[TrainResult]:
-    """No-collaboration baseline: independent centralized runs per client."""
-    results = []
-    for cs in sorted(clients, key=lambda c: c.id):
-        results.append(run_centralized(cs.loss, cs.x, cs.centers, hp,
-                                       layout=cs.layout, test=cs.test, rng=cs.data_rng))
-    return results
+    """No-collaboration baseline: the trainer loop without the server.
+
+    The first client to diverge, in (step, id) order, raises the DivergenceError.
+    """
+    return _train(clients, hp, federated=False).per_client
 
 
 def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:

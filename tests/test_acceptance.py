@@ -222,9 +222,6 @@ def test_criterion_5_decoupling_and_symmetry():
     return "bitwise on all three checks"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "stationarity_gap at step fine_tune_start differs: run_centralized takes x_prev after "
-    "the fine-tune pin, run_qupel takes it before client_local_step pins"))
 def test_zero_coupling_matches_local_only_with_fine_tune():
     hp = HyperParams(eta1=0.05, eta2=0.02, steps=60, tau=5, quant_cfg=hard_cfg(),
                      lambda_schedule=LambdaSchedule.linear(1e-3, cap=0.2),

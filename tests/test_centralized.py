@@ -77,8 +77,10 @@ class TestSchedules:
     lambda: LambdaSchedule.linear(0.1, cap=float("nan")),
     lambda: LambdaSchedule.piecewise([(0, -0.1)]),
     lambda: LambdaSchedule.piecewise([(0, 0.1), (5, float("inf"))]),
+    lambda: LambdaSchedule.piecewise([(0, 0.1), (50, 0.2), (10, 0.3)]),
+    lambda: LambdaSchedule.piecewise([(0, 0.1), (10, 0.2), (10, 0.3)]),
 ], ids=["constant-negative", "constant-nan", "base-inf", "cap-negative", "cap-nan",
-        "point-negative", "point-inf"])
+        "point-negative", "point-inf", "points-unsorted", "points-repeated"])
 def test_lambda_schedule_refuses_out_of_range(make):
     with pytest.raises(ValueError):
         make()
@@ -89,10 +91,11 @@ def test_lambda_schedule_refuses_out_of_range(make):
     dict(divergence_factor=0.0), dict(divergence_factor=-1.0),
     dict(divergence_factor=float("nan")), dict(checkpoint_every=0),
     dict(checkpoint_every=-1), dict(eta2_decay=((0, -1.0),)),
-    dict(eta2_decay=((0, 1.0), (5, float("nan")))),
+    dict(eta2_decay=((0, 1.0), (5, float("nan")))), dict(eta2_decay=((5, 0.5), (0, 1.0))),
+    dict(eta2_decay=((5, 0.5), (5, 1.0))),
 ], ids=["eta2-nan", "eta3-inf", "lambda-p-nan", "divergence-zero", "divergence-negative",
         "divergence-nan", "checkpoint-zero", "checkpoint-negative", "decay-negative",
-        "decay-nan"])
+        "decay-nan", "decay-unsorted", "decay-repeated"])
 def test_hyperparams_refuse_out_of_range(bad):
     with pytest.raises(ValueError):
         HyperParams(**{"eta1": 0.1, "eta2": 0.1, "steps": 10, **bad})

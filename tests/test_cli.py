@@ -321,6 +321,15 @@ INVALID_CONFIGS = [
     ("centralized", lambda c: c["hyper"].update(checkpoint_every=-1), "hyper.checkpoint_every"),
     ("run", lambda c: c["hyper"].update(checkpoint_every=2), "hyper.checkpoint_every"),
     ("compare", lambda c: c["hyper"].update(checkpoint_every=2), "hyper.checkpoint_every"),
+    ("compare", lambda c: c.update(seeds=[1, 1]), "seeds"),
+    ("run", lambda c: c["hyper"].update(eta2_decay=[[5, 0.5], [0, 1.0]]), "hyper.eta2_decay"),
+    ("run", lambda c: c["hyper"].update(eta2_decay=[[5, 0.5], [5, 1.0]]), "hyper.eta2_decay"),
+    ("run", lambda c: c["hyper"].update(
+        {"lambda": {"kind": "piecewise", "points": [[0, 0.1], [50, 0.2], [10, 0.3]]}}),
+     "hyper.lambda.points"),
+    ("run", lambda c: c["hyper"].update(
+        {"lambda": {"kind": "piecewise", "points": [[0, 0.1], [10, 0.2], [10, 0.3]]}}),
+     "hyper.lambda.points"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -336,7 +345,8 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "seed-negative", "compare-seed-negative", "per-class-4", "compare-per-class-4",
         "centralized-per-class-4", "spread-zero", "divergence-factor-negative",
         "checkpoint-every-zero", "checkpoint-every-negative", "checkpoint-every-qupel",
-        "compare-checkpoint-every"]
+        "compare-checkpoint-every", "compare-seeds-repeated", "eta2-decay-unsorted",
+        "eta2-decay-repeated", "lambda-points-unsorted", "lambda-points-repeated"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)

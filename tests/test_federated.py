@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qupel.centralized import HyperParams, LambdaSchedule, centralized_step, run_centralized
+from qupel.centralized import (
+    DivergenceError,
+    HyperParams,
+    LambdaSchedule,
+    centralized_step,
+    run_centralized,
+)
 from qupel.federated import (
     ClientState,
     ServerState,
@@ -125,21 +131,24 @@ class TestSyncRound:
 
 
 class TestRunQupel:
-    def qupel_hp(self, lambda_p=0.0, steps=60, tau=5, eta3=0.2):
+    def qupel_hp(self, lambda_p=0.0, steps=60, tau=5, eta3=0.2, fine_tune_start=None):
         return HyperParams(eta1=0.05, eta2=0.02, steps=steps, tau=tau, eta3=eta3,
                            lambda_p=lambda_p, quant_cfg=hard_cfg(),
-                           lambda_schedule=LambdaSchedule.linear(1e-3, cap=0.2))
+                           lambda_schedule=LambdaSchedule.linear(1e-3, cap=0.2),
+                           fine_tune_start=fine_tune_start)
 
-    def test_single_client_matches_centralized_bitwise(self):
+    @pytest.mark.parametrize("fine_tune_start", [None, 40])
+    def test_single_client_matches_centralized_bitwise(self, fine_tune_start):
         cs = make_client(0)
-        hp = self.qupel_hp(lambda_p=0.0)
+        hp = self.qupel_hp(lambda_p=0.0, fine_tune_start=fine_tune_start)
         fed = run_qupel([cs], hp)
         cen = run_centralized(cs.loss, cs.x, cs.centers, hp)
         assert results_equal(fed.per_client[0], cen)
 
-    def test_zero_coupling_matches_local_only_bitwise(self):
+    @pytest.mark.parametrize("fine_tune_start", [None, 40])
+    def test_zero_coupling_matches_local_only_bitwise(self, fine_tune_start):
         clients = [make_client(i) for i in range(4)]
-        hp = self.qupel_hp(lambda_p=0.0)
+        hp = self.qupel_hp(lambda_p=0.0, fine_tune_start=fine_tune_start)
         fed = run_qupel(clients, hp)
         loc = run_local_only(clients, hp)
         assert all(results_equal(f, l) for f, l in zip(fed.per_client, loc))
@@ -199,6 +208,17 @@ class TestRunLocalOnly:
         alt = run_local_only(perturbed, hp)
         assert not results_equal(base[0], alt[0])
         assert all(results_equal(b, a) for b, a in zip(base[1:], alt[1:]))
+
+    def test_first_client_to_diverge_in_step_order_raises(self):
+        # eta1 * h > 2 makes the iterates grow: 1.5x a step on client 0, 9x on client 2
+        clients = [ClientState(id=i, x=np.full(2, 0.5), centers=centers(-1.0, 1.0),
+                               w_local=np.full(2, 0.5), loss=quadratic_loss([0.0, 0.0], [h, h]))
+                   for i, h in enumerate([2.5, 1.0, 10.0])]
+        hp = HyperParams(eta1=1.0, eta2=0.0, steps=200, quant_cfg=hard_cfg())
+        with pytest.raises(DivergenceError, match="^client 0 objective diverged at step 19:"):
+            run_local_only(clients[:1], hp)
+        with pytest.raises(DivergenceError, match="^client 2 objective diverged at step 3:"):
+            run_local_only(clients, hp)
 
 
 class TestRunFedavg:
