@@ -35,7 +35,7 @@ from .losses import (
     loss_quant_gradient_x,
 )
 from .proxops import ProxParams, prox_c, prox_x
-from .quantizer import CenterVector, QuantConfig, center_list
+from .quantizer import CenterVector, QuantConfig
 from .rng import Rng
 
 __all__ = [
@@ -54,6 +54,21 @@ __all__ = [
 
 class DivergenceError(RuntimeError):
     """Raised when the objective blows past the divergence threshold."""
+
+
+def _check_steps(points, name: str) -> None:
+    # _staircase keeps the last point whose step has passed, so the steps must increase
+    if any(a >= b for (a, _), (b, _) in zip(points, points[1:])):
+        raise ValueError(f"{name} steps must be strictly increasing")
+
+
+def _staircase(points, t: int, before: float) -> float:
+    """Value of the last ``(step, value)`` point with step <= t; ``before`` ahead of them all."""
+    out = before
+    for step, value in points:
+        if t >= step:
+            out = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,9 +91,7 @@ class LambdaSchedule:
             raise ValueError("lambda values must be finite and >= 0")
         if not self.cap >= 0.0:
             raise ValueError("lambda cap must be >= 0 or +inf")
-        # lam() keeps the last point whose step has passed, so the steps must increase
-        if any(a >= b for (a, _), (b, _) in zip(self.points, self.points[1:])):
-            raise ValueError("lambda schedule steps must be strictly increasing")
+        _check_steps(self.points, "lambda schedule")
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
@@ -101,11 +114,7 @@ class LambdaSchedule:
         if self.kind == "linear":
             return min(self.base * t, self.cap)
         if self.kind == "piecewise":
-            out = self.points[0][1]
-            for step, val in self.points:
-                if t >= step:
-                    out = val
-            return out
+            return _staircase(self.points, t, self.points[0][1])
         raise ValueError(f"unknown schedule kind: {self.kind}")
 
 
@@ -157,8 +166,7 @@ class HyperParams:
         decay = self.eta2_decay or ()
         if not all(0.0 <= f < np.inf for _, f in decay):
             raise ValueError("eta2_decay factors must be finite and >= 0")
-        if any(a >= b for (a, _), (b, _) in zip(decay, decay[1:])):  # as in LambdaSchedule
-            raise ValueError("eta2_decay steps must be strictly increasing")
+        _check_steps(decay, "eta2_decay")
 
     def lam(self, t: int) -> float:
         return self.lambda_schedule.lam(t)
@@ -166,11 +174,7 @@ class HyperParams:
     def eta2_at(self, t: int) -> float:
         if self.eta2_decay is None:
             return self.eta2
-        factor = 1.0
-        for step, f in self.eta2_decay:
-            if t >= step:
-                factor = f
-        return self.eta2 * factor
+        return self.eta2 * _staircase(self.eta2_decay, t, 1.0)
 
     def ft_start(self) -> int:
         return self.steps if self.fine_tune_start is None else self.fine_tune_start
@@ -224,6 +228,8 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
     if coupling is not None:
         g = g + coupling
     x_new = x - hp.eta1 * g
+    if not np.isfinite(x_new).all():  # before prox_x snaps a NaN; _record raises on it
+        return x_new, list(centers)
     px = ProxParams(eta=hp.eta1, lam=lam_t)
     for (start, stop), c, assign in zip(layout.groups, centers, pins):
         x_new[start:stop] = prox_x(x_new[start:stop], c, px) if assign is None else c.values[assign]
@@ -267,22 +273,23 @@ def centralized_step(state, loss, hp: HyperParams, t: int,
                      layout: QuantLayout | None = None):
     """One full-batch alternating prox-gradient step on (x, c); returns the new pair.
 
-    ``c`` is one CenterVector or a list per group, and comes back in the same
-    form. With ``hp.batch_size`` set it raises, having no stream to draw from.
+    ``x`` must be finite; a step that overflows returns a non-finite one. ``c`` is
+    one CenterVector or a list per group, and comes back as a list. With
+    ``hp.batch_size`` set it raises, having no stream to draw from.
     """
-    x, c = state
+    x, c = np.asarray(state[0], dtype=np.float64), state[1]
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     if layout is None:
         layout = QuantLayout.full(loss.dim)
-    x_new, centers_new = _step(np.asarray(x, dtype=np.float64), layout.check_centers(c), None,
-                               loss, layout, hp, t, None)
-    return (x_new, centers_new[0] if isinstance(c, CenterVector) else centers_new)
+    return _step(x, layout.check_centers(c), None, loss, layout, hp, t, None)
 
 
 def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:
-    """Prox-residual stationarity measure ||z_next - z_prev||^2 / min(eta)^2."""
+    """Prox-residual stationarity measure ||z_next - z_prev||^2 / min(eta)^2; centers as lists."""
     dx = np.asarray(x_next, dtype=np.float64) - np.asarray(x_prev, dtype=np.float64)
     total = float(dx @ dx)
-    for cp, cn in zip(center_list(c_prev), center_list(c_next)):
+    for cp, cn in zip(c_prev, c_next):
         dc = cn.values - cp.values
         total += float(dc @ dc)
     eta_min = hp.eta1 if hp.eta2 == 0 else min(hp.eta1, hp.eta2)

@@ -110,6 +110,7 @@ _pos = _checked(_number, "finite number > 0", lambda v: 0.0 < v < math.inf)
 _pairs = _checked(_list_of(_checked(_step_value, "[integer step, finite value >= 0]")),
                   "list of [integer step, finite value >= 0] with increasing steps",
                   lambda pairs: all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])))
+_points = _checked(_pairs, f"{_pairs.__name__}, from step 0", lambda p: p and p[0][0] == 0)
 _compare_mode = _checked(str, "qupel|local|fedavg", lambda v: v in ("qupel", "local", "fedavg"))
 
 
@@ -152,7 +153,8 @@ def _lambda_schedule(cfg: dict) -> LambdaSchedule:
                                               conv=_checked(_number, "number >= 0",
                                                             lambda v: v >= 0)))
     if kind == "piecewise":
-        return LambdaSchedule.piecewise(_get(cfg, "hyper.lambda.points", default=[], conv=_pairs))
+        return LambdaSchedule.piecewise(_get(cfg, "hyper.lambda.points", required=True,
+                                             conv=_points))
     raise ConfigError("hyper.lambda.kind", f"unknown schedule kind {kind!r}")
 
 

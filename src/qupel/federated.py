@@ -152,11 +152,16 @@ class QupelResult:
     clients: list[ClientState]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends the run as a DivergenceError
 def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
            checkpoint_path=None) -> QupelResult:
     """The one trainer loop. ``federated`` adds the server: sync every tau steps,
-    coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``."""
+    coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``.
+    The starting x and w_local are checked once here; the kernel checks each step."""
     clients = sorted(clients, key=lambda c: c.id)
+    for cs in clients:
+        if not (np.isfinite(cs.x).all() and np.isfinite(cs.w_local).all()):
+            raise ValueError(f"client {cs.id}: starting x and w_local must be finite")
     lambda_p = hp.lambda_p if federated else 0.0
     server = ServerState(w_global=clients[0].w_local.copy()) if federated else None
     f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,

@@ -26,7 +26,6 @@ import numpy as np
 from .quantizer import (
     CenterVector,
     QuantConfig,
-    center_list,
     grad_soft_quantize_c,
     grad_soft_quantize_x,
     hard_grad_c,
@@ -207,12 +206,9 @@ class MlpLoss(LossModel):
     def _forward(self, x, features):
         params = self._unpack(x)
         act = features
-        pre = []
         hidden = []
         for li in range(0, len(params) - 2, 2):
-            z = act @ params[li] + params[li + 1]
-            pre.append(z)
-            act = np.tanh(z)
+            act = np.tanh(act @ params[li] + params[li + 1])
             hidden.append(act)
         logits = act @ params[-2] + params[-1]
         return params, hidden, logits
@@ -308,7 +304,7 @@ class QuantLayout:
 
     def check_centers(self, centers) -> list[CenterVector]:
         """One center vector per group, as a list; a lone CenterVector counts as one group."""
-        centers = center_list(centers)
+        centers = [centers] if isinstance(centers, CenterVector) else list(centers)
         if len(centers) != len(self.groups):
             raise ValueError("need one center vector per quantized group")
         return centers
@@ -316,7 +312,6 @@ class QuantLayout:
 
 def quantize_grouped(x, centers, layout: QuantLayout, cfg: QuantConfig) -> np.ndarray:
     """Apply the (soft or hard) quantizer per group; exempt coordinates pass through."""
-    centers = layout.check_centers(centers)
     if cfg.hard_limit:
         return hard_quantize_grouped(x, centers, layout)
     out = np.array(x, dtype=np.float64)
@@ -387,7 +382,8 @@ def eval_F_i_grouped(loss, x, centers, layout, w, cfg, lam, lambda_p) -> Objecti
 
     With lambda_p = 0 this is the centralized objective F_lambda. Each group
     is hard-quantized once: R and ``quant_error`` read that vector, and so
-    does f(Q) in hard mode; soft mode adds one soft pass for f(Q).
+    does f(Q) in hard mode; soft mode adds one soft pass for f(Q). A
+    non-finite x (non-finite ``quant_error``) gets a NaN f(Q) and total.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -398,9 +394,11 @@ def eval_F_i_grouped(loss, x, centers, layout, w, cfg, lam, lambda_p) -> Objecti
     r = 0.0
     for start, stop in layout.groups:
         r += 0.5 * float(np.sum(np.abs(x[start:stop] - q[start:stop])))
+    quant_error = float(np.sum(np.abs(x - q)))
     f_x = loss.value(x)
-    f_q = loss.value(q if cfg.hard_limit else quantize_grouped(x, centers, layout, cfg))
+    f_q = (float("nan") if not np.isfinite(quant_error)  # soft_quantize would refuse x
+           else loss.value(q if cfg.hard_limit else quantize_grouped(x, centers, layout, cfg)))
     reg = lam * r
     pen = 0.5 * lambda_p * float(np.sum((x - w) ** 2)) if lambda_p != 0.0 else 0.0
     return ObjectiveEval(f_x=f_x, f_q=f_q, reg=reg, prox_penalty=pen,
-                         total=f_x + f_q + reg + pen, quant_error=float(np.sum(np.abs(x - q))))
+                         total=f_x + f_q + reg + pen, quant_error=quant_error)

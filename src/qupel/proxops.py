@@ -74,7 +74,7 @@ def prox_x(y: np.ndarray, c: CenterVector, p: ProxParams) -> np.ndarray:
     y >= q + t, add t when y <= q - t, and snap to q otherwise.
     """
     y = np.asarray(y, dtype=np.float64)
-    q = hard_quantize(y, c)
+    q = c.values[quantize_assignments(y, c)]
     t = p.threshold
     return np.where(y >= q + t, y - t, np.where(y <= q - t, y + t, q))
 
@@ -101,7 +101,7 @@ def prox_c(
 ) -> CenterVector:
     """First-order surrogate prox of the regularizer in the centers.
 
-    Assignments are taken from ``hard_quantize(x_new, c_prev)`` (not
+    Assignments are taken from ``quantize_assignments(x_new, c_prev)`` (not
     recomputed at mu). With A_j / B_j counting assigned coordinates strictly
     above / strictly below the previous center (exact matches in neither),
     the linearized subgradient of the regularizer in c_j is

@@ -10,6 +10,10 @@ P it approaches the nearest-center (hard) quantizer. The hard quantizer maps
 each coordinate to its nearest center, breaking exact midpoint ties toward
 the smaller center so results are deterministic.
 
+Only ``soft_quantize`` and ``hard_quantize`` check that x is finite; the
+trainers check each iterate once per step instead. ``quantize_assignments``
+sends +inf and NaN to the top center and -inf to the bottom one.
+
 All functions here are pure and thread-safe; none mutate their inputs.
 """
 
@@ -30,7 +34,6 @@ __all__ = [
     "grad_soft_quantize_x",
     "grad_soft_quantize_c",
     "hard_grad_c",
-    "center_list",
 ]
 
 DEFAULT_C_MAX = 10.0
@@ -90,11 +93,6 @@ class CenterVector:
         return (self.values[1:] + self.values[:-1]) / 2.0
 
 
-def center_list(centers) -> list[CenterVector]:
-    """One CenterVector (whole-vector quantization) or a sequence of them, as a list."""
-    return [centers] if isinstance(centers, CenterVector) else list(centers)
-
-
 @dataclass(frozen=True)
 class QuantConfig:
     """Soft-quantizer sharpness P plus the P-to-infinity switch.
@@ -137,15 +135,12 @@ def soft_quantize(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarra
 
 def quantize_assignments(x: np.ndarray, c: CenterVector) -> np.ndarray:
     """Index of the nearest center per coordinate; midpoint ties take the smaller center."""
-    x = _check_input(x)
-    if c.m == 1:
-        return np.zeros(x.size, dtype=np.int64)
     # side='left' sends a coordinate exactly at a midpoint to the lower cell
     return np.searchsorted(c.midpoints(), x, side="left").astype(np.int64)
 
 
 def hard_quantize(x: np.ndarray, c: CenterVector) -> np.ndarray:
-    return c.values[quantize_assignments(x, c)]
+    return c.values[quantize_assignments(_check_input(x), c)]
 
 
 def grad_soft_quantize_x(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarray:
@@ -156,10 +151,8 @@ def grad_soft_quantize_x(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np
     """
     if cfg.hard_limit:
         raise ValueError("grad_soft_quantize_x requires hard_limit=False")
-    x = _check_input(x)
+    x = np.asarray(x, dtype=np.float64)
     v = c.values
-    if c.m == 1:
-        return np.zeros_like(x)
     mids = c.midpoints()
     widths = np.diff(v)
     sp = sigmoid_prime(cfg.sharpness * (x[:, None] - mids[None, :]))
@@ -178,11 +171,9 @@ def grad_soft_quantize_c(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np
     """
     if cfg.hard_limit:
         raise ValueError("grad_soft_quantize_c requires hard_limit=False")
-    x = _check_input(x)
+    x = np.asarray(x, dtype=np.float64)
     v = c.values
     m, d = c.m, x.size
-    if m == 1:
-        return np.ones((1, d))
     P = cfg.sharpness
     mids = c.midpoints()
     widths = np.diff(v)

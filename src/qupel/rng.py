@@ -103,11 +103,6 @@ class Rng:
             j = self.randint(i + 1)
             arr[i], arr[j] = arr[j], arr[i]
 
-    def permutation(self, n: int) -> np.ndarray:
-        idx = np.arange(n)
-        self.shuffle(idx)
-        return idx
-
     def sample(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from [0, n), in draw order (partial Fisher-Yates)."""
         if not 0 <= k <= n:

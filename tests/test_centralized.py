@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qupel import federated
 from qupel.centralized import (
     DivergenceError,
     HyperParams,
@@ -152,6 +153,18 @@ class TestCentralizedStep:
         with pytest.raises(ValueError, match="rng"):
             centralized_step((np.array([0.0]), centers(0.0, 1.0)), loss, hp, t=0)
 
+    def test_centers_come_back_as_a_list(self):
+        loss = quadratic_loss([1.0], [1.0])
+        hp = HyperParams(eta1=0.5, eta2=0.1, steps=1, quant_cfg=hard_cfg())
+        _, c1 = centralized_step((np.array([0.0]), centers(0.0, 1.0)), loss, hp, t=0)
+        assert isinstance(c1, list) and len(c1) == 1
+
+    def test_refuses_nonfinite_x(self):
+        loss = quadratic_loss([1.0, 0.0], [1.0, 1.0])
+        hp = HyperParams(eta1=0.5, eta2=0.0, steps=1, quant_cfg=hard_cfg())
+        with pytest.raises(ValueError, match="finite"):
+            centralized_step((np.array([0.0, np.nan]), centers(0.0, 1.0)), loss, hp, t=0)
+
 
 class TestRunCentralized:
     def test_zero_steps(self):
@@ -202,6 +215,25 @@ class TestRunCentralized:
             dx = float(np.sum((x_mid - x) ** 2))
             assert mid + 0.5 * lx * dx <= before + 1e-10
             x, cs = centralized_step((x, cs), loss, hp, t, layout=layout)
+
+    @pytest.mark.parametrize("hard_limit", [True, False], ids=["hard", "soft"])
+    def test_overflow_within_one_step_is_divergence(self, hard_limit):
+        # eta1 * h = 1e320: the first gradient step overflows to +-inf
+        loss = quadratic_loss([0.1, 0.9], [1e300, 1.0])
+        hp = HyperParams(eta1=1e20, eta2=0.3, steps=10,
+                         quant_cfg=QuantConfig(sharpness=8.0, hard_limit=hard_limit),
+                         lambda_schedule=LambdaSchedule.constant(0.05))
+        with pytest.raises(DivergenceError, match="^client 0 objective diverged at step 0:"):
+            run_centralized(loss, np.array([0.3, 0.2]), centers(0.0, 1.0, c_max=5.0), hp)
+
+    def test_nonfinite_start_refused_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(federated, "_step", lambda *a, **k: steps.append(a))
+        loss = quadratic_loss([0.1, 0.9], [1.0, 1.0])
+        hp = HyperParams(eta1=0.1, eta2=0.1, steps=5, quant_cfg=hard_cfg())
+        with pytest.raises(ValueError, match="^client 0: starting x"):
+            run_centralized(loss, np.array([np.nan, 0.2]), centers(0.0, 1.0), hp)
+        assert steps == []
 
     def test_divergence_aborts(self):
         loss = quadratic_loss([0.0], [10.0])
@@ -260,7 +292,7 @@ class TestStationarityGap:
         hp = HyperParams(eta1=0.1, eta2=0.1, steps=1, quant_cfg=hard_cfg())
         c = centers(0.0, 1.0)
         x = np.array([0.4])
-        assert stationarity_gap(x, x, c, c, hp) == 0.0
+        assert stationarity_gap(x, x, [c], [c], hp) == 0.0
 
     def test_decreases_to_zero_on_quadratic(self):
         loss, x0, c0 = clustered_quadratic(seed=4, m=2)

@@ -96,6 +96,18 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, "c.json", cfg_dict)
         assert main(["run", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("hard_limit", [True, False], ids=["hard", "soft"])
+    def test_overflow_within_one_step_exits_3(self, tmp_path, capsys, hard_limit):
+        cfg_dict = quadratic_cfg(str(tmp_path / "out"), steps=300)
+        cfg_dict["model"]["curvature"] = [1e300, 1.0]
+        cfg_dict["hyper"]["eta1"] = 1e20  # the first gradient step overflows
+        cfg_dict["quantization"]["hard_limit"] = hard_limit
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: client 0 objective diverged at step 0:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
     def test_qupel_lambda0_matches_local(self, tmp_path, capsys):
         q = write_cfg(tmp_path, "q.json", federated_cfg("qupel", str(tmp_path / "q"), lambda_p=0.0))
         l = write_cfg(tmp_path, "l.json", federated_cfg("local", str(tmp_path / "l")))
@@ -330,6 +342,11 @@ INVALID_CONFIGS = [
     ("run", lambda c: c["hyper"].update(
         {"lambda": {"kind": "piecewise", "points": [[0, 0.1], [10, 0.2], [10, 0.3]]}}),
      "hyper.lambda.points"),
+    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise", "points": [[5, 0.1]]}}),
+     "hyper.lambda.points"),
+    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise"}}), "hyper.lambda.points"),
+    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise", "points": []}}),
+     "hyper.lambda.points"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -346,7 +363,8 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "centralized-per-class-4", "spread-zero", "divergence-factor-negative",
         "checkpoint-every-zero", "checkpoint-every-negative", "checkpoint-every-qupel",
         "compare-checkpoint-every", "compare-seeds-repeated", "eta2-decay-unsorted",
-        "eta2-decay-repeated", "lambda-points-unsorted", "lambda-points-repeated"]
+        "eta2-decay-repeated", "lambda-points-unsorted", "lambda-points-repeated",
+        "lambda-points-late-start", "lambda-points-missing", "lambda-points-empty"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qupel import federated
 from qupel.centralized import (
     DivergenceError,
     HyperParams,
@@ -192,6 +193,15 @@ class TestRunQupel:
         hp = self.qupel_hp(lambda_p=1.0, eta3=0.5)
         fed = run_qupel(clients, hp)
         assert not np.array_equal(fed.server.w_global, clients[0].w_local)
+
+    def test_nonfinite_start_refused_naming_the_client(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(federated, "client_local_step", lambda *a, **k: steps.append(a))
+        clients = [make_client(i) for i in range(3)]
+        clients[1].x[2] = np.nan
+        with pytest.raises(ValueError, match="^client 1: starting x"):
+            run_qupel(clients, self.qupel_hp(lambda_p=0.5))
+        assert steps == []
 
 
 class TestRunLocalOnly:

@@ -247,6 +247,16 @@ class TestHardGradC:
         with pytest.raises(ValueError):
             hard_grad_c(np.array([0, 1]), np.array([1.0]), 2)
 
+    def test_nonfinite_and_single_center_assignments_in_range(self):
+        # the step kernel does not scan its iterates: whatever they hold, the indices stay valid
+        x = np.array([-np.inf, -1.0, 0.25, np.nan, np.inf])
+        one = quantize_assignments(x, CenterVector(np.array([0.3])))
+        assert one.dtype == np.int64 and np.array_equal(one, np.zeros(5))
+        three = quantize_assignments(x, CenterVector(np.array([-1.0, 0.0, 2.0])))
+        assert np.array_equal(three, [0, 0, 1, 2, 2])
+        assert np.array_equal(hard_grad_c(three, np.ones(5), 3), [2.0, 1.0, 2.0])
+        assert np.array_equal(hard_grad_c(one, np.ones(5), 1), [5.0])
+
     def test_matches_assignments(self):
         rng = Rng(77)
         c = CenterVector(np.array([-1.0, 0.0, 2.0]))
