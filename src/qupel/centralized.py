@@ -14,6 +14,11 @@ the same step with pinned assignments. One per-step record likewise builds
 the metrics of every trainer. A centralized run is one client of the
 trainer loop in ``qupel.federated``, run without the server.
 
+Each value is checked once, where it enters (``LambdaSchedule``,
+``HyperParams``, each client's start) or where the step makes it (the gradient
+iterate, each ``CenterVector``). ``HyperParams`` bounds lambda(t) times each
+step size over the run, so no ``ProxParams`` built inside a run can fail.
+
 Runs are single-threaded and deterministic: identical inputs produce
 bitwise-identical results.
 """
@@ -71,51 +76,48 @@ def _staircase(points, t: int, before: float) -> float:
     return out
 
 
+def _peak(points, last: int, before: float) -> float:
+    """Largest ``_staircase(points, t, before)`` over 0 <= t <= last; it moves only at a point."""
+    return max(_staircase(points, t, before) for t in (0, *(s for s, _ in points if s <= last)))
+
+
 @dataclass(frozen=True)
 class LambdaSchedule:
-    """Regularization weight as a function of the step index.
+    """Regularization weight as a function of the step index:
+    ``lam(t) = min(base * t + staircase(points, t), cap)``.
 
-    kinds: ``constant`` (always ``value``), ``linear`` (``base * t`` capped at
-    ``cap``), ``piecewise`` (staircase over ``points`` = ((step, value), ...)).
+    ``points`` = ((step, value), ...) starts at step 0. The factories set one
+    part each: ``constant(v)`` is the point (0, v), ``linear(base, cap)`` a
+    capped ramp, ``piecewise(points)`` a staircase.
     """
 
-    kind: str = "constant"
-    value: float = 0.0
     base: float = 0.0
     cap: float = float("inf")
-    points: tuple[tuple[int, float], ...] = ()
+    points: tuple[tuple[int, float], ...] = ((0, 0.0),)
 
     def __post_init__(self):
-        values = (self.value, self.base, *(v for _, v in self.points))
-        if not all(0.0 <= v < np.inf for v in values):
+        if not all(0.0 <= v < np.inf for v in (self.base, *(v for _, v in self.points))):
             raise ValueError("lambda values must be finite and >= 0")
         if not self.cap >= 0.0:
             raise ValueError("lambda cap must be >= 0 or +inf")
+        if not self.points or self.points[0][0] != 0:
+            raise ValueError("lambda points must start at step 0")
         _check_steps(self.points, "lambda schedule")
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
-        return cls(kind="constant", value=value)
+        return cls(points=((0, value),))
 
     @classmethod
     def linear(cls, base: float, cap: float = float("inf")) -> "LambdaSchedule":
-        return cls(kind="linear", base=base, cap=cap)
+        return cls(base=base, cap=cap)
 
     @classmethod
     def piecewise(cls, points) -> "LambdaSchedule":
-        pts = tuple((int(s), float(v)) for s, v in points)
-        if not pts or pts[0][0] != 0:
-            raise ValueError("piecewise schedule must start at step 0")
-        return cls(kind="piecewise", points=pts)
+        return cls(points=tuple((int(s), float(v)) for s, v in points))
 
     def lam(self, t: int) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "linear":
-            return min(self.base * t, self.cap)
-        if self.kind == "piecewise":
-            return _staircase(self.points, t, self.points[0][1])
-        raise ValueError(f"unknown schedule kind: {self.kind}")
+        return min(self.base * t + _staircase(self.points, t, 0.0), self.cap)
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class HyperParams:
     eta2: float
     steps: int
     eta3: float = 0.0
-    lambda_schedule: LambdaSchedule = field(default_factory=lambda: LambdaSchedule.constant(0.0))
+    lambda_schedule: LambdaSchedule = field(default_factory=LambdaSchedule)
     lambda_p: float = 0.0
     tau: int = 1
     fine_tune_start: int | None = None
@@ -167,6 +169,13 @@ class HyperParams:
         if not all(0.0 <= f < np.inf for _, f in decay):
             raise ValueError("eta2_decay factors must be finite and >= 0")
         _check_steps(decay, "eta2_decay")
+        if self.steps:  # the run's largest lambda(t) and eta2(t) bound every product
+            sched, last = self.lambda_schedule, self.steps - 1
+            lam_max = min(sched.base * last + _peak(sched.points, last, 0.0), sched.cap)
+            eta2_max = self.eta2 * _peak(decay, last, 1.0)
+            if not np.isfinite([eta2_max, lam_max * self.eta1, lam_max * eta2_max]).all():
+                raise ValueError("lambda(t) * eta1, lambda(t) * eta2(t) and eta2(t) must stay "
+                                 "finite for every step of the run")
 
     def lam(self, t: int) -> float:
         return self.lambda_schedule.lam(t)
@@ -252,10 +261,10 @@ def _at_cadence(hp: HyperParams, t: int) -> bool:
 
 
 def _record(t: int, hp: HyperParams, loss, layout, test, x, centers, x_prev, centers_prev,
-            w, lambda_p: float, f0: float, client_id: int) -> RoundMetrics:
-    """Metrics of the step-t iterate; DivergenceError past ``divergence_factor`` * max(1, |F_0|)."""
+            w, lambda_p: float, f0: float, limit: float, client_id: int) -> RoundMetrics:
+    """Metrics of the step-t iterate; DivergenceError past the client's finite ``limit``."""
     ev = eval_F_i_grouped(loss, x, centers, layout, w, hp.quant_cfg, hp.lam(t), lambda_p)
-    if not np.isfinite(ev.total) or ev.total > hp.divergence_factor * max(1.0, abs(f0)):
+    if not np.isfinite(ev.total) or ev.total > limit:
         raise DivergenceError(
             f"client {client_id} objective diverged at step {t}: total={ev.total!r}, "
             f"initial={f0!r}, |x|={float(np.max(np.abs(x)))!r}"

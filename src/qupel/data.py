@@ -23,7 +23,6 @@ __all__ = [
     "partition_noniid",
     "filter_test_indices",
     "load_csv",
-    "save_csv",
     "export_partition_json",
 ]
 
@@ -212,8 +211,8 @@ def load_csv(path) -> Dataset:
             except ValueError:
                 raise ValueError(f"line {ln}: non-numeric cell in {line!r}") from None
             lab = row[-1]
-            if lab != int(lab):
-                raise ValueError(f"line {ln}: label must be an integer, got {lab!r}")
+            if not (-2.0**63 <= lab < 2.0**63 and lab.is_integer()):  # NaN fails the range
+                raise ValueError(f"line {ln}: label must be an int64 integer, got {cells[-1]!r}")
             feats.append(row[:-1])
             raw_labels.append(int(lab))
     if not feats:
@@ -224,11 +223,3 @@ def load_csv(path) -> Dataset:
     labels = np.array([remap[int(v)] for v in raw], dtype=np.int64)
     return Dataset(np.array(feats, dtype=np.float64), labels,
                    name=str(path), label_values=tuple(int(v) for v in uniq))
-
-
-def save_csv(ds: Dataset, path) -> None:
-    def lines():
-        yield ",".join([f"f{i}" for i in range(ds.features.shape[1])] + ["label"]) + "\n"
-        for row, lab in zip(ds.features, ds.labels):
-            yield ",".join(f"{v:.17g}" for v in row) + f",{int(lab)}\n"
-    write_atomic(path, lines())

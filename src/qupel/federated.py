@@ -80,10 +80,6 @@ class ClientState:
         if self.x.shape != (self.loss.dim,) or self.w_local.shape != self.x.shape:
             raise ValueError("client model and global copy must share the loss dimension")
 
-    @property
-    def m_values(self) -> tuple[int, ...]:
-        return tuple(c.m for c in self.centers)
-
 
 @dataclass
 class ServerState:
@@ -157,7 +153,8 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
            checkpoint_path=None) -> QupelResult:
     """The one trainer loop. ``federated`` adds the server: sync every tau steps,
     coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``.
-    The starting x and w_local are checked once here; the kernel checks each step."""
+    The starting x and w_local and each client's divergence threshold are checked
+    once here; the kernel checks each step."""
     clients = sorted(clients, key=lambda c: c.id)
     for cs in clients:
         if not (np.isfinite(cs.x).all() and np.isfinite(cs.w_local).all()):
@@ -166,6 +163,11 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     server = ServerState(w_global=clients[0].w_local.copy()) if federated else None
     f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
                            hp.lam(0), lambda_p).total for cs in clients]
+    limits = [hp.divergence_factor * max(1.0, abs(f)) for f in f0]
+    for cs, f, limit in zip(clients, f0, limits):
+        if not np.isfinite(limit):  # a non-finite F_0 would make the divergence check vacuous
+            raise DivergenceError(f"client {cs.id} cannot start: divergence threshold {limit!r} "
+                                  f"is not finite (initial={f!r})")
     histories: list[list[RoundMetrics]] = [[] for _ in clients]
     global_history: list[dict] = []
 
@@ -184,7 +186,7 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
                                    cs.data_rng)
                 new = replace(cs, x=x, centers=centers)
             rec = _record(t, hp, cs.loss, cs.layout, cs.test, new.x, new.centers, cs.x,
-                          cs.centers, new.w_local, lambda_p, f0[pos], cs.id)
+                          cs.centers, new.w_local, lambda_p, f0[pos], limits[pos], cs.id)
             if federated:
                 rec.w_drift = float(np.sum((new.w_local - server.w_global) ** 2))
             elif _at_cadence(hp, t):

@@ -1,7 +1,7 @@
 """Smooth loss models with analytic gradients, and the composed objective.
 
-Three loss families are provided: a separable quadratic (exact smoothness
-constant, used by the convergence suites), l2-regularized binary logistic
+Three loss families are provided: a separable quadratic (its smoothness
+constant is its largest curvature entry), l2-regularized binary logistic
 regression, and a small tanh MLP with manual backpropagation (tanh rather
 than ReLU keeps the gradient Lipschitz). All gradients are checked against
 central finite differences in the test suite.
@@ -96,10 +96,6 @@ class QuadraticLoss(LossModel):
     def gradient(self, x):
         x = self._check(x)
         return self.h * (x - self.a)
-
-    @property
-    def smoothness(self) -> float:
-        return float(np.max(self.h))
 
 
 class LogisticLoss(LossModel):

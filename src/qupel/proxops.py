@@ -6,8 +6,9 @@ nearest center; its prox in the centers is solved through a first-order
 surrogate around the previous centers, which nudges each center by
 ``lambda * eta / 2`` times the count imbalance of assigned weights strictly
 above versus strictly below it (coordinates exactly on the center count in
-neither set). The exact center-prox objective is also exposed for
-monitoring, since the surrogate carries no error analysis.
+neither set); one signed bincount gives that imbalance. The exact
+center-prox objective is also exposed for monitoring, since the surrogate
+carries no error analysis.
 """
 
 from __future__ import annotations
@@ -107,25 +108,23 @@ def prox_c(
     the linearized subgradient of the regularizer in c_j is
     ``(lambda/2) * (B_j - A_j)``, so component j moves by
     ``+lambda*eta/2 * (A_j - B_j)``: toward the median of its assigned
-    weights. The result is clipped to the compact set ``[-c_max, c_max]``
-    and re-sorted; a sort that permutes indices (center crossing) is logged
-    as a warning, not an error.
+    weights. The result is clipped to the compact set ``[-c_max, c_max]``;
+    a center below its left neighbour (a crossing) is logged as a warning,
+    not an error, and fixed by one stable sort.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != c_prev.values.shape:
         raise ValueError("mu must have one entry per center")
     assign = quantize_assignments(x_new, c_prev)
     x_new = np.asarray(x_new, dtype=np.float64)
-    prev = c_prev.values
-    m = c_prev.m
-    above = np.bincount(assign[x_new > prev[assign]], minlength=m).astype(np.float64)
-    below = np.bincount(assign[x_new < prev[assign]], minlength=m).astype(np.float64)
-    new = mu + p.threshold * (above - below)
-    new = np.clip(new, -c_prev.c_max, c_prev.c_max)
-    order = np.argsort(new, kind="stable")
-    if np.any(order != np.arange(m)):
+    at = c_prev.values[assign]
+    # A_j - B_j: +1 per coordinate strictly above its previous center, -1 strictly below
+    imbalance = np.bincount(assign, weights=(x_new > at).astype(np.float64) - (x_new < at),
+                            minlength=c_prev.m)
+    new = np.clip(mu + p.threshold * imbalance, -c_prev.c_max, c_prev.c_max)
+    if (new[1:] < new[:-1]).any():
         _warn_crossing()
-        new = new[order]
+        new = np.sort(new, kind="stable")
     new = _strictly_increasing(new, c_prev.c_max)
     return CenterVector(new, c_max=c_prev.c_max)
 

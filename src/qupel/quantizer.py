@@ -12,7 +12,8 @@ the smaller center so results are deterministic.
 
 Only ``soft_quantize`` and ``hard_quantize`` check that x is finite; the
 trainers check each iterate once per step instead. ``quantize_assignments``
-sends +inf and NaN to the top center and -inf to the bottom one.
+sends +inf and NaN to the top center and -inf to the bottom one. A
+``CenterVector`` checks its values and computes its midpoints once, when built.
 
 All functions here are pure and thread-safe; none mutate their inputs.
 """
@@ -70,16 +71,17 @@ class CenterVector:
         vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("centers must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("centers must be finite")
-        if np.any(np.diff(vals) <= 0):
-            raise ValueError("centers must be strictly sorted ascending")
-        if self.c_max <= 0 or not np.isfinite(self.c_max):
+        if not (self.c_max > 0 and np.isfinite(self.c_max)):
             raise ValueError("c_max must be a positive finite real")
-        if np.any(np.abs(vals) > self.c_max):
-            raise ValueError(f"centers must lie in [-{self.c_max}, {self.c_max}]")
-        vals.flags.writeable = False
+        # increasing from >= -c_max to <= c_max also means finite (NaN fails every comparison)
+        if not (vals[0] >= -self.c_max and vals[-1] <= self.c_max
+                and (vals[1:] > vals[:-1]).all()):
+            raise ValueError(f"centers must be strictly increasing within "
+                             f"[-{self.c_max}, {self.c_max}]")
+        mids = (vals[1:] + vals[:-1]) / 2.0
+        vals.flags.writeable = mids.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_midpoints", mids)
 
     @property
     def m(self) -> int:
@@ -90,7 +92,7 @@ class CenterVector:
         return float(np.log2(self.m))
 
     def midpoints(self) -> np.ndarray:
-        return (self.values[1:] + self.values[:-1]) / 2.0
+        return self._midpoints
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,10 @@ class TestSchedules:
     lambda: LambdaSchedule.piecewise([(0, 0.1), (5, float("inf"))]),
     lambda: LambdaSchedule.piecewise([(0, 0.1), (50, 0.2), (10, 0.3)]),
     lambda: LambdaSchedule.piecewise([(0, 0.1), (10, 0.2), (10, 0.3)]),
+    lambda: LambdaSchedule(points=((5, 0.1),)),
 ], ids=["constant-negative", "constant-nan", "base-inf", "cap-negative", "cap-nan",
-        "point-negative", "point-inf", "points-unsorted", "points-repeated"])
+        "point-negative", "point-inf", "points-unsorted", "points-repeated",
+        "points-late-start"])
 def test_lambda_schedule_refuses_out_of_range(make):
     with pytest.raises(ValueError):
         make()
@@ -94,12 +96,32 @@ def test_lambda_schedule_refuses_out_of_range(make):
     dict(checkpoint_every=-1), dict(eta2_decay=((0, -1.0),)),
     dict(eta2_decay=((0, 1.0), (5, float("nan")))), dict(eta2_decay=((5, 0.5), (0, 1.0))),
     dict(eta2_decay=((5, 0.5), (5, 1.0))),
+    dict(eta2=1e300, eta2_decay=((0, 1e10),)),
+    dict(eta2=1e300, eta2_decay=((9, 1e10),)),
+    dict(eta2=1e300, lambda_schedule=LambdaSchedule.constant(1e10)),
+    dict(eta1=1e300, lambda_schedule=LambdaSchedule.constant(1e10)),
+    dict(lambda_schedule=LambdaSchedule.linear(1e308)),
+    dict(eta1=10.0, lambda_schedule=LambdaSchedule.piecewise([(0, 0.1), (9, 1e308)])),
 ], ids=["eta2-nan", "eta3-inf", "lambda-p-nan", "divergence-zero", "divergence-negative",
         "divergence-nan", "checkpoint-zero", "checkpoint-negative", "decay-negative",
-        "decay-nan", "decay-unsorted", "decay-repeated"])
+        "decay-nan", "decay-unsorted", "decay-repeated", "eta2-overflow", "eta2-late-overflow",
+        "lambda-eta2-overflow", "lambda-eta1-overflow", "lambda-ramp-overflow",
+        "lambda-late-point-overflow"])
 def test_hyperparams_refuse_out_of_range(bad):
     with pytest.raises(ValueError):
         HyperParams(**{"eta1": 0.1, "eta2": 0.1, "steps": 10, **bad})
+
+
+@pytest.mark.parametrize("fine", [
+    dict(eta2=1e300, eta2_decay=((10, 1e10),)),
+    dict(eta2=1e300, eta2_decay=((0, 1e-10), (10, 1.0))),
+    dict(eta1=10.0, lambda_schedule=LambdaSchedule.piecewise([(0, 0.1), (10, 1e308)])),
+    dict(lambda_schedule=LambdaSchedule.linear(1e308, cap=1.0)),
+    dict(steps=0, eta2=1e300, lambda_schedule=LambdaSchedule.constant(1e10)),
+], ids=["decay-after-the-run", "decay-below-one", "point-after-the-run", "ramp-capped",
+        "no-steps"])
+def test_hyperparams_bound_only_the_steps_that_run(fine):
+    HyperParams(**{"eta1": 0.1, "eta2": 0.1, "steps": 10, **fine})
 
 
 # one value per HyperParams field that differs from BASE_HP's

@@ -108,6 +108,32 @@ class TestRunCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
 
+    @pytest.mark.parametrize("hard_limit", [True, False], ids=["hard", "soft"])
+    def test_nonfinite_start_exits_3(self, tmp_path, capsys, hard_limit):
+        cfg_dict = quadratic_cfg(str(tmp_path / "out"), steps=300)
+        # F_0 = 0.5 * sum(h * (x - a)^2) overflows to +inf before any step
+        cfg_dict["model"].update(curvature=[1e308, 1e308], targets=[1.9, -1.92])
+        cfg_dict["quantization"].update(m=1, hard_limit=hard_limit)
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: client 0 cannot start:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("label", ["inf", "1e300", "nan"])
+    def test_csv_label_outside_int64_exits_2_naming_the_line(self, tmp_path, capsys, label):
+        good = "f0,f1,label\n0.5,1.5,0\n-0.25,2.0,1\n"
+        (tmp_path / "train.csv").write_text(good + f"0.1,0.2,{label}\n")
+        (tmp_path / "test.csv").write_text(good)
+        cfg_dict = centralized_mlp_cfg(str(tmp_path / "out"))
+        cfg_dict["dataset"] = {"kind": "csv", "train": str(tmp_path / "train.csv"),
+                               "test": str(tmp_path / "test.csv")}
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: dataset.train: line 4:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_qupel_lambda0_matches_local(self, tmp_path, capsys):
         q = write_cfg(tmp_path, "q.json", federated_cfg("qupel", str(tmp_path / "q"), lambda_p=0.0))
         l = write_cfg(tmp_path, "l.json", federated_cfg("local", str(tmp_path / "l")))
@@ -347,6 +373,10 @@ INVALID_CONFIGS = [
     ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise"}}), "hyper.lambda.points"),
     ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise", "points": []}}),
      "hyper.lambda.points"),
+    ("quadratic", lambda c: c["hyper"].update(eta2=1e300, eta2_decay=[[0, 1e10]]), "hyper"),
+    ("quadratic", lambda c: c["hyper"].update({"eta2": 1e300, "lambda": 1e10}), "hyper"),
+    ("quadratic", lambda c: c["hyper"].update({"lambda": {"kind": "linear", "base": 1e308},
+                                              "divergence_factor": 1e308}), "hyper"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -364,7 +394,8 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "checkpoint-every-zero", "checkpoint-every-negative", "checkpoint-every-qupel",
         "compare-checkpoint-every", "compare-seeds-repeated", "eta2-decay-unsorted",
         "eta2-decay-repeated", "lambda-points-unsorted", "lambda-points-repeated",
-        "lambda-points-late-start", "lambda-points-missing", "lambda-points-empty"]
+        "lambda-points-late-start", "lambda-points-missing", "lambda-points-empty",
+        "eta2-decay-overflow", "lambda-eta2-overflow", "lambda-ramp-overflow"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)

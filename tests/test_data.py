@@ -8,7 +8,6 @@ from qupel.data import (
     load_csv,
     make_blobs,
     partition_noniid,
-    save_csv,
 )
 from qupel.losses import logistic_loss
 
@@ -123,7 +122,9 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         train, _ = make_blobs(3, 4, 10, 0.7, seed=12)
         path = tmp_path / "ds.csv"
-        save_csv(train, path)
+        rows = [",".join(f"{v:.17g}" for v in row) + f",{lab}"
+                for row, lab in zip(train.features, train.labels)]
+        path.write_text("\n".join(["f0,f1,f2,f3,label", *rows]) + "\n")
         back = load_csv(path)
         np.testing.assert_allclose(back.features, train.features, atol=1e-12, rtol=0)
         assert np.array_equal(back.labels, train.labels)

@@ -48,7 +48,7 @@ class TestBuildClients:
                           m_list=[4, 4, 8], seed=2, model="mlp", hidden=6)
         b = build_clients(task, partition_noniid(task.train, 3, 2, 2),
                           m_list=[4, 4, 8], seed=2, model="mlp", hidden=6)
-        assert [c.m_values for c in a] == [(4, 4), (4, 4), (8, 8)]
+        assert [tuple(cv.m for cv in c.centers) for c in a] == [(4, 4), (4, 4), (8, 8)]
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.x, cb.x)
             assert np.array_equal(ca.test.features, cb.test.features)

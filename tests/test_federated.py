@@ -203,6 +203,16 @@ class TestRunQupel:
             run_qupel(clients, self.qupel_hp(lambda_p=0.5))
         assert steps == []
 
+    def test_nonfinite_objective_at_start_refused_naming_the_client(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(federated, "_step", lambda *a, **k: steps.append(a))
+        clients = [make_client(i) for i in range(3)]
+        # finite x, but f(x) = 0.5 * sum(h * (x - a)^2) overflows to +inf
+        clients[2].loss = quadratic_loss([1.9, -1.92, 0.0, 0.0], [1e308] * 4)
+        with pytest.raises(DivergenceError, match="^client 2 cannot start:"):
+            run_qupel(clients, self.qupel_hp(lambda_p=0.5))
+        assert steps == []
+
 
 class TestRunLocalOnly:
     def test_empty_clients(self):

@@ -3,8 +3,15 @@ import logging
 import numpy as np
 import pytest
 
-from qupel.proxops import ProxParams, exact_prox_c_objective, prox_c, prox_x, regularizer
-from qupel.quantizer import CenterVector, hard_quantize
+from qupel.proxops import (
+    ProxParams,
+    _strictly_increasing,
+    exact_prox_c_objective,
+    prox_c,
+    prox_x,
+    regularizer,
+)
+from qupel.quantizer import CenterVector, hard_quantize, quantize_assignments
 from qupel.diagnostics import prox_oracle_1d
 from qupel.rng import Rng
 
@@ -134,6 +141,22 @@ class TestProxC:
                          ProxParams(eta=1.0, lam=0.0))
         assert np.all(np.diff(out.values) > 0)
         assert any("center crossing" in r.message for r in caplog.records)
+
+    def test_bitwise_equal_to_two_counts_and_argsort(self):
+        # reference: separate above / below counts, and an argsort whenever it permutes
+        rng = Rng(21)
+        for _ in range(300):
+            c = CenterVector(np.sort(rng.uniform(-2, 2, 4)), c_max=2.0)
+            x = np.concatenate([rng.uniform(-3, 3, 12), c.values[[0, 2, 2]]])  # some on centers
+            mu = c.values + rng.uniform(-1.5, 1.5, 4)  # often crosses
+            p = ProxParams(eta=float(rng.uniform(0.1, 2.0)), lam=float(rng.uniform(0.0, 2.0)))
+            assign = quantize_assignments(x, c)
+            above = np.bincount(assign[x > c.values[assign]], minlength=4).astype(np.float64)
+            below = np.bincount(assign[x < c.values[assign]], minlength=4).astype(np.float64)
+            want = np.clip(mu + p.threshold * (above - below), -2.0, 2.0)
+            want = _strictly_increasing(want[np.argsort(want, kind="stable")], 2.0)
+            got = prox_c(mu, x, c, p).values
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_exact_objective_monitoring(self):
         mu = np.array([0.1, 0.95])

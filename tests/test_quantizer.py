@@ -55,6 +55,12 @@ class TestCenterVector:
         with pytest.raises(ValueError):
             CenterVector(np.array([]))
 
+    @pytest.mark.parametrize("vals", [[np.nan], [0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]],
+                             ids=["nan", "then-nan", "then-inf", "minus-inf-first"])
+    def test_rejects_nonfinite(self, vals):
+        with pytest.raises(ValueError):
+            CenterVector(np.array(vals))
+
     def test_bits(self):
         assert CenterVector(np.array([-1.0, -0.5, 0.5, 1.0])).bits == 2.0
 
