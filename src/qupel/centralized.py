@@ -260,15 +260,27 @@ def _at_cadence(hp: HyperParams, t: int) -> bool:
     return t % hp.metrics_every == 0 or t == hp.steps - 1
 
 
+def _divergence_limit(hp: HyperParams, f0: float, who: str) -> float:
+    """``divergence_factor * max(1, |F_0|)``, which must be finite for the check to hold."""
+    limit = hp.divergence_factor * max(1.0, abs(f0))
+    if not np.isfinite(limit):
+        raise DivergenceError(f"{who} cannot start: divergence threshold {limit!r} "
+                              f"is not finite (initial={f0!r})")
+    return limit
+
+
+def _check_objective(who: str, t: int, total: float, f0: float, limit: float, x) -> None:
+    """DivergenceError if the step-t objective ``total`` is not finite or exceeds ``limit``."""
+    if not np.isfinite(total) or total > limit:
+        raise DivergenceError(f"{who} objective diverged at step {t}: total={total!r}, "
+                              f"initial={f0!r}, |x|={float(np.max(np.abs(x)))!r}")
+
+
 def _record(t: int, hp: HyperParams, loss, layout, test, x, centers, x_prev, centers_prev,
             w, lambda_p: float, f0: float, limit: float, client_id: int) -> RoundMetrics:
     """Metrics of the step-t iterate; DivergenceError past the client's finite ``limit``."""
     ev = eval_F_i_grouped(loss, x, centers, layout, w, hp.quant_cfg, hp.lam(t), lambda_p)
-    if not np.isfinite(ev.total) or ev.total > limit:
-        raise DivergenceError(
-            f"client {client_id} objective diverged at step {t}: total={ev.total!r}, "
-            f"initial={f0!r}, |x|={float(np.max(np.abs(x)))!r}"
-        )
+    _check_objective(f"client {client_id}", t, ev.total, f0, limit, x)
     gap = stationarity_gap(x_prev, x, centers_prev, centers, hp)
     acc = evaluate_accuracy(loss, x, test) if test is not None and _at_cadence(hp, t) else None
     return RoundMetrics(

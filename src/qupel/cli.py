@@ -6,6 +6,9 @@ log level. Every run writes a manifest that fully reconstructs it: re-running
 the manifest reproduces the metrics bitwise. The environment variable
 ``QUPEL_SEED`` overrides the config seed.
 
+``_population`` is the one reader of a federated config's clients, for ``run``
+and, once per seed, ``read_compare_config``; both commands then call ``run_mode``.
+
 Exit codes: 0 success, 1 verification failure (gradcheck), 2 invalid
 config, 3 divergence during training.
 """
@@ -37,9 +40,9 @@ from .diagnostics import export_metrics, run_gradient_suite, run_prox_suite, wri
 from .experiments import (
     BlobTask,
     _make_loss,
+    avg_quantized_accuracy,
     build_blob_task,
     build_clients,
-    compare_modes,
     make_client,
     mixed_precision_m,
     run_mode,
@@ -193,17 +196,6 @@ def _effective_seed(cfg: dict) -> int:
         raise ConfigError("QUPEL_SEED", f"not an integer >= 0: {env!r}") from None
 
 
-def _blob_fields(cfg: dict) -> dict:
-    """The ``build_blob_task`` arguments of a blobs dataset config, except the seed."""
-    return dict(n_classes=_get(cfg, "dataset.classes", required=True,
-                               conv=_checked(_integer, "integer >= 2", lambda v: v >= 2)),
-                dim=_get(cfg, "dataset.dim", required=True, conv=_pos_int),
-                # a fifth of each class is held out for testing
-                per_class=_get(cfg, "dataset.per_class", required=True,
-                               conv=_checked(_integer, "integer >= 5", lambda v: v >= 5)),
-                spread=_get(cfg, "dataset.spread", required=True, conv=_pos))
-
-
 def _read_csv(cfg: dict, field: str):
     try:
         return load_csv(_get(cfg, field, required=True, conv=str))
@@ -211,11 +203,19 @@ def _read_csv(cfg: dict, field: str):
         raise ConfigError(field, str(exc)) from None
 
 
-def _build_task(cfg: dict, seed: int) -> BlobTask:
-    kind = _get(cfg, "dataset.kind", required=True)
+def _build_task(cfg: dict, seed: int, default_kind=None) -> BlobTask:
+    """The dataset of ``cfg``; ``dataset.kind`` is required if ``default_kind`` is None."""
+    kind = _get(cfg, "dataset.kind", required=default_kind is None, default=default_kind)
     if kind == "blobs":
-        return build_blob_task(seed=_get(cfg, "dataset.seed", default=seed, conv=_nonneg_int),
-                               **_blob_fields(cfg))
+        return build_blob_task(
+            n_classes=_get(cfg, "dataset.classes", required=True,
+                           conv=_checked(_integer, "integer >= 2", lambda v: v >= 2)),
+            dim=_get(cfg, "dataset.dim", required=True, conv=_pos_int),
+            # a fifth of each class is held out for testing
+            per_class=_get(cfg, "dataset.per_class", required=True,
+                           conv=_checked(_integer, "integer >= 5", lambda v: v >= 5)),
+            spread=_get(cfg, "dataset.spread", required=True, conv=_pos),
+            seed=_get(cfg, "dataset.seed", default=seed, conv=_nonneg_int))
     if kind == "csv":
         train, test = (_read_csv(cfg, f"dataset.{f}") for f in ("train", "test"))
         return BlobTask(train=train, test=test, n_classes=train.n_classes)
@@ -253,11 +253,6 @@ def _client_spec(cfg: dict, n_clients: int, n_classes: int | None = None,
         c_max=_get(cfg, "quantization.c_max", default=3.0, conv=_pos),
         exempt_first_last=_get(cfg, "quantization.exempt_first_last", default=False, conv=_flag),
     )
-
-
-def _partition_size(cfg: dict) -> tuple[int, int]:
-    return (_get(cfg, "partition.clients", required=True, conv=_pos_int),
-            _get(cfg, "partition.classes_per_client", required=True, conv=_pos_int))
 
 
 def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
@@ -320,9 +315,6 @@ def _config_command(body):
             return 2
         try:
             return body(cfg, out_override)
-        except PartitionError as exc:
-            print(f"error: invalid config: partition: {exc}", file=sys.stderr)
-            return 2
         except ConfigError as exc:
             print(f"error: invalid config: {exc}", file=sys.stderr)
             return 2
@@ -330,6 +322,21 @@ def _config_command(body):
             print(f"error: {exc}", file=sys.stderr)
             return 3
     return command
+
+
+def _population(cfg: dict, seed: int, default_kind=None):
+    """``(partition, new_clients)`` of a federated config under ``seed``: the dataset and
+    partition are drawn once, and each ``new_clients()`` builds fresh clients on them."""
+    task = _build_task(cfg, seed, default_kind)
+    part_seed = _get(cfg, "partition.seed", default=seed, conv=_nonneg_int)
+    n, k = (_get(cfg, f"partition.{f}", required=True, conv=_pos_int)
+            for f in ("clients", "classes_per_client"))
+    try:
+        partition = partition_noniid(task.train, n, k, part_seed)
+    except PartitionError as exc:
+        raise ConfigError("partition", str(exc)) from None
+    spec = _client_spec(cfg, partition.n_clients, task.n_classes)
+    return partition, lambda: build_clients(task, partition, seed=part_seed, **spec)
 
 
 def read_run_config(cfg: dict):
@@ -346,11 +353,8 @@ def read_run_config(cfg: dict):
     if mode == "centralized":
         return mode, seed, hp, _centralized_train(cfg, seed, hp)
     _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
-    task = _build_task(cfg, seed)
-    part_seed = _get(cfg, "partition.seed", default=seed, conv=_nonneg_int)
-    partition = partition_noniid(task.train, *_partition_size(cfg), part_seed)
-    spec = _client_spec(cfg, partition.n_clients, task.n_classes)
-    clients = build_clients(task, partition, seed=part_seed, **spec)
+    partition, new_clients = _population(cfg, seed)
+    clients = new_clients()
 
     def train(out_dir: Path):
         export_partition_json(partition, out_dir / "partition.json")
@@ -399,7 +403,8 @@ def cmd_gradcheck(tol: float = 1e-5, instances: int = 1000, seed: int = 20240,
 
 
 def read_compare_config(cfg: dict):
-    """The ``compare_modes`` arguments ``(modes, seeds, task_cfg, client_cfg, hp)``, checked."""
+    """``(modes, hp, [(seed, new_clients)])`` of a checked ``compare`` config: each seed's
+    dataset and partition are drawn once, and checked, before any mode trains."""
     modes = _get(cfg, "modes", default=[], conv=_list_of(_compare_mode))
     if not modes:
         raise ConfigError("modes", "must list at least one mode")
@@ -413,24 +418,23 @@ def read_compare_config(cfg: dict):
     _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
     if _get(cfg, "dataset.kind", default="blobs") != "blobs":
         raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
-    task_cfg = _blob_fields(cfg)
-    n, k = _partition_size(cfg)
-    client_cfg = dict(n_clients=n, classes_per_client=k,
-                      **_client_spec(cfg, n, task_cfg["n_classes"]))
-    return modes, seeds, task_cfg, client_cfg, build_hyper(cfg)
+    hp = build_hyper(cfg)
+    return modes, hp, [(s, _population(cfg, s, default_kind="blobs")[1]) for s in seeds]
 
 
 @_config_command
 def cmd_compare(cfg: dict, out_override) -> int:
     """Run several protocols on the dataset and partition drawn from each seed."""
-    modes, seeds, task_cfg, client_cfg, hp = read_compare_config(cfg)
+    modes, hp, populations = read_compare_config(cfg)
     out_dir = Path(out_override or _get(cfg, "out_dir", default="runs/compare", conv=str))
-    records = compare_modes(task_cfg, client_cfg, hp, modes, seeds)  # may refuse a partition
+    records, by_seed = [], {}
+    for seed, new_clients in populations:
+        for mode in modes:
+            acc = avg_quantized_accuracy(run_mode(mode, new_clients(), hp)[0])
+            records.append({"mode": mode, "seed": seed, "avg_test_acc": acc})
+            by_seed.setdefault(seed, {})[mode] = acc
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "comparison.csv", ["mode", "seed", "avg_test_acc"], records)
-    by_seed = {}
-    for rec in records:
-        by_seed.setdefault(rec["seed"], {})[rec["mode"]] = rec["avg_test_acc"]
     for seed in sorted(by_seed):
         line = " ".join(f"{m}={v:.4f}" for m, v in sorted(by_seed[seed].items()))
         print(f"seed {seed}: {line}")

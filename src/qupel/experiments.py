@@ -4,7 +4,9 @@ These helpers wire datasets, losses and trainer state together for the CLI
 and the verification suites. Clients share a common seeded initialization of
 the personalized model (keeping hidden units aligned across clients so that
 averaging the global-model copies is meaningful), while data partitions and
-minibatch streams derive from per-purpose child seeds.
+minibatch streams derive from per-purpose child seeds. ``run_mode`` is the one
+dispatch from a mode name to its trainer: ``qupel run`` calls it once and
+``qupel compare`` once per (seed, mode), each on clients from the same reader.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centralized import HyperParams, init_centers_from_weights, init_weights
-from .data import Dataset, Partition, filter_test_indices, make_blobs, partition_noniid
+from .data import Dataset, Partition, filter_test_indices, make_blobs
 from .diagnostics import evaluate_accuracy
 from .federated import ClientState, run_fedavg, run_local_only, run_qupel
 from .losses import LogisticLoss, MlpLoss, QuantLayout, mlp_loss
@@ -29,7 +31,6 @@ __all__ = [
     "build_clients",
     "summarize_clients",
     "run_mode",
-    "compare_modes",
 ]
 
 # average-bits presets: fraction of clients at 3 bits (m=8), remainder at 2 bits (m=4)
@@ -167,27 +168,3 @@ def run_mode(mode: str, clients, hp: HyperParams) -> tuple[list[dict], list[dict
 def avg_quantized_accuracy(rows) -> float:
     vals = [r["acc_quantized"] for r in rows if r["acc_quantized"] is not None]
     return float(np.mean(vals)) if vals else float("nan")
-
-
-def compare_modes(task_cfg: dict, client_cfg: dict, hp: HyperParams,
-                  modes: list[str], seeds: list[int]) -> list[dict]:
-    """Run the requested modes on identical per-seed partitions.
-
-    ``client_cfg`` holds ``n_clients``, ``classes_per_client`` and the
-    ``build_clients`` keyword arguments; each seed draws one task and one
-    partition. Returns one record per (mode, seed) with the average
-    quantized-model test accuracy across clients (full precision for fedavg).
-    """
-    kwargs = dict(client_cfg)
-    n_clients, k = kwargs.pop("n_clients"), kwargs.pop("classes_per_client")
-    records = []
-    for seed in seeds:
-        task = build_blob_task(seed=seed, **task_cfg)
-        partition = partition_noniid(task.train, n_clients, k, seed)
-        for mode in modes:
-            # fresh clients per mode: trainers advance each client's data_rng
-            clients = build_clients(task, partition, seed=seed, **kwargs)
-            rows, _ = run_mode(mode, clients, hp)
-            records.append({"mode": mode, "seed": seed,
-                            "avg_test_acc": avg_quantized_accuracy(rows)})
-    return records

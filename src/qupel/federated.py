@@ -14,12 +14,14 @@ The w update descends the coupling penalty,
 variant is available behind ``flip_w_update_sign`` for comparison with the
 alternative sign convention.
 
-One trainer loop, ``_train``, pins, steps (the centralized step kernel)
-and records (the one per-step record) every client at every step. The
-server runs only under ``run_qupel``; ``run_local_only`` is the loop
-without it, and ``run_centralized`` is that loop on one client. With
+One trainer loop, ``_train``, pins, steps (``client_local_step``) and
+records (the one per-step record) every client at every step. The server
+runs only under ``run_qupel``; ``run_local_only`` is the loop without it, at
+lambda_p = 0, and ``run_centralized`` is that loop on one client. With
 lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a QuPeL run is
 bitwise-identical to local-only training: the kernel skips the coupling.
+``run_fedavg`` keeps its own loop, on the clients' ``w_local``, averaging with
+``sync_round``'s mean, ``_mean_w``, and stopping under ``_train``'s divergence rule.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .centralized import (
     HyperParams,
     TrainResult,
     _at_cadence,
+    _check_objective,
+    _divergence_limit,
     _grad_step_loss,
     _record,
     _step,
@@ -118,13 +122,17 @@ def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
     return replace(cs, x=x_new, centers=centers_new, w_local=w_new)
 
 
+def _mean_w(clients: list[ClientState]) -> np.ndarray:
+    """The mean of the local global-model copies, in ascending id order."""
+    ordered = sorted(clients, key=lambda c: c.id)
+    if len({c.w_local.shape for c in ordered}) != 1:
+        raise ValueError("clients disagree on the global model dimension")
+    return np.mean(np.stack([c.w_local for c in ordered]), axis=0)
+
+
 def sync_round(clients: list[ClientState], server: ServerState):
     """Average the local global-model copies (ascending id) and broadcast."""
-    ordered = sorted(clients, key=lambda c: c.id)
-    dims = {c.w_local.shape for c in ordered}
-    if len(dims) != 1:
-        raise ValueError("clients disagree on the global model dimension")
-    w_mean = np.mean(np.stack([c.w_local for c in ordered]), axis=0)
+    w_mean = _mean_w(clients)
     new_server = ServerState(w_global=w_mean, round=server.round + 1)
     new_clients = [replace(c, w_local=w_mean.copy()) for c in clients]
     return new_clients, new_server
@@ -153,21 +161,18 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
            checkpoint_path=None) -> QupelResult:
     """The one trainer loop. ``federated`` adds the server: sync every tau steps,
     coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``.
-    The starting x and w_local and each client's divergence threshold are checked
-    once here; the kernel checks each step."""
+    Without it every client steps at lambda_p = 0, so ``client_local_step`` skips the
+    coupling and keeps w_local. The starting x and w_local and each client's divergence
+    threshold are checked once here; the kernel checks each step."""
     clients = sorted(clients, key=lambda c: c.id)
     for cs in clients:
         if not (np.isfinite(cs.x).all() and np.isfinite(cs.w_local).all()):
             raise ValueError(f"client {cs.id}: starting x and w_local must be finite")
-    lambda_p = hp.lambda_p if federated else 0.0
+    step_hp = hp if federated else replace(hp, lambda_p=0.0)  # checkpoints keep hp's hash
     server = ServerState(w_global=clients[0].w_local.copy()) if federated else None
     f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
-                           hp.lam(0), lambda_p).total for cs in clients]
-    limits = [hp.divergence_factor * max(1.0, abs(f)) for f in f0]
-    for cs, f, limit in zip(clients, f0, limits):
-        if not np.isfinite(limit):  # a non-finite F_0 would make the divergence check vacuous
-            raise DivergenceError(f"client {cs.id} cannot start: divergence threshold {limit!r} "
-                                  f"is not finite (initial={f!r})")
+                           hp.lam(0), step_hp.lambda_p).total for cs in clients]
+    limits = [_divergence_limit(hp, f, f"client {cs.id}") for cs, f in zip(clients, f0)]
     histories: list[list[RoundMetrics]] = [[] for _ in clients]
     global_history: list[dict] = []
 
@@ -179,14 +184,9 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
 
         for pos, cs in enumerate(clients):
             cs = _pin(cs, hp, t)  # the gap then measures the prox step, not the pin jump
-            if federated:
-                new = client_local_step(cs, hp, t)
-            else:
-                x, centers = _step(cs.x, cs.centers, cs.pinned, cs.loss, cs.layout, hp, t,
-                                   cs.data_rng)
-                new = replace(cs, x=x, centers=centers)
+            new = client_local_step(cs, step_hp, t)
             rec = _record(t, hp, cs.loss, cs.layout, cs.test, new.x, new.centers, cs.x,
-                          cs.centers, new.w_local, lambda_p, f0[pos], limits[pos], cs.id)
+                          cs.centers, new.w_local, step_hp.lambda_p, f0[pos], limits[pos], cs.id)
             if federated:
                 rec.w_drift = float(np.sum((new.w_local - server.w_global) ** 2))
             elif _at_cadence(hp, t):
@@ -238,28 +238,36 @@ def run_local_only(clients: list[ClientState], hp: HyperParams) -> list[TrainRes
     return _train(clients, hp, federated=False).per_client
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _train
 def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
     """Full-precision FedAvg baseline on the plain client losses.
 
-    Every step each client takes one gradient step on f_i from its local
-    copy of the global model; steps divisible by tau first average the
-    copies. The result holds the final averaged model (no quantization).
+    Every step each client takes one gradient step on f_i from its ``w_local``;
+    steps divisible by tau first average the copies. A non-finite step raises a
+    DivergenceError naming the client, as does, at the metrics cadence, a mean
+    client loss at the averaged model past ``_train``'s threshold (F_0 at the first
+    averaged model). The result holds the final averaged model (no quantization).
     """
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.id)
-    w = [c.w_local.copy() for c in clients]
+    server = ServerState(w_global=clients[0].w_local.copy())
     history: list[RoundMetrics] = []
     for t in range(hp.steps):
         if t % hp.tau == 0:
-            w_mean = np.mean(np.stack(w), axis=0)
-            w = [w_mean.copy() for _ in clients]
-        for i, cs in enumerate(clients):
-            grad_loss = _grad_step_loss(cs.loss, hp, cs.data_rng)
-            w[i] = w[i] - hp.eta1 * grad_loss.gradient(w[i])
+            clients, server = sync_round(clients, server)
+            if t == 0:
+                f0 = float(np.mean([cs.loss.value(server.w_global) for cs in clients]))
+                limit = _divergence_limit(hp, f0, "fedavg")
+        for cs in clients:  # the copies sync_round made at t = 0, so updated in place
+            grad = _grad_step_loss(cs.loss, hp, cs.data_rng).gradient(cs.w_local)
+            cs.w_local = cs.w_local - hp.eta1 * grad
+            if not np.isfinite(cs.w_local).all():
+                raise DivergenceError(f"client {cs.id} diverged at step {t}: non-finite step")
         if _at_cadence(hp, t):
-            w_mean = np.mean(np.stack(w), axis=0)
+            w_mean = _mean_w(clients)  # evaluated, not broadcast
             mean_loss = float(np.mean([cs.loss.value(w_mean) for cs in clients]))
+            _check_objective("fedavg", t, mean_loss, f0, limit, w_mean)
             accs = [evaluate_accuracy(cs.loss, w_mean, cs.test)
                     for cs in clients if cs.test is not None]
             acc = float(np.mean(accs)) if accs else None
@@ -268,8 +276,6 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
                 total=mean_loss, stationarity_gap=0.0, w_drift=0.0, quant_error=0.0,
                 test_acc=acc, kappa_round=None,
             ))
-            if not np.isfinite(mean_loss):
-                raise DivergenceError(f"fedavg diverged at step {t}")
-    w_final = np.mean(np.stack(w), axis=0)
+    w_final = _mean_w(clients)
     return TrainResult(x_final=w_final, centers_final=[], x_hard=w_final.copy(),
                        history=history)

@@ -30,6 +30,7 @@ from .quantizer import (
     grad_soft_quantize_x,
     hard_grad_c,
     quantize_assignments,
+    sigmoid,
     soft_quantize,
 )
 
@@ -133,8 +134,6 @@ class LogisticLoss(LossModel):
         x = self._check(x)
         t = self.labels * (self.features @ x)
         # d/dt log(1+e^-t) = -sigmoid(-t)
-        from .quantizer import sigmoid
-
         s = sigmoid(-t)
         g = -(self.features * (self.labels * s)[:, None]).mean(axis=0)
         return g + self.l2 * x

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qupel import cli, experiments
+from qupel import cli
 from qupel.cli import main
 from qupel.data import partition_noniid
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -174,6 +175,33 @@ class TestRunCommand:
         rows = read_summary(str(tmp_path / "f"))
         assert all(r["bits"] == "32" for r in rows)
 
+    @pytest.mark.parametrize("eta1", [1e300, 1e100], ids=["overflow", "past-threshold"])
+    def test_fedavg_divergence_exits_3_with_one_line(self, tmp_path, capsys, eta1):
+        cfg_dict = json.loads((CONFIG_DIR / "fedavg.json").read_text())
+        cfg_dict["hyper"].update(eta1=eta1, steps=60)
+        cfg_dict["out_dir"] = str(tmp_path / "out")
+        assert main(["run", "--config", write_cfg(tmp_path, "f.json", cfg_dict)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: fedavg objective diverged at step 0: total=")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "manifest.json", "partition.json"]
+
+    def test_centralized_checkpoint_hash_matches_manifest(self, tmp_path, capsys):
+        cfg_dict = json.loads((CONFIG_DIR / "centralized_quadratic.json").read_text())
+        cfg_dict["hyper"].update(lambda_p=0.5, checkpoint_every=100)
+        cfg_dict["out_dir"] = str(tmp_path / "out")
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        checkpoint = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+        assert checkpoint["hyperparams_hash"] == manifest["hyperparams_hash"]
+
+    def test_run_requires_dataset_kind(self, tmp_path, capsys):
+        cfg_dict = federated_cfg("qupel", str(tmp_path / "out"), steps=2)
+        del cfg_dict["dataset"]["kind"]
+        assert main(["run", "--config", write_cfg(tmp_path, "q.json", cfg_dict)]) == 2
+        assert "invalid config: dataset.kind: missing required field" in capsys.readouterr().err
+
     def test_partition_export_written(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "q.json", federated_cfg("qupel", str(tmp_path / "q")))
         assert main(["run", "--config", cfg]) == 0
@@ -232,6 +260,15 @@ class TestCompareCommand:
         cfg = write_cfg(tmp_path, "cmp.json", {"modes": [],
                                                "dataset": {}, "partition": {}})
         assert main(["compare", "--config", cfg]) == 2
+
+    def test_dataset_kind_defaults_to_blobs(self, tmp_path, capsys):
+        tables = []
+        for name, kind in (("blobs", "blobs"), ("absent", None)):
+            cfg_dict = compare_cfg(str(tmp_path / name))
+            cfg_dict["dataset"]["kind"] = kind
+            assert main(["compare", "--config", write_cfg(tmp_path, f"{name}.json", cfg_dict)]) == 0
+            tables.append((tmp_path / name / "comparison.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_small_comparison(self, tmp_path, capsys):
         base = federated_cfg("qupel", str(tmp_path / "cmp"), lambda_p=0.4, steps=40)
@@ -436,6 +473,19 @@ def test_shipped_config_is_valid(path, monkeypatch):
         cli.read_run_config(cfg)
 
 
+@pytest.mark.parametrize("edit, field", [(e, f) for c, e, f in INVALID_CONFIGS if c == "compare"],
+                         ids=[i for (c, _, _), i in zip(INVALID_CONFIGS, INVALID_IDS)
+                              if c == "compare"])
+def test_compare_checker_refuses_every_invalid_compare_config(tmp_path, edit, field):
+    cfg_dict = compare_cfg(str(tmp_path / "out"))
+    cfg_dict["seeds"] = [1, 2]
+    edit(cfg_dict)
+    with pytest.raises(cli.ConfigError) as err:
+        cli.read_compare_config(cfg_dict)
+    assert err.value.field == field
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_and_compare_agree(tmp_path, capsys):
     cfg_dict = compare_cfg(str(tmp_path / "cmp"))
     cfg_dict["modes"] = ["qupel", "local", "fedavg"]
@@ -459,7 +509,6 @@ def test_partition_drawn_once_per_run_and_per_compare_seed(tmp_path, capsys, mon
         return partition_noniid(ds, n_clients, k, seed)
 
     monkeypatch.setattr(cli, "partition_noniid", counting)
-    monkeypatch.setattr(experiments, "partition_noniid", counting)
     run_dict = federated_cfg("qupel", str(tmp_path / "run"), steps=2)
     assert main(["run", "--config", write_cfg(tmp_path, "run.json", run_dict)]) == 0
     assert seeds == [3]

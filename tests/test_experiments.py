@@ -1,15 +1,17 @@
+import csv
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qupel.centralized import HyperParams, LambdaSchedule, run_centralized
+from qupel.cli import main
 from qupel.data import partition_noniid
 from qupel.experiments import (
     avg_quantized_accuracy,
     build_blob_task,
     build_clients,
-    compare_modes,
     mixed_precision_m,
     run_mode,
 )
@@ -151,12 +153,27 @@ class TestMinibatchClients:
         full = run_local_only(self.clients(), replace(hp, batch_size=None))
         assert not np.array_equal(loc[0].x_final, full[0].x_final)
 
-    def test_compare_records_independent_of_mode_order(self):
-        hp = self.hp(lambda_p=1.0)
-        a = compare_modes(self.TASK, self.CLIENTS, hp, ["qupel", "local"], [1, 2])
-        b = compare_modes(self.TASK, self.CLIENTS, hp, ["local", "qupel"], [1, 2])
+    def test_compare_records_independent_of_mode_order(self, tmp_path, capsys):
+        # self.TASK, self.CLIENTS and self.hp(lambda_p=1.0) as a compare config
+        cfg = {"seeds": [1, 2], "model": {"kind": "mlp", "hidden": 6},
+               "dataset": {"kind": "blobs", "classes": 4, "dim": 4, "per_class": 30,
+                           "spread": 0.5},
+               "partition": {"clients": 3, "classes_per_client": 2},
+               "quantization": {"m_list": [4] * 3, "hard_limit": True},
+               "hyper": {"eta1": 0.1, "eta2": 0.01, "steps": 30, "tau": 5, "eta3": 0.3,
+                         "lambda_p": 1.0, "batch_size": 8, "metrics_every": 10,
+                         "lambda": {"kind": "linear", "base": 1e-3, "cap": 0.05}}}
+        tables = []
+        for modes in (["qupel", "local"], ["local", "qupel"]):
+            out = tmp_path / "-".join(modes)
+            path = tmp_path / f"{out.name}.json"
+            path.write_text(json.dumps({**cfg, "modes": modes}))
+            assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+            with open(out / "comparison.csv") as fh:
+                tables.append(list(csv.DictReader(fh)))
 
         def key(r):
             return r["mode"], r["seed"]
 
-        assert sorted(a, key=key) == sorted(b, key=key)
+        assert tables[0] != tables[1]  # the rows come in mode order
+        assert sorted(tables[0], key=key) == sorted(tables[1], key=key)

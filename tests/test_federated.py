@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -275,6 +278,34 @@ class TestRunFedavg:
         for _ in range(25):
             w = w - 0.1 * base.loss.gradient(w)
         np.testing.assert_allclose(res.x_final, w, atol=1e-12)
+
+    @staticmethod
+    def target_clients(curvature=1.0):
+        return [ClientState(id=i, x=np.zeros(2), centers=centers(0.0), w_local=np.zeros(2),
+                            loss=quadratic_loss([1.0 + i, -1.0], [curvature, curvature]))
+                for i in range(3)]
+
+    def test_nonfinite_step_raises_naming_the_client(self):
+        # each step multiplies w by about -1e10, so the gradient step overflows at step 30
+        hp = HyperParams(eta1=1e10, eta2=0.0, steps=60, tau=5, metrics_every=50,
+                         divergence_factor=1e300, quant_cfg=hard_cfg())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^client 0 diverged at step 30:"):
+                run_fedavg(self.target_clients(), hp)
+
+    def test_objective_past_the_threshold_raises(self):
+        # eta1 * h = 3 doubles each |w - target| per step: F passes 1e6 * F_0 at step 10
+        hp = HyperParams(eta1=3.0, eta2=0.0, steps=30, tau=5, quant_cfg=hard_cfg())
+        with pytest.raises(DivergenceError, match="^fedavg objective diverged at step 10: "):
+            run_fedavg(self.target_clients(), hp)
+        res = run_fedavg(self.target_clients(), replace(hp, divergence_factor=1e300))
+        assert len(res.history) == 30 and res.history[-1].total > 1e18
+
+    def test_nonfinite_start_cannot_start(self):
+        hp = HyperParams(eta1=0.1, eta2=0.0, steps=5, quant_cfg=hard_cfg())
+        with pytest.raises(DivergenceError, match="^fedavg cannot start: "):
+            run_fedavg(self.target_clients(curvature=1e308), hp)
 
 
 class TestEstimateDiversity:
