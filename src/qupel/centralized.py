@@ -10,9 +10,10 @@ is the hard-quantized final iterate.
 
 One step kernel serves every trainer: the federated local update is the
 same step plus the coupling gradient lambda_p * (x - w), and fine-tuning is
-the same step with pinned assignments. One per-step record likewise builds
-the metrics of every trainer. A centralized run is one client of the
-trainer loop in ``qupel.federated``, run without the server.
+the same step with pinned assignments. A centralized run is one client of
+the trainer loop in ``qupel.federated``, run without the server; that loop
+owns the per-step record, the metrics cadence, the divergence rule and the
+checkpoint, so this module does no I/O.
 
 Each value is checked once, where it enters (``LambdaSchedule``,
 ``HyperParams``, each client's start) or where the step makes it (the gradient
@@ -31,10 +32,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .diagnostics import RoundMetrics, evaluate_accuracy, write_atomic
+from .diagnostics import RoundMetrics
 from .losses import (
     QuantLayout,
-    eval_F_i_grouped,
     hard_quantize_grouped,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
@@ -204,7 +204,7 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# the step kernel and per-step record (used by the one trainer loop in qupel.federated)
+# the step kernel (used by the one trainer loop in qupel.federated)
 
 
 def _grad_step_loss(loss, hp: HyperParams, rng: Rng | None):
@@ -237,7 +237,7 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
     if coupling is not None:
         g = g + coupling
     x_new = x - hp.eta1 * g
-    if not np.isfinite(x_new).all():  # before prox_x snaps a NaN; _record raises on it
+    if not np.isfinite(x_new).all():  # before prox_x snaps a NaN; _train raises on it
         return x_new, list(centers)
     px = ProxParams(eta=hp.eta1, lam=lam_t)
     for (start, stop), c, assign in zip(layout.groups, centers, pins):
@@ -254,40 +254,6 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
         if assign is not None:
             x_new[start:stop] = c_new.values[assign]
     return x_new, centers_new
-
-
-def _at_cadence(hp: HyperParams, t: int) -> bool:
-    return t % hp.metrics_every == 0 or t == hp.steps - 1
-
-
-def _divergence_limit(hp: HyperParams, f0: float, who: str) -> float:
-    """``divergence_factor * max(1, |F_0|)``, which must be finite for the check to hold."""
-    limit = hp.divergence_factor * max(1.0, abs(f0))
-    if not np.isfinite(limit):
-        raise DivergenceError(f"{who} cannot start: divergence threshold {limit!r} "
-                              f"is not finite (initial={f0!r})")
-    return limit
-
-
-def _check_objective(who: str, t: int, total: float, f0: float, limit: float, x) -> None:
-    """DivergenceError if the step-t objective ``total`` is not finite or exceeds ``limit``."""
-    if not np.isfinite(total) or total > limit:
-        raise DivergenceError(f"{who} objective diverged at step {t}: total={total!r}, "
-                              f"initial={f0!r}, |x|={float(np.max(np.abs(x)))!r}")
-
-
-def _record(t: int, hp: HyperParams, loss, layout, test, x, centers, x_prev, centers_prev,
-            w, lambda_p: float, f0: float, limit: float, client_id: int) -> RoundMetrics:
-    """Metrics of the step-t iterate; DivergenceError past the client's finite ``limit``."""
-    ev = eval_F_i_grouped(loss, x, centers, layout, w, hp.quant_cfg, hp.lam(t), lambda_p)
-    _check_objective(f"client {client_id}", t, ev.total, f0, limit, x)
-    gap = stationarity_gap(x_prev, x, centers_prev, centers, hp)
-    acc = evaluate_accuracy(loss, x, test) if test is not None and _at_cadence(hp, t) else None
-    return RoundMetrics(
-        step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=ev.prox_penalty,
-        total=ev.total, stationarity_gap=gap, w_drift=0.0, quant_error=ev.quant_error,
-        test_acc=acc,
-    )
 
 
 def centralized_step(state, loss, hp: HyperParams, t: int,
@@ -315,18 +281,6 @@ def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:
         total += float(dc @ dc)
     eta_min = hp.eta1 if hp.eta2 == 0 else min(hp.eta1, hp.eta2)
     return total / (eta_min * eta_min)
-
-
-def _write_checkpoint(path, step, cs, hp):
-    """``cs``'s state after ``step`` steps (a ``qupel.federated.ClientState``)."""
-    payload = {
-        "step": step,
-        "x": [float(v) for v in cs.x],
-        "c": [[float(v) for v in c.values] for c in cs.centers],
-        "rng_state": list(cs.data_rng.getstate()) if cs.data_rng is not None else None,
-        "hyperparams_hash": hp.config_hash(),
-    }
-    write_atomic(path, [json.dumps(payload)])
 
 
 def run_centralized(loss, init_x, init_c, hp: HyperParams, *,

@@ -10,7 +10,7 @@ the manifest reproduces the metrics bitwise. The environment variable
 and, once per seed, ``read_compare_config``; both commands then call ``run_mode``.
 
 Exit codes: 0 success, 1 verification failure (gradcheck), 2 invalid
-config, 3 divergence during training.
+config or unusable output directory, 3 divergence during training.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .centralized import (
     init_weights,
     run_centralized,
 )
-from .data import PartitionError, export_partition_json, load_csv, partition_noniid
+from .data import Dataset, PartitionError, export_partition_json, load_csv, partition_noniid
 from .diagnostics import export_metrics, run_gradient_suite, run_prox_suite, write_atomic
 from .experiments import (
     BlobTask,
@@ -216,8 +216,14 @@ def _build_task(cfg: dict, seed: int, default_kind=None) -> BlobTask:
                            conv=_checked(_integer, "integer >= 5", lambda v: v >= 5)),
             spread=_get(cfg, "dataset.spread", required=True, conv=_pos),
             seed=_get(cfg, "dataset.seed", default=seed, conv=_nonneg_int))
-    if kind == "csv":
+    if kind == "csv":  # the test labels take the train file's ids
         train, test = (_read_csv(cfg, f"dataset.{f}") for f in ("train", "test"))
+        ids = {v: i for i, v in enumerate(train.label_values)}
+        missing = [v for v in test.label_values if v not in ids]
+        if missing:
+            raise ConfigError("dataset.test", f"label {missing[0]} does not occur in dataset.train")
+        test = Dataset(test.features, np.array([ids[v] for v in test.label_values])[test.labels],
+                       name=test.name, label_values=train.label_values)
         return BlobTask(train=train, test=test, n_classes=train.n_classes)
     raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
 
@@ -324,6 +330,19 @@ def _config_command(body):
     return command
 
 
+def _out_dir(cfg: dict, out_override, default: str, outputs) -> Path:
+    """The output directory, created, with the ``outputs`` an earlier run left there deleted;
+    a directory that cannot be made or cleared is refused as ``out_dir``."""
+    out_dir = Path(out_override or _get(cfg, "out_dir", default=default, conv=str))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in outputs:  # a diverged rerun must leave no stale outputs
+            (out_dir / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", str(exc)) from None
+    return out_dir
+
+
 def _population(cfg: dict, seed: int, default_kind=None):
     """``(partition, new_clients)`` of a federated config under ``seed``: the dataset and
     partition are drawn once, and each ``new_clients()`` builds fresh clients on them."""
@@ -365,10 +384,8 @@ def read_run_config(cfg: dict):
 @_config_command
 def cmd_run(cfg: dict, out_override) -> int:
     mode, seed, hp, train = read_run_config(cfg)
-    out_dir = Path(out_override or _get(cfg, "out_dir", default=f"runs/{mode}", conv=str))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("metrics.jsonl", "summary.csv", "partition.json", "checkpoint.json"):
-        (out_dir / name).unlink(missing_ok=True)  # a diverged rerun must leave no stale outputs
+    out_dir = _out_dir(cfg, out_override, f"runs/{mode}",
+                       ("metrics.jsonl", "summary.csv", "partition.json", "checkpoint.json"))
     write_atomic(out_dir / "manifest.json", [json.dumps(
         {"package_version": __version__, "seed": seed, "hyperparams_hash": hp.config_hash(),
          "config": cfg}, indent=2)])
@@ -426,14 +443,13 @@ def read_compare_config(cfg: dict):
 def cmd_compare(cfg: dict, out_override) -> int:
     """Run several protocols on the dataset and partition drawn from each seed."""
     modes, hp, populations = read_compare_config(cfg)
-    out_dir = Path(out_override or _get(cfg, "out_dir", default="runs/compare", conv=str))
+    out_dir = _out_dir(cfg, out_override, "runs/compare", ("comparison.csv",))
     records, by_seed = [], {}
     for seed, new_clients in populations:
         for mode in modes:
             acc = avg_quantized_accuracy(run_mode(mode, new_clients(), hp)[0])
             records.append({"mode": mode, "seed": seed, "avg_test_acc": acc})
             by_seed.setdefault(seed, {})[mode] = acc
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "comparison.csv", ["mode", "seed", "avg_test_acc"], records)
     for seed in sorted(by_seed):
         line = " ".join(f"{m}={v:.4f}" for m, v in sorted(by_seed[seed].items()))

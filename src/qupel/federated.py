@@ -15,9 +15,10 @@ variant is available behind ``flip_w_update_sign`` for comparison with the
 alternative sign convention.
 
 One trainer loop, ``_train``, pins, steps (``client_local_step``) and
-records (the one per-step record) every client at every step. The server
-runs only under ``run_qupel``; ``run_local_only`` is the loop without it, at
-lambda_p = 0, and ``run_centralized`` is that loop on one client. With
+records every client at every step; its metrics cadence, divergence rule and
+checkpoint writer sit beside it. The server is the mean ``sync_round`` returns
+and runs only under ``run_qupel``; ``run_local_only`` is the loop without it,
+at lambda_p = 0, and ``run_centralized`` is that loop on one client. With
 lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a QuPeL run is
 bitwise-identical to local-only training: the kernel skips the coupling.
 ``run_fedavg`` keeps its own loop, on the clients' ``w_local``, averaging with
@@ -26,6 +27,7 @@ bitwise-identical to local-only training: the kernel skips the coupling.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,22 +36,17 @@ from .centralized import (
     DivergenceError,
     HyperParams,
     TrainResult,
-    _at_cadence,
-    _check_objective,
-    _divergence_limit,
     _grad_step_loss,
-    _record,
     _step,
-    _write_checkpoint,
+    stationarity_gap,
 )
-from .diagnostics import RoundMetrics, evaluate_accuracy
+from .diagnostics import RoundMetrics, evaluate_accuracy, write_atomic
 from .losses import QuantLayout, _hard_assign_grouped, eval_F_i_grouped, hard_quantize_grouped
 from .quantizer import CenterVector
 from .rng import Rng
 
 __all__ = [
     "ClientState",
-    "ServerState",
     "DiversityEstimate",
     "QupelResult",
     "client_local_step",
@@ -83,12 +80,6 @@ class ClientState:
         self.centers = self.layout.check_centers(self.centers)
         if self.x.shape != (self.loss.dim,) or self.w_local.shape != self.x.shape:
             raise ValueError("client model and global copy must share the loss dimension")
-
-
-@dataclass
-class ServerState:
-    w_global: np.ndarray
-    round: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,19 +121,18 @@ def _mean_w(clients: list[ClientState]) -> np.ndarray:
     return np.mean(np.stack([c.w_local for c in ordered]), axis=0)
 
 
-def sync_round(clients: list[ClientState], server: ServerState):
-    """Average the local global-model copies (ascending id) and broadcast."""
+def sync_round(clients: list[ClientState]):
+    """Average the local global-model copies (ascending id) and broadcast;
+    returns ``(clients, w_mean)``, each client holding its own copy of the mean."""
     w_mean = _mean_w(clients)
-    new_server = ServerState(w_global=w_mean, round=server.round + 1)
-    new_clients = [replace(c, w_local=w_mean.copy()) for c in clients]
-    return new_clients, new_server
+    return [replace(c, w_local=w_mean.copy()) for c in clients], w_mean
 
 
-def estimate_diversity(clients: list[ClientState], server: ServerState,
+def estimate_diversity(clients: list[ClientState], w_global: np.ndarray,
                        lambda_p: float) -> DiversityEstimate:
-    """Spread of per-client w-gradients lambda_p * (w - x_i) around their mean."""
+    """Spread of per-client w-gradients lambda_p * (w_global - x_i) around their mean."""
     ordered = sorted(clients, key=lambda c: c.id)
-    grads = np.stack([lambda_p * (server.w_global - c.x) for c in ordered])
+    grads = np.stack([lambda_p * (w_global - c.x) for c in ordered])
     mean = grads.mean(axis=0)
     kappa_i = np.array([float(np.sum((g - mean) ** 2)) for g in grads])
     return DiversityEstimate(kappa_i=kappa_i, kappa=float(np.mean(kappa_i)))
@@ -152,8 +142,39 @@ def estimate_diversity(clients: list[ClientState], server: ServerState,
 class QupelResult:
     per_client: list[TrainResult]
     global_history: list[dict]
-    server: ServerState | None  # None without the server (local-only and centralized runs)
-    clients: list[ClientState]
+    w_global: np.ndarray | None  # the mean of the last sync; None if no sync ran
+
+
+def _at_cadence(hp: HyperParams, t: int) -> bool:
+    return t % hp.metrics_every == 0 or t == hp.steps - 1
+
+
+def _divergence_limit(hp: HyperParams, f0: float, who: str) -> float:
+    """``divergence_factor * max(1, |F_0|)``, which must be finite for the check to hold."""
+    limit = hp.divergence_factor * max(1.0, abs(f0))
+    if not np.isfinite(limit):
+        raise DivergenceError(f"{who} cannot start: divergence threshold {limit!r} "
+                              f"is not finite (initial={f0!r})")
+    return limit
+
+
+def _check_objective(who: str, t: int, total: float, f0: float, limit: float, x) -> None:
+    """DivergenceError if the step-t objective ``total`` is not finite or exceeds ``limit``."""
+    if not np.isfinite(total) or total > limit:
+        raise DivergenceError(f"{who} objective diverged at step {t}: total={total!r}, "
+                              f"initial={f0!r}, |x|={float(np.max(np.abs(x)))!r}")
+
+
+def _write_checkpoint(path, step, cs: ClientState, hp: HyperParams) -> None:
+    """``cs``'s state after ``step`` steps, with the hash of the caller's ``hp``."""
+    payload = {
+        "step": step,
+        "x": [float(v) for v in cs.x],
+        "c": [[float(v) for v in c.values] for c in cs.centers],
+        "rng_state": list(cs.data_rng.getstate()) if cs.data_rng is not None else None,
+        "hyperparams_hash": hp.config_hash(),
+    }
+    write_atomic(path, [json.dumps(payload)])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends the run as a DivergenceError
@@ -169,7 +190,7 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
         if not (np.isfinite(cs.x).all() and np.isfinite(cs.w_local).all()):
             raise ValueError(f"client {cs.id}: starting x and w_local must be finite")
     step_hp = hp if federated else replace(hp, lambda_p=0.0)  # checkpoints keep hp's hash
-    server = ServerState(w_global=clients[0].w_local.copy()) if federated else None
+    w_global = None
     f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
                            hp.lam(0), step_hp.lambda_p).total for cs in clients]
     limits = [_divergence_limit(hp, f, f"client {cs.id}") for cs, f in zip(clients, f0)]
@@ -179,19 +200,25 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     for t in range(hp.steps):
         sync_dev = None
         if federated and t % hp.tau == 0:
-            clients, server = sync_round(clients, server)
-            sync_dev = max(float(np.max(np.abs(c.w_local - server.w_global))) for c in clients)
+            clients, w_global = sync_round(clients)
+            sync_dev = max(float(np.max(np.abs(c.w_local - w_global))) for c in clients)
 
+        at_cadence = _at_cadence(hp, t)
         for pos, cs in enumerate(clients):
             cs = _pin(cs, hp, t)  # the gap then measures the prox step, not the pin jump
             new = client_local_step(cs, step_hp, t)
-            rec = _record(t, hp, cs.loss, cs.layout, cs.test, new.x, new.centers, cs.x,
-                          cs.centers, new.w_local, step_hp.lambda_p, f0[pos], limits[pos], cs.id)
-            if federated:
-                rec.w_drift = float(np.sum((new.w_local - server.w_global) ** 2))
-            elif _at_cadence(hp, t):
-                rec.kappa_round = 0.0
-            histories[pos].append(rec)
+            ev = eval_F_i_grouped(cs.loss, new.x, new.centers, cs.layout, new.w_local,
+                                  hp.quant_cfg, hp.lam(t), step_hp.lambda_p)
+            _check_objective(f"client {cs.id}", t, ev.total, f0[pos], limits[pos], new.x)
+            acc = evaluate_accuracy(cs.loss, new.x, cs.test) \
+                if cs.test is not None and at_cadence else None
+            histories[pos].append(RoundMetrics(
+                step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=ev.prox_penalty,
+                total=ev.total, quant_error=ev.quant_error, test_acc=acc,
+                stationarity_gap=stationarity_gap(cs.x, new.x, cs.centers, new.centers, hp),
+                w_drift=float(np.sum((new.w_local - w_global) ** 2)) if federated else 0.0,
+                kappa_round=0.0 if at_cadence and not federated else None,  # federated: below
+            ))
             clients[pos] = new
 
         if federated:
@@ -199,8 +226,8 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
             w_stack = np.stack([c.w_local for c in clients])
             w_mean = w_stack.mean(axis=0)
             record["consensus_drift"] = float(np.mean(np.sum((w_stack - w_mean) ** 2, axis=1)))
-            if _at_cadence(hp, t):
-                div = estimate_diversity(clients, server, hp.lambda_p)
+            if at_cadence:
+                div = estimate_diversity(clients, w_global, hp.lambda_p)
                 record["kappa"] = div.kappa
                 for pos, hist in enumerate(histories):
                     hist[-1].kappa_round = float(div.kappa_i[pos])
@@ -215,7 +242,7 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
                               x_hard=hard_quantize_grouped(cs.x, cs.centers, cs.layout),
                               history=hist) for cs, hist in zip(clients, histories)]
     return QupelResult(per_client=per_client, global_history=global_history,
-                       server=server, clients=clients)
+                       w_global=w_global)
 
 
 def run_qupel(clients: list[ClientState], hp: HyperParams) -> QupelResult:
@@ -251,13 +278,12 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.id)
-    server = ServerState(w_global=clients[0].w_local.copy())
     history: list[RoundMetrics] = []
     for t in range(hp.steps):
         if t % hp.tau == 0:
-            clients, server = sync_round(clients, server)
+            clients, w_global = sync_round(clients)
             if t == 0:
-                f0 = float(np.mean([cs.loss.value(server.w_global) for cs in clients]))
+                f0 = float(np.mean([cs.loss.value(w_global) for cs in clients]))
                 limit = _divergence_limit(hp, f0, "fedavg")
         for cs in clients:  # the copies sync_round made at t = 0, so updated in place
             grad = _grad_step_loss(cs.loss, hp, cs.data_rng).gradient(cs.w_local)

@@ -8,6 +8,7 @@ import pytest
 from qupel import cli
 from qupel.cli import main
 from qupel.data import partition_noniid
+from qupel.rng import Rng
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -133,6 +134,40 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: dataset.train: line 4:")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def csv_clusters(path, labels, per_label, seed):
+        """Separable 2-D clusters at (-2, 0), (0, 2) and (2, 0) for labels 3, 7 and 9."""
+        means = {3: (-2.0, 0.0), 7: (0.0, 2.0), 9: (2.0, 0.0)}
+        rng = Rng(seed)
+        rows = [f"{float(v0)!r},{float(v1)!r},{lab}" for lab in labels
+                for v0, v1 in [np.add(means[lab], 0.3 * rng.normal(2)) for _ in range(per_label)]]
+        path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        return str(path)
+
+    def csv_cfg(self, tmp_path, test_labels):
+        return {"mode": "centralized", "seed": 1, "out_dir": str(tmp_path / "out"),
+                "model": {"kind": "mlp", "hidden": 8},
+                "dataset": {"kind": "csv",
+                            "train": self.csv_clusters(tmp_path / "train.csv", (3, 7, 9), 40, 5),
+                            "test": self.csv_clusters(tmp_path / "test.csv", test_labels, 10, 6)},
+                "hyper": {"eta1": 0.3, "eta2": 0.0, "steps": 200}}
+
+    def test_csv_test_labels_take_the_train_ids(self, tmp_path, capsys):
+        # a test file without label 7 once scored its label 9 as train's 7 (accuracy 0.5)
+        cfg = write_cfg(tmp_path, "c.json", self.csv_cfg(tmp_path, (3, 9)))
+        assert main(["run", "--config", cfg]) == 0
+        assert float(read_summary(str(tmp_path / "out"))[0]["acc_quantized"]) == 1.0
+
+    def test_csv_test_label_missing_from_train_exits_2(self, tmp_path, capsys):
+        cfg_dict = self.csv_cfg(tmp_path, (3, 9))
+        text = (tmp_path / "test.csv").read_text()
+        (tmp_path / "test.csv").write_text(text.replace(",9\n", ",8\n"))
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid config: dataset.test: label 8 does not occur in " \
+                      "dataset.train\n"
         assert not (tmp_path / "out").exists()
 
     def test_qupel_lambda0_matches_local(self, tmp_path, capsys):
@@ -310,6 +345,31 @@ class TestRerunSameOutDir:
         assert main(["run", "--config", write_cfg(tmp_path, "b.json", cfg_dict)]) == 3
         assert not (tmp_path / "out" / "metrics.jsonl").exists()
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unusable_out_dir_exits_2_before_training(tmp_path, capsys, monkeypatch, command):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_mode", no_training)
+    (tmp_path / "file").write_text("")
+    make_cfg = compare_cfg if command == "compare" else \
+        (lambda out: federated_cfg("qupel", out, steps=3))
+    cfg = write_cfg(tmp_path, "c.json", make_cfg(str(tmp_path / "out")))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "file" / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: out_dir: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_diverged_compare_leaves_an_empty_directory(tmp_path, capsys):
+    cfg_dict = compare_cfg(str(tmp_path / "out"))
+    cfg_dict["hyper"]["eta1"] = 1e100
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "comparison.csv").write_text("stale\n")
+    assert main(["compare", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 3
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def compare_cfg(out_dir):

@@ -14,7 +14,6 @@ from qupel.centralized import (
 )
 from qupel.federated import (
     ClientState,
-    ServerState,
     client_local_step,
     estimate_diversity,
     run_fedavg,
@@ -113,25 +112,25 @@ class TestSyncRound:
         c2 = make_client(1)
         c1.w_local = np.array([1.0, 0.0, 0.0, 0.0])
         c2.w_local = np.array([0.0, 1.0, 0.0, 0.0])
-        clients, server = sync_round([c1, c2], ServerState(w_global=np.zeros(4)))
-        np.testing.assert_array_equal(server.w_global, [0.5, 0.5, 0.0, 0.0])
+        clients, w_global = sync_round([c1, c2])
+        np.testing.assert_array_equal(w_global, [0.5, 0.5, 0.0, 0.0])
         for c in clients:
-            np.testing.assert_array_equal(c.w_local, server.w_global)
+            np.testing.assert_array_equal(c.w_local, w_global)
 
     def test_equal_inputs_unchanged(self):
         c1, c2 = make_client(0), make_client(1)
         w = np.array([0.2, -0.1, 0.4, 0.0])
         c1.w_local = w.copy()
         c2.w_local = w.copy()
-        clients, server = sync_round([c1, c2], ServerState(w_global=np.zeros(4)))
-        np.testing.assert_array_equal(server.w_global, w)
+        clients, w_global = sync_round([c1, c2])
+        np.testing.assert_array_equal(w_global, w)
 
     def test_dimension_mismatch(self):
         c1 = make_client(0, d=4)
         c2 = make_client(1, d=4)
         c2.w_local = np.zeros(5)
         with pytest.raises(ValueError):
-            sync_round([c1, c2], ServerState(w_global=np.zeros(4)))
+            sync_round([c1, c2])
 
 
 class TestRunQupel:
@@ -195,7 +194,24 @@ class TestRunQupel:
         clients = [make_client(i) for i in range(3)]
         hp = self.qupel_hp(lambda_p=1.0, eta3=0.5)
         fed = run_qupel(clients, hp)
-        assert not np.array_equal(fed.server.w_global, clients[0].w_local)
+        assert not np.array_equal(fed.w_global, clients[0].w_local)
+
+    def test_w_global_is_the_mean_of_the_last_sync(self, monkeypatch):
+        synced = []
+
+        def recording_sync(clients):
+            synced.append([c.w_local.copy() for c in sorted(clients, key=lambda c: c.id)])
+            return sync_round(clients)
+
+        monkeypatch.setattr(federated, "sync_round", recording_sync)
+        clients = [make_client(i) for i in (2, 0, 1)]
+        fed = run_qupel(clients, self.qupel_hp(lambda_p=1.0, eta3=0.5, steps=12, tau=5))
+        assert len(synced) == 3  # steps 0, 5 and 10
+        np.testing.assert_array_equal(fed.w_global, np.mean(np.stack(synced[-1]), axis=0))
+
+    def test_w_global_is_none_without_the_server(self):
+        hp = self.qupel_hp(steps=3)
+        assert federated._train([make_client(0)], hp, federated=False).w_global is None
 
     def test_nonfinite_start_refused_naming_the_client(self, monkeypatch):
         steps = []
@@ -314,8 +330,7 @@ class TestEstimateDiversity:
         x = np.full(4, 0.3)
         for c in clients:
             c.x = x.copy()
-        server = ServerState(w_global=np.zeros(4))
-        div = estimate_diversity(clients, server, lambda_p=1.5)
+        div = estimate_diversity(clients, np.zeros(4), lambda_p=1.5)
         assert np.array_equal(div.kappa_i, np.zeros(3))
         assert div.kappa == 0.0
 
@@ -324,15 +339,14 @@ class TestEstimateDiversity:
                          w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
         c2 = ClientState(id=1, x=np.array([-1.0]), centers=centers(0.0),
                          w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
-        div = estimate_diversity([c1, c2], ServerState(w_global=np.zeros(1)), lambda_p=1.0)
+        div = estimate_diversity([c1, c2], np.zeros(1), lambda_p=1.0)
         np.testing.assert_allclose(div.kappa_i, [1.0, 1.0], atol=1e-15)
         assert div.kappa == pytest.approx(1.0, abs=1e-15)
 
     def test_scales_quadratically_in_lambda_p(self):
         clients = [make_client(i) for i in range(3)]
-        server = ServerState(w_global=np.zeros(4))
-        d1 = estimate_diversity(clients, server, lambda_p=1.0)
-        d2 = estimate_diversity(clients, server, lambda_p=3.0)
+        d1 = estimate_diversity(clients, np.zeros(4), lambda_p=1.0)
+        d2 = estimate_diversity(clients, np.zeros(4), lambda_p=3.0)
         assert d2.kappa == pytest.approx(9.0 * d1.kappa, rel=1e-12)
 
 
@@ -360,11 +374,9 @@ class TestPerClientSufficientDecrease:
                                  cfg=hard_cfg(), lambda_p=lam_p)
         hp = HyperParams(eta1=e1, eta2=e2, steps=120, tau=tau, eta3=0.2, lambda_p=lam_p,
                          quant_cfg=hard_cfg(), lambda_schedule=LambdaSchedule.constant(lam))
-        from qupel.federated import sync_round, ServerState
-        server = ServerState(w_global=clients[0].w_local.copy())
         for t in range(hp.steps):
             if t % tau == 0:
-                clients, server = sync_round(clients, server)
+                clients, _ = sync_round(clients)
             w_mean = np.mean(np.stack([c.w_local for c in clients]), axis=0)
             new_clients = []
             for cs in clients:
