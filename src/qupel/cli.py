@@ -3,8 +3,9 @@
 Runs are driven by a JSON config (experiments carry too many knobs for
 flags); the command line only selects the config path, output directory and
 log level. Every run writes a manifest that fully reconstructs it: re-running
-the manifest reproduces the metrics bitwise. The environment variable
-``QUPEL_SEED`` overrides the config seed.
+the manifest reproduces the metrics bitwise. A key that the command's reader
+does not ask for is refused, so a misspelt key cannot leave its field at the
+default unnoticed.
 
 ``_population`` is the one reader of a federated config's clients, for ``run``
 and, once per seed, ``read_compare_config``; both commands then call ``run_mode``.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -53,6 +55,7 @@ from .quantizer import QuantConfig
 from .rng import Rng
 
 MODES = ("centralized", "qupel", "fedavg", "local")
+_asked: set[tuple[str, ...]] = set()  # every path ``_get`` was asked for since a reader began
 
 
 class ConfigError(Exception):
@@ -105,6 +108,7 @@ def _step_value(pair):
 
 
 _flag = _checked(lambda v: v, "true or false", lambda v: isinstance(v, bool))
+_string = _checked(lambda v: v, "string", lambda v: isinstance(v, str))
 _pos_int = _checked(_integer, "integer >= 1", lambda v: v >= 1)
 _nonneg_int = _checked(_integer, "integer >= 0", lambda v: v >= 0)
 _finite = _checked(_number, "finite number", math.isfinite)
@@ -114,6 +118,7 @@ _pairs = _checked(_list_of(_checked(_step_value, "[integer step, finite value >=
                   "list of [integer step, finite value >= 0] with increasing steps",
                   lambda pairs: all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])))
 _points = _checked(_pairs, f"{_pairs.__name__}, from step 0", lambda p: p and p[0][0] == 0)
+_decay = _checked(lambda v: tuple(_pairs(v)) or None, _pairs.__name__)  # [] sets no decay
 _compare_mode = _checked(str, "qupel|local|fedavg", lambda v: v in ("qupel", "local", "fedavg"))
 
 
@@ -121,6 +126,7 @@ def _get(cfg: dict, path: str, required: bool = False, default=None, conv=None):
     """The value at dotted ``path`` (null counts as absent), passed through ``conv`` if given."""
     node = cfg
     parts = path.split(".")
+    _asked.add(tuple(parts))
     for i, part in enumerate(parts):
         if not isinstance(node, dict):
             raise ConfigError(".".join(parts[:i]) or "config", f"expected an object, got {node!r}")
@@ -135,6 +141,28 @@ def _get(cfg: dict, path: str, required: bool = False, default=None, conv=None):
         return conv(node)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"expected {conv.__name__}, got {node!r}") from None
+
+
+def _leaves(node: dict, prefix=()):
+    """The path of every non-null, non-object value under ``node``."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        elif value is not None:
+            yield prefix + (key,)
+
+
+def _reader(read):
+    """Wrap a config reader so that a key it never asked for is refused after it has read."""
+    @functools.wraps(read)
+    def checked(cfg: dict):
+        _asked.clear()
+        result = read(cfg)
+        for path in _leaves(cfg):
+            if path not in _asked:
+                raise ConfigError(".".join(path), "unknown key for this command and mode")
+        return result
+    return checked
 
 
 def _refuse(cfg: dict, fields, why: str) -> None:
@@ -161,44 +189,30 @@ def _lambda_schedule(cfg: dict) -> LambdaSchedule:
     raise ConfigError("hyper.lambda.kind", f"unknown schedule kind {kind!r}")
 
 
+# the ``HyperParams`` field behind each ``hyper`` key; an unset key keeps the field's default
+_HYPER_FIELDS = {"eta1": _pos, "eta2": _nonneg, "steps": _nonneg_int, "eta3": _nonneg,
+                 "lambda_p": _nonneg, "tau": _pos_int, "fine_tune_start": _nonneg_int,
+                 "eta2_decay": _decay, "divergence_factor": _pos, "metrics_every": _pos_int,
+                 "batch_size": _pos_int, "flip_w_update_sign": _flag,
+                 "checkpoint_every": _pos_int}
+
+
 def build_hyper(cfg: dict) -> HyperParams:
     try:
         qcfg = QuantConfig(sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=_pos),
                            hard_limit=_get(cfg, "quantization.hard_limit", default=True, conv=_flag))
-        return HyperParams(
-            eta1=_get(cfg, "hyper.eta1", required=True, conv=_pos),
-            eta2=_get(cfg, "hyper.eta2", required=True, conv=_nonneg),
-            steps=_get(cfg, "hyper.steps", required=True, conv=_nonneg_int),
-            eta3=_get(cfg, "hyper.eta3", default=0.0, conv=_nonneg),
-            lambda_schedule=_lambda_schedule(cfg),
-            lambda_p=_get(cfg, "hyper.lambda_p", default=0.0, conv=_nonneg),
-            tau=_get(cfg, "hyper.tau", default=1, conv=_pos_int),
-            fine_tune_start=_get(cfg, "hyper.fine_tune_start", conv=_nonneg_int),
-            quant_cfg=qcfg,
-            eta2_decay=tuple(_get(cfg, "hyper.eta2_decay", default=[], conv=_pairs)) or None,
-            divergence_factor=_get(cfg, "hyper.divergence_factor", default=1e6, conv=_pos),
-            metrics_every=_get(cfg, "hyper.metrics_every", default=1, conv=_pos_int),
-            batch_size=_get(cfg, "hyper.batch_size", conv=_pos_int),
-            flip_w_update_sign=_get(cfg, "hyper.flip_w_update_sign", default=False, conv=_flag),
-            checkpoint_every=_get(cfg, "hyper.checkpoint_every", conv=_pos_int),
-        )
+        fields = {name: _get(cfg, f"hyper.{name}", conv=conv,
+                             required=name in ("eta1", "eta2", "steps"))
+                  for name, conv in _HYPER_FIELDS.items()}
+        return HyperParams(lambda_schedule=_lambda_schedule(cfg), quant_cfg=qcfg,
+                           **{name: v for name, v in fields.items() if v is not None})
     except ValueError as exc:
         raise ConfigError("hyper", str(exc)) from exc
 
 
-def _effective_seed(cfg: dict) -> int:
-    env = os.environ.get("QUPEL_SEED")  # the environment wins over the config
-    if env is None:
-        return _get(cfg, "seed", default=0, conv=_nonneg_int)
-    try:
-        return _nonneg_int(int(env))
-    except ValueError:
-        raise ConfigError("QUPEL_SEED", f"not an integer >= 0: {env!r}") from None
-
-
 def _read_csv(cfg: dict, field: str):
     try:
-        return load_csv(_get(cfg, field, required=True, conv=str))
+        return load_csv(_get(cfg, field, required=True, conv=_string))
     except (OSError, ValueError) as exc:  # a missing file or a malformed row
         raise ConfigError(field, str(exc)) from None
 
@@ -218,6 +232,9 @@ def _build_task(cfg: dict, seed: int, default_kind=None) -> BlobTask:
             seed=_get(cfg, "dataset.seed", default=seed, conv=_nonneg_int))
     if kind == "csv":  # the test labels take the train file's ids
         train, test = (_read_csv(cfg, f"dataset.{f}") for f in ("train", "test"))
+        if test.features.shape[1] != train.features.shape[1]:
+            raise ConfigError("dataset.test", f"expected {train.features.shape[1]} feature "
+                              f"columns as in dataset.train, got {test.features.shape[1]}")
         ids = {v: i for i, v in enumerate(train.label_values)}
         missing = [v for v in test.label_values if v not in ids]
         if missing:
@@ -240,11 +257,10 @@ def _client_spec(cfg: dict, n_clients: int, n_classes: int | None = None,
     if kind == "logistic" and n_classes != 2:
         raise ConfigError("model.kind", f"logistic clients need 2 classes, got {n_classes}")
     m_list = _get(cfg, "quantization.m_list", conv=_list_of(_pos_int))
-    case = _get(cfg, "quantization.case", conv=str)
-    if m_list is not None:
+    if m_list is not None:  # beside m_list, case and m are not read, so they are refused
         if len(m_list) != n_clients:
             raise ConfigError("quantization.m_list", f"need {n_clients} entries")
-    elif case is not None:
+    elif (case := _get(cfg, "quantization.case", conv=_string)) is not None:
         try:
             m_list = mixed_precision_m(case, n_clients)
         except ValueError as exc:
@@ -330,10 +346,10 @@ def _config_command(body):
     return command
 
 
-def _out_dir(cfg: dict, out_override, default: str, outputs) -> Path:
+def _out_dir(out_dir: str, outputs) -> Path:
     """The output directory, created, with the ``outputs`` an earlier run left there deleted;
     a directory that cannot be made or cleared is refused as ``out_dir``."""
-    out_dir = Path(out_override or _get(cfg, "out_dir", default=default, conv=str))
+    out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in outputs:  # a diverged rerun must leave no stale outputs
@@ -358,8 +374,9 @@ def _population(cfg: dict, seed: int, default_kind=None):
     return partition, lambda: build_clients(task, partition, seed=part_seed, **spec)
 
 
+@_reader
 def read_run_config(cfg: dict):
-    """``(mode, seed, hp, train)`` of a checked ``run`` config; nothing has run yet.
+    """``(mode, seed, hp, out_dir, train)`` of a checked ``run`` config; nothing has run yet.
 
     ``train(out_dir)`` runs the mode, writes its partition or checkpoint to
     ``out_dir`` if it has one, and returns the summary rows and metrics records.
@@ -367,10 +384,13 @@ def read_run_config(cfg: dict):
     mode = _get(cfg, "mode", required=True)
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}")
-    seed = _effective_seed(cfg)
+    if "QUPEL_SEED" in os.environ:  # the manifest's config must hold the run's one seed
+        raise ConfigError("QUPEL_SEED", "the seed is read only from the config; unset it")
+    seed = _get(cfg, "seed", default=0, conv=_nonneg_int)
+    out_dir = _get(cfg, "out_dir", default=f"runs/{mode}", conv=_string)
     hp = build_hyper(cfg)
     if mode == "centralized":
-        return mode, seed, hp, _centralized_train(cfg, seed, hp)
+        return mode, seed, hp, out_dir, _centralized_train(cfg, seed, hp)
     _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
     partition, new_clients = _population(cfg, seed)
     clients = new_clients()
@@ -378,13 +398,13 @@ def read_run_config(cfg: dict):
     def train(out_dir: Path):
         export_partition_json(partition, out_dir / "partition.json")
         return run_mode(mode, clients, hp)
-    return mode, seed, hp, train
+    return mode, seed, hp, out_dir, train
 
 
 @_config_command
 def cmd_run(cfg: dict, out_override) -> int:
-    mode, seed, hp, train = read_run_config(cfg)
-    out_dir = _out_dir(cfg, out_override, f"runs/{mode}",
+    mode, seed, hp, out_dir, train = read_run_config(cfg)
+    out_dir = _out_dir(out_override or out_dir,
                        ("metrics.jsonl", "summary.csv", "partition.json", "checkpoint.json"))
     write_atomic(out_dir / "manifest.json", [json.dumps(
         {"package_version": __version__, "seed": seed, "hyperparams_hash": hp.config_hash(),
@@ -419,15 +439,14 @@ def cmd_gradcheck(tol: float = 1e-5, instances: int = 1000, seed: int = 20240,
     return 0 if (grad.passed and prox.passed) else 1
 
 
+@_reader
 def read_compare_config(cfg: dict):
-    """``(modes, hp, [(seed, new_clients)])`` of a checked ``compare`` config: each seed's
-    dataset and partition are drawn once, and checked, before any mode trains."""
+    """``(modes, hp, out_dir, [(seed, new_clients)])`` of a checked ``compare`` config: each
+    seed's dataset and partition are drawn once, and checked, before any mode trains."""
     modes = _get(cfg, "modes", default=[], conv=_list_of(_compare_mode))
     if not modes:
         raise ConfigError("modes", "must list at least one mode")
-    seeds = _get(cfg, "seeds", conv=_list_of(_nonneg_int))
-    if seeds is None:
-        seeds = list(range(1, _get(cfg, "num_seeds", default=3, conv=_pos_int) + 1))
+    seeds = _get(cfg, "seeds", default=[1, 2, 3], conv=_list_of(_nonneg_int))
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds", "must list at least one seed, and no seed twice")
     _refuse(cfg, ("dataset.seed", "partition.seed"),
@@ -435,15 +454,16 @@ def read_compare_config(cfg: dict):
     _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
     if _get(cfg, "dataset.kind", default="blobs") != "blobs":
         raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
+    out_dir = _get(cfg, "out_dir", default="runs/compare", conv=_string)
     hp = build_hyper(cfg)
-    return modes, hp, [(s, _population(cfg, s, default_kind="blobs")[1]) for s in seeds]
+    return modes, hp, out_dir, [(s, _population(cfg, s, default_kind="blobs")[1]) for s in seeds]
 
 
 @_config_command
 def cmd_compare(cfg: dict, out_override) -> int:
     """Run several protocols on the dataset and partition drawn from each seed."""
-    modes, hp, populations = read_compare_config(cfg)
-    out_dir = _out_dir(cfg, out_override, "runs/compare", ("comparison.csv",))
+    modes, hp, out_dir, populations = read_compare_config(cfg)
+    out_dir = _out_dir(out_override or out_dir, ("comparison.csv",))
     records, by_seed = [], {}
     for seed, new_clients in populations:
         for mode in modes:

@@ -170,6 +170,25 @@ class TestRunCommand:
                       "dataset.train\n"
         assert not (tmp_path / "out").exists()
 
+    def test_csv_test_feature_count_must_match_train(self, tmp_path, capsys):
+        # a 1-feature test file once trained, then ended in a matmul traceback and exit 1
+        cfg_dict = self.csv_cfg(tmp_path, (3, 9))
+        (tmp_path / "test.csv").write_text("f0,label\n-2.0,3\n2.0,9\n")
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid config: dataset.test: expected 2 feature columns as in " \
+                      "dataset.train, got 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["train", "test"])
+    def test_csv_path_must_be_a_string(self, tmp_path, capsys, field):
+        cfg_dict = self.csv_cfg(tmp_path, (3, 9))
+        cfg_dict["dataset"][field] = [cfg_dict["dataset"][field]]
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid config: dataset.{field}: expected string, got [")
+        assert not (tmp_path / "out").exists()
+
     def test_qupel_lambda0_matches_local(self, tmp_path, capsys):
         q = write_cfg(tmp_path, "q.json", federated_cfg("qupel", str(tmp_path / "q"), lambda_p=0.0))
         l = write_cfg(tmp_path, "l.json", federated_cfg("local", str(tmp_path / "l")))
@@ -192,17 +211,13 @@ class TestRunCommand:
         b = (tmp_path / "b" / "metrics.jsonl").read_bytes()
         assert a == b
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        cfg_dict = federated_cfg("local", str(tmp_path / "a"))
-        cfg = write_cfg(tmp_path, "c.json", cfg_dict)
-        assert main(["run", "--config", cfg]) == 0
+    def test_seed_in_environment_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the seed once came from QUPEL_SEED, so the manifest's config did not reproduce the run
         monkeypatch.setenv("QUPEL_SEED", "99")
-        cfg_dict["out_dir"] = str(tmp_path / "b")
-        cfg2 = write_cfg(tmp_path, "c2.json", cfg_dict)
-        assert main(["run", "--config", cfg2]) == 0
-        a = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        b = json.loads((tmp_path / "b" / "manifest.json").read_text())
-        assert a["seed"] == 3 and b["seed"] == 99
+        cfg = write_cfg(tmp_path, "c.json", federated_cfg("local", str(tmp_path / "out")))
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid config: QUPEL_SEED: ")
+        assert not (tmp_path / "out").exists()
 
     def test_fedavg_runs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "f.json", federated_cfg("fedavg", str(tmp_path / "f")))
@@ -474,6 +489,18 @@ INVALID_CONFIGS = [
     ("quadratic", lambda c: c["hyper"].update({"eta2": 1e300, "lambda": 1e10}), "hyper"),
     ("quadratic", lambda c: c["hyper"].update({"lambda": {"kind": "linear", "base": 1e308},
                                               "divergence_factor": 1e308}), "hyper"),
+    ("run", lambda c: c["hyper"].update(lamda_p=1.0), "hyper.lamda_p"),
+    ("run", lambda c: c["model"].update(targets=[0.1, 0.9]), "model.targets"),
+    ("centralized", lambda c: c.update(partition={"clients": 3}), "partition.clients"),
+    ("compare", lambda c: c.update(num_seeds=3), "num_seeds"),
+    ("compare", lambda c: c.update(seed=1), "seed"),
+    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "linear", "base": 1e-3, "value": 0.1}}),
+     "hyper.lambda.value"),
+    ("run", lambda c: c.update(quantization={"m_list": [4, 4, 4], "case": "2bits"}),
+     "quantization.case"),
+    ("run", lambda c: c.update(out_dir=True), "out_dir"),
+    ("compare", lambda c: c.update(out_dir=True), "out_dir"),
+    ("centralized", lambda c: c.update(out_dir=["out"]), "out_dir"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -492,7 +519,10 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "compare-checkpoint-every", "compare-seeds-repeated", "eta2-decay-unsorted",
         "eta2-decay-repeated", "lambda-points-unsorted", "lambda-points-repeated",
         "lambda-points-late-start", "lambda-points-missing", "lambda-points-empty",
-        "eta2-decay-overflow", "lambda-eta2-overflow", "lambda-ramp-overflow"]
+        "eta2-decay-overflow", "lambda-eta2-overflow", "lambda-ramp-overflow",
+        "misspelt-lambda-p", "qupel-model-targets", "centralized-partition",
+        "compare-num-seeds", "compare-seed", "lambda-value-beside-linear", "case-beside-m-list",
+        "out-dir-bool", "compare-out-dir-bool", "centralized-out-dir-list"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)
@@ -544,6 +574,13 @@ def test_compare_checker_refuses_every_invalid_compare_config(tmp_path, edit, fi
         cli.read_compare_config(cfg_dict)
     assert err.value.field == field
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_seeds_default_to_1_2_3(tmp_path):
+    cfg_dict = compare_cfg(str(tmp_path / "out"))
+    del cfg_dict["seeds"]
+    populations = cli.read_compare_config(cfg_dict)[3]
+    assert [seed for seed, _ in populations] == [1, 2, 3]
 
 
 def test_run_and_compare_agree(tmp_path, capsys):
