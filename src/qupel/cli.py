@@ -3,15 +3,15 @@
 Runs are driven by a JSON config (experiments carry too many knobs for
 flags); the command line only selects the config path, output directory and
 log level. Every run writes a manifest that fully reconstructs it: re-running
-the manifest reproduces the metrics bitwise. A key that the command's reader
-does not ask for is refused, so a misspelt key cannot leave its field at the
-default unnoticed.
+the manifest reproduces the metrics bitwise. Each reader asks only for the keys
+that its modes use (``compare``: the union of its modes) and refuses any other
+key, so neither a misspelt key nor one that the mode ignores passes unnoticed.
 
 ``_population`` is the one reader of a federated config's clients, for ``run``
 and, once per seed, ``read_compare_config``; both commands then call ``run_mode``.
 
-Exit codes: 0 success, 1 verification failure (gradcheck), 2 invalid
-config or unusable output directory, 3 divergence during training.
+Exit codes: 0 success, 1 verification failure (gradcheck), 2 invalid config,
+command-line flag or unusable output directory, 3 divergence during training.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .quantizer import QuantConfig
 from .rng import Rng
 
 MODES = ("centralized", "qupel", "fedavg", "local")
+_CENTERS = {"centralized", "local", "qupel"}  # the modes that train quantization centers
 _asked: set[tuple[str, ...]] = set()  # every path ``_get`` was asked for since a reader began
 
 
@@ -189,23 +190,28 @@ def _lambda_schedule(cfg: dict) -> LambdaSchedule:
     raise ConfigError("hyper.lambda.kind", f"unknown schedule kind {kind!r}")
 
 
-# the ``HyperParams`` field behind each ``hyper`` key; an unset key keeps the field's default
-_HYPER_FIELDS = {"eta1": _pos, "eta2": _nonneg, "steps": _nonneg_int, "eta3": _nonneg,
-                 "lambda_p": _nonneg, "tau": _pos_int, "fine_tune_start": _nonneg_int,
-                 "eta2_decay": _decay, "divergence_factor": _pos, "metrics_every": _pos_int,
-                 "batch_size": _pos_int, "flip_w_update_sign": _flag,
-                 "checkpoint_every": _pos_int}
+# each ``hyper`` key: its converter and the modes that read it; unset, it keeps the default
+_ALL, _QUPEL = set(MODES), {"qupel"}
+_HYPER_FIELDS = {"eta1": (_pos, _ALL), "eta2": (_nonneg, _CENTERS), "steps": (_nonneg_int, _ALL),
+                 "eta3": (_nonneg, _QUPEL), "lambda_p": (_nonneg, _QUPEL),
+                 "tau": (_pos_int, {"qupel", "fedavg"}), "fine_tune_start": (_nonneg_int, _CENTERS),
+                 "eta2_decay": (_decay, _CENTERS), "divergence_factor": (_pos, _ALL),
+                 "metrics_every": (_pos_int, _ALL), "batch_size": (_pos_int, _ALL),
+                 "flip_w_update_sign": (_flag, _QUPEL),
+                 "checkpoint_every": (_pos_int, {"centralized"})}
 
 
-def build_hyper(cfg: dict) -> HyperParams:
+def build_hyper(cfg: dict, modes: set) -> HyperParams:
+    """The ``HyperParams`` of the keys ``modes`` use; without centers (fedavg), eta2 is 0."""
     try:
-        qcfg = QuantConfig(sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=_pos),
-                           hard_limit=_get(cfg, "quantization.hard_limit", default=True, conv=_flag))
         fields = {name: _get(cfg, f"hyper.{name}", conv=conv,
                              required=name in ("eta1", "eta2", "steps"))
-                  for name, conv in _HYPER_FIELDS.items()}
-        return HyperParams(lambda_schedule=_lambda_schedule(cfg), quant_cfg=qcfg,
-                           **{name: v for name, v in fields.items() if v is not None})
+                  for name, (conv, users) in _HYPER_FIELDS.items() if modes & users}
+        if modes & _CENTERS:
+            fields.update(lambda_schedule=_lambda_schedule(cfg), quant_cfg=QuantConfig(
+                sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=_pos),
+                hard_limit=_get(cfg, "quantization.hard_limit", default=True, conv=_flag)))
+        return HyperParams(**{"eta2": 0.0, **{n: v for n, v in fields.items() if v is not None}})
     except ValueError as exc:
         raise ConfigError("hyper", str(exc)) from exc
 
@@ -245,43 +251,45 @@ def _build_task(cfg: dict, seed: int, default_kind=None) -> BlobTask:
     raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
 
 
-def _client_spec(cfg: dict, n_clients: int, n_classes: int | None = None,
-                 kinds=("mlp", "logistic"), default_kind="mlp") -> dict:
-    """The model and quantization fields as ``build_clients`` keyword arguments.
-
-    ``model.kind`` is one of ``kinds``, and required if ``default_kind`` is None.
-    """
-    kind = _get(cfg, "model.kind", required=default_kind is None, default=default_kind)
+def _client_spec(cfg: dict, n_clients: int, modes: set, n_classes: int | None = None) -> dict:
+    """The model and quantization fields that ``modes`` use, as ``build_clients`` keyword
+    arguments; an unread field is left out. Without centers (fedavg alone), each client
+    gets one center per group."""
+    centralized, centers = "centralized" in modes, bool(modes & _CENTERS)
+    kinds = ("quadratic", "mlp") if centralized else ("mlp", "logistic")
+    kind = _get(cfg, "model.kind", required=centralized, default="mlp")
     if kind not in kinds:
         raise ConfigError("model.kind", f"this mode supports {'|'.join(kinds)}, got {kind!r}")
     if kind == "logistic" and n_classes != 2:
         raise ConfigError("model.kind", f"logistic clients need 2 classes, got {n_classes}")
-    m_list = _get(cfg, "quantization.m_list", conv=_list_of(_pos_int))
+    per_client = centers and not centralized  # only federated clients differ in precision
+    m_list = _get(cfg, "quantization.m_list", conv=_list_of(_pos_int)) if per_client else None
     if m_list is not None:  # beside m_list, case and m are not read, so they are refused
         if len(m_list) != n_clients:
             raise ConfigError("quantization.m_list", f"need {n_clients} entries")
-    elif (case := _get(cfg, "quantization.case", conv=_string)) is not None:
+    elif per_client and (case := _get(cfg, "quantization.case", conv=_string)) is not None:
         try:
             m_list = mixed_precision_m(case, n_clients)
         except ValueError as exc:
             raise ConfigError("quantization.case", str(exc)) from None
     else:
-        m_list = [_get(cfg, "quantization.m", default=4, conv=_pos_int)] * n_clients
-    return dict(
-        m_list=m_list,
-        model=kind,
-        hidden=_get(cfg, "model.hidden", default=12, conv=_pos_int),
-        l2=_get(cfg, "model.l2", default=0.0, conv=_nonneg),
-        c_max=_get(cfg, "quantization.c_max", default=3.0, conv=_pos),
-        exempt_first_last=_get(cfg, "quantization.exempt_first_last", default=False, conv=_flag),
-    )
+        m = _get(cfg, "quantization.m", default=4, conv=_pos_int) if centers else 1
+        m_list = [m] * n_clients
+    spec, mlp = dict(m_list=m_list, model=kind), kind == "mlp"
+    if mlp:
+        spec["hidden"] = _get(cfg, "model.hidden", default=12, conv=_pos_int)
+    if kind != "quadratic":
+        spec["l2"] = _get(cfg, "model.l2", default=0.0, conv=_nonneg)
+    if centers:
+        spec.update(c_max=_get(cfg, "quantization.c_max", default=3.0, conv=_pos),
+                    exempt_first_last=mlp and _get(cfg, "quantization.exempt_first_last",
+                                                   default=False, conv=_flag))
+    return spec
 
 
 def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
     """``train(out_dir)`` of a centralized run: one model, initialised from ``Rng(seed)``."""
-    _refuse(cfg, ("quantization.m_list", "quantization.case"),
-            "centralized mode trains one model; set quantization.m")
-    spec = _client_spec(cfg, 1, kinds=("quadratic", "mlp"), default_kind=None)
+    spec = _client_spec(cfg, 1, {"centralized"})
     if spec["model"] == "quadratic":
         targets = _get(cfg, "model.targets", required=True,
                        conv=_checked(_list_of(_finite), "nonempty list of finite number", len))
@@ -359,9 +367,9 @@ def _out_dir(out_dir: str, outputs) -> Path:
     return out_dir
 
 
-def _population(cfg: dict, seed: int, default_kind=None):
-    """``(partition, new_clients)`` of a federated config under ``seed``: the dataset and
-    partition are drawn once, and each ``new_clients()`` builds fresh clients on them."""
+def _population(cfg: dict, seed: int, modes: set, default_kind=None):
+    """``(partition, new_clients)`` of a federated config under ``seed`` for ``modes``: the
+    dataset and partition are drawn once, and each ``new_clients()`` builds fresh clients."""
     task = _build_task(cfg, seed, default_kind)
     part_seed = _get(cfg, "partition.seed", default=seed, conv=_nonneg_int)
     n, k = (_get(cfg, f"partition.{f}", required=True, conv=_pos_int)
@@ -370,7 +378,7 @@ def _population(cfg: dict, seed: int, default_kind=None):
         partition = partition_noniid(task.train, n, k, part_seed)
     except PartitionError as exc:
         raise ConfigError("partition", str(exc)) from None
-    spec = _client_spec(cfg, partition.n_clients, task.n_classes)
+    spec = _client_spec(cfg, partition.n_clients, modes, task.n_classes)
     return partition, lambda: build_clients(task, partition, seed=part_seed, **spec)
 
 
@@ -388,11 +396,10 @@ def read_run_config(cfg: dict):
         raise ConfigError("QUPEL_SEED", "the seed is read only from the config; unset it")
     seed = _get(cfg, "seed", default=0, conv=_nonneg_int)
     out_dir = _get(cfg, "out_dir", default=f"runs/{mode}", conv=_string)
-    hp = build_hyper(cfg)
+    hp = build_hyper(cfg, {mode})
     if mode == "centralized":
         return mode, seed, hp, out_dir, _centralized_train(cfg, seed, hp)
-    _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
-    partition, new_clients = _population(cfg, seed)
+    partition, new_clients = _population(cfg, seed, {mode})
     clients = new_clients()
 
     def train(out_dir: Path):
@@ -451,12 +458,11 @@ def read_compare_config(cfg: dict):
         raise ConfigError("seeds", "must list at least one seed, and no seed twice")
     _refuse(cfg, ("dataset.seed", "partition.seed"),
             "compare draws the dataset and the partition from each entry of seeds")
-    _refuse(cfg, ("hyper.checkpoint_every",), "only a centralized run writes checkpoints")
     if _get(cfg, "dataset.kind", default="blobs") != "blobs":
         raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
     out_dir = _get(cfg, "out_dir", default="runs/compare", conv=_string)
-    hp = build_hyper(cfg)
-    return modes, hp, out_dir, [(s, _population(cfg, s, default_kind="blobs")[1]) for s in seeds]
+    hp = build_hyper(cfg, set(modes))
+    return modes, hp, out_dir, [(s, _population(cfg, s, set(modes), "blobs")[1]) for s in seeds]
 
 
 @_config_command
@@ -484,7 +490,8 @@ def cmd_compare(cfg: dict, out_override) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="qupel",
                                      description="quantized personalized FL simulator")
-    parser.add_argument("--log-level", default="WARNING")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, text in (("run", "execute one experiment from a JSON config"),
@@ -494,13 +501,15 @@ def main(argv=None) -> int:
         p_cfg.add_argument("--out", default=None)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference and prox oracle suites")
-    p_grad.add_argument("--tol", type=float, default=1e-5)
-    p_grad.add_argument("--instances", type=int, default=1000)
+    p_grad.add_argument("--tol", default=1e-5, type=_checked(
+        float, "finite number > 0", lambda v: 0.0 < v < math.inf))
+    p_grad.add_argument("--instances", default=1000, type=_checked(int, "integer >= 1",
+                                                                   lambda v: v >= 1))
     p_grad.add_argument("--inject-fault", action="store_true",
                         help=argparse.SUPPRESS)  # detector self-test
 
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
 
     if args.command == "gradcheck":
         return cmd_gradcheck(tol=args.tol, instances=args.instances,

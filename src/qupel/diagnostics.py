@@ -44,17 +44,17 @@ __all__ = [
 
 @dataclass
 class RoundMetrics:
-    """Per-step diagnostics recorded by the trainers."""
+    """Per-step diagnostics recorded by the trainers; None where the trainer computes none."""
 
     step: int
     f_x: float
-    f_q: float
-    reg: float
-    prox_penalty: float
+    f_q: float | None
+    reg: float | None
+    prox_penalty: float | None
     total: float
-    stationarity_gap: float
-    w_drift: float
-    quant_error: float
+    stationarity_gap: float | None
+    w_drift: float | None
+    quant_error: float | None
     test_acc: float | None = None
     kappa_round: float | None = None
 

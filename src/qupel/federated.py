@@ -297,9 +297,9 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
             accs = [evaluate_accuracy(cs.loss, w_mean, cs.test)
                     for cs in clients if cs.test is not None]
             acc = float(np.mean(accs)) if accs else None
-            history.append(RoundMetrics(
-                step=t, f_x=mean_loss, f_q=0.0, reg=0.0, prox_penalty=0.0,
-                total=mean_loss, stationarity_gap=0.0, w_drift=0.0, quant_error=0.0,
+            history.append(RoundMetrics(  # fedavg computes no quantized or coupled terms
+                step=t, f_x=mean_loss, f_q=None, reg=None, prox_penalty=None,
+                total=mean_loss, stationarity_gap=None, w_drift=None, quant_error=None,
                 test_acc=acc, kappa_round=None,
             ))
     w_final = _mean_w(clients)

@@ -300,8 +300,9 @@ class TestRunCentralized:
     def test_checkpoint_schema(self, tmp_path):
         loss, x0, c0 = clustered_quadratic(seed=2, m=2)
         path = tmp_path / "ckpt.json"
+        # lambda_p, which the centralized loop steps at 0, still enters the caller's hash
         hp = HyperParams(eta1=0.05, eta2=0.02, steps=20, quant_cfg=hard_cfg(),
-                         checkpoint_every=10)
+                         checkpoint_every=10, lambda_p=0.5)
         run_centralized(loss, x0, c0, hp, checkpoint_path=path)
         payload = json.loads(path.read_text())
         assert payload["step"] == 20

@@ -33,21 +33,25 @@ def quadratic_cfg(out_dir, steps=4000):
 
 
 def federated_cfg(mode, out_dir, lambda_p=0.0, steps=60):
-    hyper = {"eta1": 0.1, "eta2": 0.01, "steps": steps, "tau": 5,
-             "lambda": {"kind": "linear", "base": 1e-3, "cap": 0.05},
-             "metrics_every": 20}
-    if mode == "qupel":
-        hyper.update(eta3=0.3, lambda_p=lambda_p)
-    return {
+    """A ``run`` config of ``mode`` that sets only the keys the mode reads."""
+    hyper = {"eta1": 0.1, "steps": steps, "metrics_every": 20}
+    cfg = {
         "mode": mode,
         "seed": 3,
         "out_dir": out_dir,
         "model": {"kind": "mlp", "hidden": 6},
         "dataset": {"kind": "blobs", "classes": 4, "dim": 4, "per_class": 30, "spread": 0.5},
         "partition": {"clients": 3, "classes_per_client": 2},
-        "quantization": {"m": 4, "hard_limit": True, "c_max": 3.0},
         "hyper": hyper,
     }
+    if mode != "fedavg":  # the modes that train centers
+        hyper.update({"eta2": 0.01, "lambda": {"kind": "linear", "base": 1e-3, "cap": 0.05}})
+        cfg["quantization"] = {"m": 4, "hard_limit": True, "c_max": 3.0}
+    if mode != "local":
+        hyper.update(tau=5)
+    if mode == "qupel":
+        hyper.update(eta3=0.3, lambda_p=lambda_p)
+    return cfg
 
 
 def centralized_mlp_cfg(out_dir, steps=20):
@@ -239,7 +243,7 @@ class TestRunCommand:
 
     def test_centralized_checkpoint_hash_matches_manifest(self, tmp_path, capsys):
         cfg_dict = json.loads((CONFIG_DIR / "centralized_quadratic.json").read_text())
-        cfg_dict["hyper"].update(lambda_p=0.5, checkpoint_every=100)
+        cfg_dict["hyper"].update(checkpoint_every=100)
         cfg_dict["out_dir"] = str(tmp_path / "out")
         assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -303,6 +307,32 @@ class TestGradcheckCommand:
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--instances", "10", "--tol", "1e-12"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--instances=0"], ["--instances=-3"], ["--instances=2.5"], ["--tol=0"],
+        ["--tol=-1e-5"], ["--tol=nan"], ["--tol=inf"], ["--inject-fault", "--tol=inf"]])
+    def test_vacuous_setting_exits_2(self, capsys, flags):
+        # 0 or -3 instances, or tol=inf beside an injected fault, once printed ok and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flags[-1].split('=')[0]}: invalid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", ["debug", "Info", "WARNING", "error", "critical"])
+def test_log_level_takes_any_case(capsys, level):
+    assert main(["--log-level", level, "gradcheck", "--instances", "2"]) == 0
+
+
+@pytest.mark.parametrize("level", ["foo", "warn", "BASIC_FORMAT", "notset", ""])
+def test_unknown_log_level_exits_2(capsys, level):
+    # foo once ran silently at WARNING, and BASIC_FORMAT ended in a ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", level, "gradcheck", "--instances", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --log-level: invalid choice" in err and "Traceback" not in err
 
 
 class TestCompareCommand:
@@ -393,12 +423,28 @@ def compare_cfg(out_dir):
             **{k: base[k] for k in ("model", "dataset", "partition", "quantization", "hyper")}}
 
 
+def logistic_cfg(out_dir):
+    cfg = federated_cfg("qupel", out_dir, steps=5)
+    cfg["model"] = {"kind": "logistic"}
+    cfg["dataset"]["classes"] = 2
+    return cfg
+
+
 BASES = {  # base config name -> (command, config builder)
     "compare": ("compare", compare_cfg),
     "run": ("run", lambda out: federated_cfg("qupel", out, steps=5)),
+    "local": ("run", lambda out: federated_cfg("local", out, steps=5)),
+    "fedavg": ("run", lambda out: federated_cfg("fedavg", out, steps=5)),
+    "logistic": ("run", logistic_cfg),
     "centralized": ("run", centralized_mlp_cfg),
     "quadratic": ("run", lambda out: quadratic_cfg(out, steps=5)),
 }
+
+
+def compare_local_alone(cfg):
+    cfg["modes"] = ["local"]
+    for key in ("eta3", "lambda_p"):
+        del cfg["hyper"][key]
 
 
 def per_class_4(cfg):
@@ -501,6 +547,19 @@ INVALID_CONFIGS = [
     ("run", lambda c: c.update(out_dir=True), "out_dir"),
     ("compare", lambda c: c.update(out_dir=True), "out_dir"),
     ("centralized", lambda c: c.update(out_dir=["out"]), "out_dir"),
+    # a key that the mode does not use is refused, not ignored
+    ("local", lambda c: c["hyper"].update(tau=5), "hyper.tau"),
+    ("local", lambda c: c["hyper"].update(lambda_p=1.0), "hyper.lambda_p"),
+    ("centralized", lambda c: c["hyper"].update(lambda_p=0.5), "hyper.lambda_p"),
+    ("quadratic", lambda c: c["model"].update(hidden=99), "model.hidden"),
+    ("quadratic", lambda c: c["model"].update(l2=5.0), "model.l2"),
+    ("quadratic", lambda c: c["quantization"].update(exempt_first_last=True),
+     "quantization.exempt_first_last"),
+    ("logistic", lambda c: c["model"].update(hidden=6), "model.hidden"),
+    ("fedavg", lambda c: c["hyper"].update(eta2=0.0), "hyper.eta2"),
+    ("fedavg", lambda c: c["hyper"].update({"lambda": 0.05}), "hyper.lambda"),
+    ("fedavg", lambda c: c.update(quantization={"m": 4}), "quantization.m"),
+    ("compare", compare_local_alone, "hyper.tau"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -522,7 +581,10 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "eta2-decay-overflow", "lambda-eta2-overflow", "lambda-ramp-overflow",
         "misspelt-lambda-p", "qupel-model-targets", "centralized-partition",
         "compare-num-seeds", "compare-seed", "lambda-value-beside-linear", "case-beside-m-list",
-        "out-dir-bool", "compare-out-dir-bool", "centralized-out-dir-list"]
+        "out-dir-bool", "compare-out-dir-bool", "centralized-out-dir-list", "local-tau",
+        "local-lambda-p", "centralized-lambda-p", "quadratic-hidden", "quadratic-l2",
+        "quadratic-exempt", "logistic-hidden", "fedavg-eta2", "fedavg-lambda", "fedavg-m",
+        "compare-local-tau"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)
@@ -590,12 +652,33 @@ def test_run_and_compare_agree(tmp_path, capsys):
     assert main(["compare", "--config", write_cfg(tmp_path, "cmp.json", cfg_dict)]) == 0
     with open(tmp_path / "cmp" / "comparison.csv") as fh:
         compared = {r["mode"]: r["avg_test_acc"] for r in csv.DictReader(fh)}
+    unused = {"qupel": (), "local": ("tau", "eta3", "lambda_p"),  # run refuses these keys
+              "fedavg": ("eta2", "lambda", "fine_tune_start", "eta3", "lambda_p")}
     for mode in cfg_dict["modes"]:
         run_dict = {k: v for k, v in cfg_dict.items() if k not in ("modes", "seeds")}
-        run_dict.update(mode=mode, seed=cfg_dict["seeds"][0], out_dir=str(tmp_path / mode))
+        run_dict.update(mode=mode, seed=cfg_dict["seeds"][0], out_dir=str(tmp_path / mode),
+                        hyper={k: v for k, v in cfg_dict["hyper"].items()
+                               if k not in unused[mode]})
+        if mode == "fedavg":
+            del run_dict["quantization"]
         assert main(["run", "--config", write_cfg(tmp_path, f"{mode}.json", run_dict)]) == 0
         accs = [float(r["acc_quantized"]) for r in read_summary(str(tmp_path / mode))]
         assert f"{float(np.mean(accs)):.17g}" == compared[mode], mode
+
+
+def test_fedavg_alone_compares_as_beside_the_other_modes(tmp_path, capsys):
+    # fedavg alone reads no center keys, so its clients get one center per group
+    full = compare_cfg(str(tmp_path / "full"))
+    full.update(modes=["qupel", "local", "fedavg"], seeds=[1, 2])
+    alone = {k: v for k, v in full.items() if k != "quantization"}
+    alone.update(modes=["fedavg"], out_dir=str(tmp_path / "alone"),
+                 hyper={k: full["hyper"][k] for k in ("eta1", "steps", "tau", "metrics_every")})
+    tables = []
+    for name, cfg_dict in (("full", full), ("alone", alone)):
+        assert main(["compare", "--config", write_cfg(tmp_path, f"{name}.json", cfg_dict)]) == 0
+        with open(tmp_path / name / "comparison.csv") as fh:
+            tables.append([r for r in csv.DictReader(fh) if r["mode"] == "fedavg"])
+    assert len(tables[1]) == 2 and tables[0] == tables[1]
 
 
 def test_partition_drawn_once_per_run_and_per_compare_seed(tmp_path, capsys, monkeypatch):
