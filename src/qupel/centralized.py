@@ -61,63 +61,35 @@ class DivergenceError(RuntimeError):
     """Raised when the objective blows past the divergence threshold."""
 
 
-def _check_steps(points, name: str) -> None:
-    # _staircase keeps the last point whose step has passed, so the steps must increase
-    if any(a >= b for (a, _), (b, _) in zip(points, points[1:])):
-        raise ValueError(f"{name} steps must be strictly increasing")
-
-
-def _staircase(points, t: int, before: float) -> float:
-    """Value of the last ``(step, value)`` point with step <= t; ``before`` ahead of them all."""
-    out = before
-    for step, value in points:
-        if t >= step:
-            out = value
-    return out
-
-
-def _peak(points, last: int, before: float) -> float:
-    """Largest ``_staircase(points, t, before)`` over 0 <= t <= last; it moves only at a point."""
-    return max(_staircase(points, t, before) for t in (0, *(s for s, _ in points if s <= last)))
-
-
 @dataclass(frozen=True)
 class LambdaSchedule:
     """Regularization weight as a function of the step index:
-    ``lam(t) = min(base * t + staircase(points, t), cap)``.
+    ``lam(t) = min(base * t + value, cap)``, which never decreases.
 
-    ``points`` = ((step, value), ...) starts at step 0. The factories set one
-    part each: ``constant(v)`` is the point (0, v), ``linear(base, cap)`` a
-    capped ramp, ``piecewise(points)`` a staircase.
+    The factories set one part each: ``constant(v)`` is the level ``value``,
+    ``linear(base, cap)`` a capped ramp from 0 (the ProxQuant schedule).
     """
 
     base: float = 0.0
     cap: float = float("inf")
-    points: tuple[tuple[int, float], ...] = ((0, 0.0),)
+    value: float = 0.0
 
     def __post_init__(self):
-        if not all(0.0 <= v < np.inf for v in (self.base, *(v for _, v in self.points))):
+        if not all(0.0 <= v < np.inf for v in (self.base, self.value)):
             raise ValueError("lambda values must be finite and >= 0")
         if not self.cap >= 0.0:
             raise ValueError("lambda cap must be >= 0 or +inf")
-        if not self.points or self.points[0][0] != 0:
-            raise ValueError("lambda points must start at step 0")
-        _check_steps(self.points, "lambda schedule")
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSchedule":
-        return cls(points=((0, value),))
+        return cls(value=value)
 
     @classmethod
     def linear(cls, base: float, cap: float = float("inf")) -> "LambdaSchedule":
         return cls(base=base, cap=cap)
 
-    @classmethod
-    def piecewise(cls, points) -> "LambdaSchedule":
-        return cls(points=tuple((int(s), float(v)) for s, v in points))
-
     def lam(self, t: int) -> float:
-        return min(self.base * t + _staircase(self.points, t, 0.0), self.cap)
+        return min(self.base * t + self.value, self.cap)
 
 
 @dataclass(frozen=True)
@@ -126,8 +98,8 @@ class HyperParams:
 
     ``eta2 = 0`` freezes the centers (used by the frozen-center baseline);
     ``eta3`` and ``lambda_p`` only matter to the federated protocol.
-    ``fine_tune_start = None`` disables fine-tuning. ``eta2_decay`` is an
-    optional staircase of multiplicative factors ((step, factor), ...).
+    ``fine_tune_start = None`` disables fine-tuning. Since lambda(t) never
+    decreases, lambda(steps - 1) times each step size bounds every step.
     """
 
     eta1: float
@@ -139,7 +111,6 @@ class HyperParams:
     tau: int = 1
     fine_tune_start: int | None = None
     quant_cfg: QuantConfig = field(default_factory=lambda: QuantConfig(hard_limit=True))
-    eta2_decay: tuple[tuple[int, float], ...] | None = None
     divergence_factor: float = 1e6
     metrics_every: int = 1
     batch_size: int | None = None
@@ -165,25 +136,14 @@ class HyperParams:
             raise ValueError("divergence_factor must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1 when set")
-        decay = self.eta2_decay or ()
-        if not all(0.0 <= f < np.inf for _, f in decay):
-            raise ValueError("eta2_decay factors must be finite and >= 0")
-        _check_steps(decay, "eta2_decay")
-        if self.steps:  # the run's largest lambda(t) and eta2(t) bound every product
-            sched, last = self.lambda_schedule, self.steps - 1
-            lam_max = min(sched.base * last + _peak(sched.points, last, 0.0), sched.cap)
-            eta2_max = self.eta2 * _peak(decay, last, 1.0)
-            if not np.isfinite([eta2_max, lam_max * self.eta1, lam_max * eta2_max]).all():
-                raise ValueError("lambda(t) * eta1, lambda(t) * eta2(t) and eta2(t) must stay "
-                                 "finite for every step of the run")
+        if self.steps:  # the run's last, and so largest, lambda(t) bounds every product
+            lam_max = self.lam(self.steps - 1)
+            if not np.isfinite([lam_max * self.eta1, lam_max * self.eta2]).all():
+                raise ValueError("lambda(t) * eta1 and lambda(t) * eta2 must stay finite "
+                                 "for every step of the run")
 
     def lam(self, t: int) -> float:
         return self.lambda_schedule.lam(t)
-
-    def eta2_at(self, t: int) -> float:
-        if self.eta2_decay is None:
-            return self.eta2
-        return self.eta2 * _staircase(self.eta2_decay, t, 1.0)
 
     def ft_start(self) -> int:
         return self.steps if self.fine_tune_start is None else self.fine_tune_start
@@ -229,7 +189,6 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
     """
     gl = _grad_step_loss(loss, hp, rng)
     lam_t = hp.lam(t)
-    eta2_t = hp.eta2_at(t)
     cfg = hp.quant_cfg
     pins = [None] * len(layout.groups) if pinned is None else pinned
 
@@ -243,13 +202,13 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
     for (start, stop), c, assign in zip(layout.groups, centers, pins):
         x_new[start:stop] = prox_x(x_new[start:stop], c, px) if assign is None else c.values[assign]
 
-    if eta2_t == 0.0:
+    if hp.eta2 == 0.0:
         return x_new, list(centers)
     h_list = loss_quant_gradient_c(gl, x_new, centers, layout, cfg)
-    pc = ProxParams(eta=eta2_t, lam=lam_t)
+    pc = ProxParams(eta=hp.eta2, lam=lam_t)
     centers_new = []
     for (start, stop), c, h, assign in zip(layout.groups, centers, h_list, pins):
-        c_new = prox_c(c.values - eta2_t * h, x_new[start:stop], c, pc)
+        c_new = prox_c(c.values - hp.eta2 * h, x_new[start:stop], c, pc)
         centers_new.append(c_new)
         if assign is not None:
             x_new[start:stop] = c_new.values[assign]

@@ -103,11 +103,6 @@ def _integer(value) -> int:
     return value
 
 
-def _step_value(pair):
-    step, value = pair
-    return _integer(step), _nonneg(value)
-
-
 _flag = _checked(lambda v: v, "true or false", lambda v: isinstance(v, bool))
 _string = _checked(lambda v: v, "string", lambda v: isinstance(v, str))
 _pos_int = _checked(_integer, "integer >= 1", lambda v: v >= 1)
@@ -115,11 +110,6 @@ _nonneg_int = _checked(_integer, "integer >= 0", lambda v: v >= 0)
 _finite = _checked(_number, "finite number", math.isfinite)
 _nonneg = _checked(_number, "finite number >= 0", lambda v: 0.0 <= v < math.inf)
 _pos = _checked(_number, "finite number > 0", lambda v: 0.0 < v < math.inf)
-_pairs = _checked(_list_of(_checked(_step_value, "[integer step, finite value >= 0]")),
-                  "list of [integer step, finite value >= 0] with increasing steps",
-                  lambda pairs: all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])))
-_points = _checked(_pairs, f"{_pairs.__name__}, from step 0", lambda p: p and p[0][0] == 0)
-_decay = _checked(lambda v: tuple(_pairs(v)) or None, _pairs.__name__)  # [] sets no decay
 _compare_mode = _checked(str, "qupel|local|fedavg", lambda v: v in ("qupel", "local", "fedavg"))
 
 
@@ -184,9 +174,6 @@ def _lambda_schedule(cfg: dict) -> LambdaSchedule:
                                      cap=_get(cfg, "hyper.lambda.cap", default=math.inf,
                                               conv=_checked(_number, "number >= 0",
                                                             lambda v: v >= 0)))
-    if kind == "piecewise":
-        return LambdaSchedule.piecewise(_get(cfg, "hyper.lambda.points", required=True,
-                                             conv=_points))
     raise ConfigError("hyper.lambda.kind", f"unknown schedule kind {kind!r}")
 
 
@@ -195,9 +182,8 @@ _ALL, _QUPEL = set(MODES), {"qupel"}
 _HYPER_FIELDS = {"eta1": (_pos, _ALL), "eta2": (_nonneg, _CENTERS), "steps": (_nonneg_int, _ALL),
                  "eta3": (_nonneg, _QUPEL), "lambda_p": (_nonneg, _QUPEL),
                  "tau": (_pos_int, {"qupel", "fedavg"}), "fine_tune_start": (_nonneg_int, _CENTERS),
-                 "eta2_decay": (_decay, _CENTERS), "divergence_factor": (_pos, _ALL),
-                 "metrics_every": (_pos_int, _ALL), "batch_size": (_pos_int, _ALL),
-                 "flip_w_update_sign": (_flag, _QUPEL),
+                 "divergence_factor": (_pos, _ALL), "metrics_every": (_pos_int, _ALL),
+                 "batch_size": (_pos_int, _ALL), "flip_w_update_sign": (_flag, _QUPEL),
                  "checkpoint_every": (_pos_int, {"centralized"})}
 
 
@@ -275,15 +261,13 @@ def _client_spec(cfg: dict, n_clients: int, modes: set, n_classes: int | None = 
     else:
         m = _get(cfg, "quantization.m", default=4, conv=_pos_int) if centers else 1
         m_list = [m] * n_clients
-    spec, mlp = dict(m_list=m_list, model=kind), kind == "mlp"
-    if mlp:
+    spec = dict(m_list=m_list, model=kind)
+    if kind == "mlp":
         spec["hidden"] = _get(cfg, "model.hidden", default=12, conv=_pos_int)
     if kind != "quadratic":
         spec["l2"] = _get(cfg, "model.l2", default=0.0, conv=_nonneg)
     if centers:
-        spec.update(c_max=_get(cfg, "quantization.c_max", default=3.0, conv=_pos),
-                    exempt_first_last=mlp and _get(cfg, "quantization.exempt_first_last",
-                                                   default=False, conv=_flag))
+        spec["c_max"] = _get(cfg, "quantization.c_max", default=3.0, conv=_pos)
     return spec
 
 
@@ -307,8 +291,7 @@ def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
     # a stream only when minibatches are drawn, so full-batch checkpoints keep rng_state null
     data_rng = rng.spawn(2) if hp.batch_size is not None else None
     client = make_client(0, loss, init_weights(loss.dim, rng), spec["m_list"][0],
-                         c_max=spec["c_max"], exempt_first_last=spec["exempt_first_last"],
-                         test=test, data_rng=data_rng)
+                         c_max=spec["c_max"], test=test, data_rng=data_rng)
 
     def train(out_dir: Path):
         res = run_centralized(loss, client.x, client.centers, hp, layout=client.layout,
@@ -378,6 +361,11 @@ def _population(cfg: dict, seed: int, modes: set, default_kind=None):
         partition = partition_noniid(task.train, n, k, part_seed)
     except PartitionError as exc:
         raise ConfigError("partition", str(exc)) from None
+    for i, classes in enumerate(partition.assigned_classes):  # each client is scored on these
+        if not np.isin(classes, task.test.labels).any():
+            names = task.train.label_values or range(task.n_classes)
+            raise ConfigError("dataset.test", f"no sample of client {i}'s labels "
+                              f"{[names[c] for c in classes]}")
     spec = _client_spec(cfg, partition.n_clients, modes, task.n_classes)
     return partition, lambda: build_clients(task, partition, seed=part_seed, **spec)
 
@@ -451,8 +439,8 @@ def read_compare_config(cfg: dict):
     """``(modes, hp, out_dir, [(seed, new_clients)])`` of a checked ``compare`` config: each
     seed's dataset and partition are drawn once, and checked, before any mode trains."""
     modes = _get(cfg, "modes", default=[], conv=_list_of(_compare_mode))
-    if not modes:
-        raise ConfigError("modes", "must list at least one mode")
+    if not modes or len(set(modes)) != len(modes):
+        raise ConfigError("modes", "must list at least one mode, and no mode twice")
     seeds = _get(cfg, "seeds", default=[1, 2, 3], conv=_list_of(_nonneg_int))
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds", "must list at least one seed, and no seed twice")

@@ -76,13 +76,9 @@ def _make_loss(kind: str, train: Dataset, n_classes: int, hidden: int, l2: float
 
 
 def make_client(id: int, loss, x0: np.ndarray, m: int, *, c_max: float = 3.0,
-                exempt_first_last: bool = False, test: Dataset | None = None,
-                data_rng: Rng | None = None) -> ClientState:
+                test: Dataset | None = None, data_rng: Rng | None = None) -> ClientState:
     """A client at ``x0`` whose centers start at the per-group quantiles of ``x0``."""
-    if isinstance(loss, MlpLoss):
-        layout = QuantLayout.for_mlp(loss, exempt_first_last=exempt_first_last)
-    else:
-        layout = QuantLayout.full(loss.dim)
+    layout = QuantLayout.for_mlp(loss) if isinstance(loss, MlpLoss) else QuantLayout.full(loss.dim)
     centers = [init_centers_from_weights(x0[s:e], m, c_max=c_max) for s, e in layout.groups]
     return ClientState(id=id, x=x0.copy(), centers=centers, w_local=x0.copy(), loss=loss,
                        layout=layout, test=test, data_rng=data_rng)
@@ -98,7 +94,6 @@ def build_clients(
     hidden: int = 12,
     l2: float = 0.0,
     c_max: float = 3.0,
-    exempt_first_last: bool = False,
 ) -> list[ClientState]:
     """Assemble one trainer state per client of ``partition``.
 
@@ -120,7 +115,6 @@ def build_clients(
         if x0 is None:
             x0 = init_weights(loss.dim, rng)
         clients.append(make_client(i, loss, x0, m_list[i], c_max=c_max,
-                                   exempt_first_last=exempt_first_last,
                                    test=task.test.take(test_idx[i]), data_rng=streams.spawn(i)))
     return clients
 

@@ -47,7 +47,6 @@ from .rng import Rng
 
 __all__ = [
     "ClientState",
-    "DiversityEstimate",
     "QupelResult",
     "client_local_step",
     "sync_round",
@@ -80,14 +79,6 @@ class ClientState:
         self.centers = self.layout.check_centers(self.centers)
         if self.x.shape != (self.loss.dim,) or self.w_local.shape != self.x.shape:
             raise ValueError("client model and global copy must share the loss dimension")
-
-
-@dataclass(frozen=True)
-class DiversityEstimate:
-    """Per-client squared deviation of the w-gradient from the mean, and its average."""
-
-    kappa_i: np.ndarray
-    kappa: float
 
 
 def _pin(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
@@ -129,13 +120,13 @@ def sync_round(clients: list[ClientState]):
 
 
 def estimate_diversity(clients: list[ClientState], w_global: np.ndarray,
-                       lambda_p: float) -> DiversityEstimate:
-    """Spread of per-client w-gradients lambda_p * (w_global - x_i) around their mean."""
+                       lambda_p: float) -> np.ndarray:
+    """Per-client squared deviation kappa_i of the w-gradient lambda_p * (w_global - x_i)
+    from the mean of them all, in ascending id order."""
     ordered = sorted(clients, key=lambda c: c.id)
     grads = np.stack([lambda_p * (w_global - c.x) for c in ordered])
     mean = grads.mean(axis=0)
-    kappa_i = np.array([float(np.sum((g - mean) ** 2)) for g in grads])
-    return DiversityEstimate(kappa_i=kappa_i, kappa=float(np.mean(kappa_i)))
+    return np.array([float(np.sum((g - mean) ** 2)) for g in grads])
 
 
 @dataclass
@@ -227,10 +218,10 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
             w_mean = w_stack.mean(axis=0)
             record["consensus_drift"] = float(np.mean(np.sum((w_stack - w_mean) ** 2, axis=1)))
             if at_cadence:
-                div = estimate_diversity(clients, w_global, hp.lambda_p)
-                record["kappa"] = div.kappa
+                kappa_i = estimate_diversity(clients, w_global, hp.lambda_p)
+                record["kappa"] = float(np.mean(kappa_i))
                 for pos, hist in enumerate(histories):
-                    hist[-1].kappa_round = float(div.kappa_i[pos])
+                    hist[-1].kappa_round = float(kappa_i[pos])
                 accs = [h[-1].test_acc for h in histories if h[-1].test_acc is not None]
                 record["mean_test_acc"] = float(np.mean(accs)) if accs else None
             global_history.append(record)

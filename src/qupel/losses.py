@@ -154,8 +154,7 @@ class MlpLoss(LossModel):
     Layout: for consecutive sizes (n0, n1, ..., nL) the vector holds
     W1 (n0 x n1), b1, W2, b2, ... in order. ``weight_ranges`` exposes the
     coordinate span of each weight matrix so the trainer can quantize
-    layer-wise (biases stay exempt, and first/last weight layers may be
-    exempted too).
+    layer-wise: every weight layer is quantized and the biases stay exempt.
     """
 
     def __init__(self, layer_sizes, features, labels, l2: float = 0.0):
@@ -291,11 +290,8 @@ class QuantLayout:
         return cls(dim, ((0, dim),))
 
     @classmethod
-    def for_mlp(cls, loss: MlpLoss, exempt_first_last: bool = False) -> "QuantLayout":
-        ranges = loss.weight_ranges()
-        if exempt_first_last:
-            ranges = ranges[1:-1]
-        return cls(loss.dim, tuple(ranges))
+    def for_mlp(cls, loss: MlpLoss) -> "QuantLayout":
+        return cls(loss.dim, tuple(loss.weight_ranges()))
 
     def check_centers(self, centers) -> list[CenterVector]:
         """One center vector per group, as a list; a lone CenterVector counts as one group."""

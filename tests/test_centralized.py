@@ -53,16 +53,6 @@ class TestSchedules:
         assert sched.lam(100) == pytest.approx(0.01)
         assert sched.lam(10_000) == 0.05
 
-    def test_piecewise(self):
-        sched = LambdaSchedule.piecewise([(0, 0.1), (50, 0.2)])
-        assert sched.lam(49) == 0.1
-        assert sched.lam(50) == 0.2
-
-    def test_eta2_decay(self):
-        hp = HyperParams(eta1=0.1, eta2=1e-2, steps=10, eta2_decay=((0, 1.0), (5, 0.1)))
-        assert hp.eta2_at(4) == 1e-2
-        assert hp.eta2_at(5) == pytest.approx(1e-3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HyperParams(eta1=0.0, eta2=0.1, steps=5)
@@ -76,14 +66,7 @@ class TestSchedules:
     lambda: LambdaSchedule.linear(float("inf")),
     lambda: LambdaSchedule.linear(0.1, cap=-1.0),
     lambda: LambdaSchedule.linear(0.1, cap=float("nan")),
-    lambda: LambdaSchedule.piecewise([(0, -0.1)]),
-    lambda: LambdaSchedule.piecewise([(0, 0.1), (5, float("inf"))]),
-    lambda: LambdaSchedule.piecewise([(0, 0.1), (50, 0.2), (10, 0.3)]),
-    lambda: LambdaSchedule.piecewise([(0, 0.1), (10, 0.2), (10, 0.3)]),
-    lambda: LambdaSchedule(points=((5, 0.1),)),
-], ids=["constant-negative", "constant-nan", "base-inf", "cap-negative", "cap-nan",
-        "point-negative", "point-inf", "points-unsorted", "points-repeated",
-        "points-late-start"])
+], ids=["constant-negative", "constant-nan", "base-inf", "cap-negative", "cap-nan"])
 def test_lambda_schedule_refuses_out_of_range(make):
     with pytest.raises(ValueError):
         make()
@@ -93,33 +76,27 @@ def test_lambda_schedule_refuses_out_of_range(make):
     dict(eta2=float("nan")), dict(eta3=float("inf")), dict(lambda_p=float("nan")),
     dict(divergence_factor=0.0), dict(divergence_factor=-1.0),
     dict(divergence_factor=float("nan")), dict(checkpoint_every=0),
-    dict(checkpoint_every=-1), dict(eta2_decay=((0, -1.0),)),
-    dict(eta2_decay=((0, 1.0), (5, float("nan")))), dict(eta2_decay=((5, 0.5), (0, 1.0))),
-    dict(eta2_decay=((5, 0.5), (5, 1.0))),
-    dict(eta2=1e300, eta2_decay=((0, 1e10),)),
-    dict(eta2=1e300, eta2_decay=((9, 1e10),)),
+    dict(checkpoint_every=-1),
     dict(eta2=1e300, lambda_schedule=LambdaSchedule.constant(1e10)),
     dict(eta1=1e300, lambda_schedule=LambdaSchedule.constant(1e10)),
     dict(lambda_schedule=LambdaSchedule.linear(1e308)),
-    dict(eta1=10.0, lambda_schedule=LambdaSchedule.piecewise([(0, 0.1), (9, 1e308)])),
+    # lambda(8) * 1.1 = 1.67e308 is finite; lambda(9) * 1.1, at the last step, overflows
+    dict(eta1=1.1, lambda_schedule=LambdaSchedule.linear(1.9e307)),
 ], ids=["eta2-nan", "eta3-inf", "lambda-p-nan", "divergence-zero", "divergence-negative",
-        "divergence-nan", "checkpoint-zero", "checkpoint-negative", "decay-negative",
-        "decay-nan", "decay-unsorted", "decay-repeated", "eta2-overflow", "eta2-late-overflow",
+        "divergence-nan", "checkpoint-zero", "checkpoint-negative",
         "lambda-eta2-overflow", "lambda-eta1-overflow", "lambda-ramp-overflow",
-        "lambda-late-point-overflow"])
+        "lambda-late-ramp-overflow"])
 def test_hyperparams_refuse_out_of_range(bad):
     with pytest.raises(ValueError):
         HyperParams(**{"eta1": 0.1, "eta2": 0.1, "steps": 10, **bad})
 
 
 @pytest.mark.parametrize("fine", [
-    dict(eta2=1e300, eta2_decay=((10, 1e10),)),
-    dict(eta2=1e300, eta2_decay=((0, 1e-10), (10, 1.0))),
-    dict(eta1=10.0, lambda_schedule=LambdaSchedule.piecewise([(0, 0.1), (10, 1e308)])),
+    # lambda(9) * 1.1 = 1.68e308 is finite; only lambda(10), after the run, overflows
+    dict(eta1=1.1, lambda_schedule=LambdaSchedule.linear(1.7e307)),
     dict(lambda_schedule=LambdaSchedule.linear(1e308, cap=1.0)),
     dict(steps=0, eta2=1e300, lambda_schedule=LambdaSchedule.constant(1e10)),
-], ids=["decay-after-the-run", "decay-below-one", "point-after-the-run", "ramp-capped",
-        "no-steps"])
+], ids=["ramp-after-the-run", "ramp-capped", "no-steps"])
 def test_hyperparams_bound_only_the_steps_that_run(fine):
     HyperParams(**{"eta1": 0.1, "eta2": 0.1, "steps": 10, **fine})
 
@@ -128,7 +105,7 @@ def test_hyperparams_bound_only_the_steps_that_run(fine):
 OTHER_HP_VALUES = {
     "eta1": 0.2, "eta2": 0.2, "steps": 11, "eta3": 0.5,
     "lambda_schedule": LambdaSchedule.constant(0.01), "lambda_p": 1.0, "tau": 2,
-    "fine_tune_start": 5, "quant_cfg": QuantConfig(sharpness=2.0), "eta2_decay": ((0, 0.5),),
+    "fine_tune_start": 5, "quant_cfg": QuantConfig(sharpness=2.0),
     "divergence_factor": 1e3, "metrics_every": 5, "batch_size": 4,
     "flip_w_update_sign": True, "checkpoint_every": 3,
 }

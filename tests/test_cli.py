@@ -184,6 +184,16 @@ class TestRunCommand:
                       "dataset.train, got 1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_csv_test_must_hold_a_sample_of_each_clients_labels(self, tmp_path, capsys):
+        # a client scored on an empty test set once ended in a traceback and exit 1
+        cfg_dict = federated_cfg("local", str(tmp_path / "out"))
+        cfg_dict["dataset"] = self.csv_cfg(tmp_path, (3, 7))["dataset"]
+        cfg_dict["partition"] = {"clients": 3, "classes_per_client": 1, "seed": 0}
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid config: dataset.test: no sample of client 0's labels [9]\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["train", "test"])
     def test_csv_path_must_be_a_string(self, tmp_path, capsys, field):
         cfg_dict = self.csv_cfg(tmp_path, (3, 9))
@@ -501,8 +511,6 @@ INVALID_CONFIGS = [
     ("run", lambda c: c["hyper"].update(eta1=10**400), "hyper.eta1"),  # too large for a float
     ("run", lambda c: c["hyper"].update({"lambda": {"kind": "linear", "base": 0.1, "cap": -1}}),
      "hyper.lambda.cap"),
-    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise", "points": [[0, -0.1]]}}),
-     "hyper.lambda.points"),
     ("run", lambda c: c["hyper"].update(eta2_decay=[[0, -1.0]]), "hyper.eta2_decay"),
     ("run", lambda c: c["hyper"].update(eta2=float("nan")), "hyper.eta2"),
     ("run", lambda c: c["hyper"].update(lambda_p=float("nan")), "hyper.lambda_p"),
@@ -520,18 +528,6 @@ INVALID_CONFIGS = [
     ("compare", lambda c: c.update(seeds=[1, 1]), "seeds"),
     ("run", lambda c: c["hyper"].update(eta2_decay=[[5, 0.5], [0, 1.0]]), "hyper.eta2_decay"),
     ("run", lambda c: c["hyper"].update(eta2_decay=[[5, 0.5], [5, 1.0]]), "hyper.eta2_decay"),
-    ("run", lambda c: c["hyper"].update(
-        {"lambda": {"kind": "piecewise", "points": [[0, 0.1], [50, 0.2], [10, 0.3]]}}),
-     "hyper.lambda.points"),
-    ("run", lambda c: c["hyper"].update(
-        {"lambda": {"kind": "piecewise", "points": [[0, 0.1], [10, 0.2], [10, 0.3]]}}),
-     "hyper.lambda.points"),
-    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise", "points": [[5, 0.1]]}}),
-     "hyper.lambda.points"),
-    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise"}}), "hyper.lambda.points"),
-    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise", "points": []}}),
-     "hyper.lambda.points"),
-    ("quadratic", lambda c: c["hyper"].update(eta2=1e300, eta2_decay=[[0, 1e10]]), "hyper"),
     ("quadratic", lambda c: c["hyper"].update({"eta2": 1e300, "lambda": 1e10}), "hyper"),
     ("quadratic", lambda c: c["hyper"].update({"lambda": {"kind": "linear", "base": 1e308},
                                               "divergence_factor": 1e308}), "hyper"),
@@ -560,6 +556,8 @@ INVALID_CONFIGS = [
     ("fedavg", lambda c: c["hyper"].update({"lambda": 0.05}), "hyper.lambda"),
     ("fedavg", lambda c: c.update(quantization={"m": 4}), "quantization.m"),
     ("compare", compare_local_alone, "hyper.tau"),
+    ("compare", lambda c: c.update(modes=["local", "local"]), "modes"),
+    ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise"}}), "hyper.lambda.kind"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -571,20 +569,18 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "hard-limit-string", "flip-sign-string", "exempt-number", "centralized-m-list",
         "centralized-case", "steps-string", "steps-bool", "tau-fraction", "clients-fraction",
         "m-fraction", "eta1-string", "eta1-bool", "eta1-overflow", "lambda-cap-negative",
-        "lambda-point-negative", "eta2-decay-negative", "eta2-nan", "lambda-p-nan",
+        "eta2-decay-negative", "eta2-nan", "lambda-p-nan",
         "seed-negative", "compare-seed-negative", "per-class-4", "compare-per-class-4",
         "centralized-per-class-4", "spread-zero", "divergence-factor-negative",
         "checkpoint-every-zero", "checkpoint-every-negative", "checkpoint-every-qupel",
         "compare-checkpoint-every", "compare-seeds-repeated", "eta2-decay-unsorted",
-        "eta2-decay-repeated", "lambda-points-unsorted", "lambda-points-repeated",
-        "lambda-points-late-start", "lambda-points-missing", "lambda-points-empty",
-        "eta2-decay-overflow", "lambda-eta2-overflow", "lambda-ramp-overflow",
+        "eta2-decay-repeated", "lambda-eta2-overflow", "lambda-ramp-overflow",
         "misspelt-lambda-p", "qupel-model-targets", "centralized-partition",
         "compare-num-seeds", "compare-seed", "lambda-value-beside-linear", "case-beside-m-list",
         "out-dir-bool", "compare-out-dir-bool", "centralized-out-dir-list", "local-tau",
         "local-lambda-p", "centralized-lambda-p", "quadratic-hidden", "quadratic-l2",
         "quadratic-exempt", "logistic-hidden", "fedavg-eta2", "fedavg-lambda", "fedavg-m",
-        "compare-local-tau"]
+        "compare-local-tau", "compare-modes-repeated", "lambda-piecewise"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)

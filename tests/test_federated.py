@@ -330,24 +330,24 @@ class TestEstimateDiversity:
         x = np.full(4, 0.3)
         for c in clients:
             c.x = x.copy()
-        div = estimate_diversity(clients, np.zeros(4), lambda_p=1.5)
-        assert np.array_equal(div.kappa_i, np.zeros(3))
-        assert div.kappa == 0.0
+        kappa_i = estimate_diversity(clients, np.zeros(4), lambda_p=1.5)
+        assert np.array_equal(kappa_i, np.zeros(3))
+        assert np.mean(kappa_i) == 0.0
 
     def test_hand_example(self):
         c1 = ClientState(id=0, x=np.array([1.0]), centers=centers(0.0),
                          w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
         c2 = ClientState(id=1, x=np.array([-1.0]), centers=centers(0.0),
                          w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
-        div = estimate_diversity([c1, c2], np.zeros(1), lambda_p=1.0)
-        np.testing.assert_allclose(div.kappa_i, [1.0, 1.0], atol=1e-15)
-        assert div.kappa == pytest.approx(1.0, abs=1e-15)
+        kappa_i = estimate_diversity([c1, c2], np.zeros(1), lambda_p=1.0)
+        np.testing.assert_allclose(kappa_i, [1.0, 1.0], atol=1e-15)
+        assert np.mean(kappa_i) == pytest.approx(1.0, abs=1e-15)
 
     def test_scales_quadratically_in_lambda_p(self):
         clients = [make_client(i) for i in range(3)]
-        d1 = estimate_diversity(clients, np.zeros(4), lambda_p=1.0)
-        d2 = estimate_diversity(clients, np.zeros(4), lambda_p=3.0)
-        assert d2.kappa == pytest.approx(9.0 * d1.kappa, rel=1e-12)
+        k1 = estimate_diversity(clients, np.zeros(4), lambda_p=1.0)
+        k2 = estimate_diversity(clients, np.zeros(4), lambda_p=3.0)
+        assert np.mean(k2) == pytest.approx(9.0 * np.mean(k1), rel=1e-12)
 
 
 class TestPerClientSufficientDecrease:

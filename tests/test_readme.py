@@ -37,8 +37,6 @@ def test_config_schema_lists_every_key_the_readers_ask_for(tmp_path, monkeypatch
         dict(shipped["centralized_mlp"],
              dataset={"kind": "csv", "train": str(tmp_path / "a.csv"),
                       "test": str(tmp_path / "a.csv")}),
-        dict(qupel, hyper=dict(qupel["hyper"], **{"lambda": {"kind": "piecewise",
-                                                             "points": [[0, 0.1]]}})),
         dict(qupel, quantization={"m_list": [4] * qupel["partition"]["clients"]}),
         dict(qupel, quantization={"case": "2bits"}),
         {k: v for k, v in shipped["compare"].items() if k != "seeds"},
