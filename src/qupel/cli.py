@@ -156,13 +156,6 @@ def _reader(read):
     return checked
 
 
-def _refuse(cfg: dict, fields, why: str) -> None:
-    """Refuse each of ``fields`` that ``cfg`` sets; ``why`` says why it does not apply."""
-    for field in fields:
-        if _get(cfg, field) is not None:
-            raise ConfigError(field, why)
-
-
 def _lambda_schedule(cfg: dict) -> LambdaSchedule:
     if not isinstance(_get(cfg, "hyper.lambda", default={}), dict):
         return LambdaSchedule.constant(_get(cfg, "hyper.lambda", conv=_nonneg))
@@ -232,8 +225,8 @@ def _build_task(cfg: dict, seed: int, default_kind=None) -> BlobTask:
         if missing:
             raise ConfigError("dataset.test", f"label {missing[0]} does not occur in dataset.train")
         test = Dataset(test.features, np.array([ids[v] for v in test.label_values])[test.labels],
-                       name=test.name, label_values=train.label_values)
-        return BlobTask(train=train, test=test, n_classes=train.n_classes)
+                       label_values=train.label_values)
+        return BlobTask(train=train, test=test)
     raise ConfigError("dataset.kind", f"unknown dataset kind {kind!r}")
 
 
@@ -285,7 +278,7 @@ def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
         loss, test = quadratic_loss(targets, curvature), None
     else:
         task = _build_task(cfg, seed)
-        loss = _make_loss("mlp", task.train, task.n_classes, spec["hidden"], spec["l2"])
+        loss = _make_loss("mlp", task.train, task.train.n_classes, spec["hidden"], spec["l2"])
         test = task.test
     rng = Rng(seed)
     # a stream only when minibatches are drawn, so full-batch checkpoints keep rng_state null
@@ -363,10 +356,10 @@ def _population(cfg: dict, seed: int, modes: set, default_kind=None):
         raise ConfigError("partition", str(exc)) from None
     for i, classes in enumerate(partition.assigned_classes):  # each client is scored on these
         if not np.isin(classes, task.test.labels).any():
-            names = task.train.label_values or range(task.n_classes)
+            names = task.train.label_values or range(task.train.n_classes)
             raise ConfigError("dataset.test", f"no sample of client {i}'s labels "
                               f"{[names[c] for c in classes]}")
-    spec = _client_spec(cfg, partition.n_clients, modes, task.n_classes)
+    spec = _client_spec(cfg, partition.n_clients, modes, task.train.n_classes)
     return partition, lambda: build_clients(task, partition, seed=part_seed, **spec)
 
 
@@ -409,12 +402,12 @@ def cmd_run(cfg: dict, out_override) -> int:
     _write_csv(out_dir / "summary.csv", ["client_id", "bits", "acc_fp_eval", "acc_quantized",
                                          "final_total", "final_gap"], rows)
 
-    accs = [r["acc_quantized"] for r in rows if r.get("acc_quantized") is not None]
+    acc = avg_quantized_accuracy(rows)
     gap = rows[0].get("final_gap")
     bits = ", ".join(f"{r['bits']:g}" for r in rows[:8])
     print(f"mode={mode} clients={len(rows)} bits=[{bits}{', ...' if len(rows) > 8 else ''}]")
-    if accs:
-        print(f"avg quantized test accuracy: {float(np.mean(accs)):.4f}")
+    if not math.isnan(acc):  # NaN: no row has a test set
+        print(f"avg quantized test accuracy: {acc:.4f}")
     if gap is not None:
         print(f"final stationarity gap (client 0): {gap:.3e}")
     print(f"outputs in {out_dir}")
@@ -444,8 +437,10 @@ def read_compare_config(cfg: dict):
     seeds = _get(cfg, "seeds", default=[1, 2, 3], conv=_list_of(_nonneg_int))
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds", "must list at least one seed, and no seed twice")
-    _refuse(cfg, ("dataset.seed", "partition.seed"),
-            "compare draws the dataset and the partition from each entry of seeds")
+    for field in ("dataset.seed", "partition.seed"):
+        if _get(cfg, field) is not None:
+            raise ConfigError(field, "compare draws the dataset and the partition from each "
+                              "entry of seeds")
     if _get(cfg, "dataset.kind", default="blobs") != "blobs":
         raise ConfigError("dataset.kind", "compare draws a blobs dataset per seed")
     out_dir = _get(cfg, "out_dir", default="runs/compare", conv=_string)

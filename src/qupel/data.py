@@ -33,7 +33,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    name: str = ""
     label_values: tuple | None = None  # original labels per contiguous id, for CSV imports
 
     def __post_init__(self):
@@ -58,8 +57,7 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], name=self.name,
-                       label_values=self.label_values)
+        return Dataset(self.features[idx], self.labels[idx], label_values=self.label_values)
 
 
 def make_blobs(n_classes: int, dim: int, per_class: int, spread: float, seed: int):
@@ -67,14 +65,14 @@ def make_blobs(n_classes: int, dim: int, per_class: int, spread: float, seed: in
 
     Class means are uniform in [-1, 1]^dim; samples add ``spread`` times a
     standard normal. Returns ``(train, test)``; the test share is
-    ``per_class // 5`` samples per class.
+    ``per_class // 5`` samples per class, so ``per_class`` must be at least 5.
     """
     if n_classes < 2:
         raise ValueError("need at least two classes")
     if spread <= 0:
         raise ValueError("spread must be positive")
-    if per_class < 1:
-        raise ValueError("per_class must be positive")
+    if per_class < 5:
+        raise ValueError("per_class must be >= 5: a fifth of each class is held out for testing")
     rng = Rng(seed)
     means = rng.uniform(-1.0, 1.0, n_classes * dim).reshape(n_classes, dim)
     n_test = per_class // 5
@@ -83,15 +81,10 @@ def make_blobs(n_classes: int, dim: int, per_class: int, spread: float, seed: in
         pts = means[k][None, :] + spread * rng.normal(per_class * dim).reshape(per_class, dim)
         tr_feats.append(pts[: per_class - n_test])
         tr_labs.append(np.full(per_class - n_test, k, dtype=np.int64))
-        if n_test:
-            te_feats.append(pts[per_class - n_test:])
-            te_labs.append(np.full(n_test, k, dtype=np.int64))
-    name = f"blobs-k{n_classes}-d{dim}-s{seed}"
-    train = Dataset(np.concatenate(tr_feats), np.concatenate(tr_labs), name=name)
-    if not te_feats:
-        return train, None
-    test = Dataset(np.concatenate(te_feats), np.concatenate(te_labs), name=name + "-test")
-    return train, test
+        te_feats.append(pts[per_class - n_test:])
+        te_labs.append(np.full(n_test, k, dtype=np.int64))
+    return (Dataset(np.concatenate(tr_feats), np.concatenate(tr_labs)),
+            Dataset(np.concatenate(te_feats), np.concatenate(te_labs)))
 
 
 @dataclass(frozen=True)
@@ -222,4 +215,4 @@ def load_csv(path) -> Dataset:
     remap = {int(v): i for i, v in enumerate(uniq)}
     labels = np.array([remap[int(v)] for v in raw], dtype=np.int64)
     return Dataset(np.array(feats, dtype=np.float64), labels,
-                   name=str(path), label_values=tuple(int(v) for v in uniq))
+                   label_values=tuple(int(v) for v in uniq))

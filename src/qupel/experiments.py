@@ -55,12 +55,11 @@ def mixed_precision_m(case: str, n_clients: int) -> list[int]:
 class BlobTask:
     train: Dataset
     test: Dataset
-    n_classes: int
 
 
 def build_blob_task(n_classes: int, dim: int, per_class: int, spread: float, seed: int) -> BlobTask:
     train, test = make_blobs(n_classes, dim, per_class, spread, seed)
-    return BlobTask(train=train, test=test, n_classes=n_classes)
+    return BlobTask(train=train, test=test)
 
 
 def _make_loss(kind: str, train: Dataset, n_classes: int, hidden: int, l2: float):
@@ -111,7 +110,7 @@ def build_clients(
     x0 = None
     clients = []
     for i, idx in enumerate(partition.client_indices):
-        loss = _make_loss(model, task.train.take(idx), task.n_classes, hidden, l2)
+        loss = _make_loss(model, task.train.take(idx), task.train.n_classes, hidden, l2)
         if x0 is None:
             x0 = init_weights(loss.dim, rng)
         clients.append(make_client(i, loss, x0, m_list[i], c_max=c_max,
@@ -127,7 +126,7 @@ def summarize_clients(results, clients) -> list[dict]:
         acc_fp = evaluate_accuracy(cs.loss, res.x_final, cs.test) if cs.test is not None else None
         rows.append({
             "client_id": cs.id,
-            "bits": float(np.log2(res.centers_final[0].m)) if res.centers_final else 32.0,
+            "bits": res.centers_final[0].bits if res.centers_final else 32.0,
             "acc_fp_eval": acc_fp,
             "acc_quantized": evaluate_accuracy(cs.loss, res.x_hard, cs.test)
             if cs.test is not None and res.centers_final else acc_fp,

@@ -2,9 +2,9 @@
 
 Three loss families are provided: a separable quadratic (its smoothness
 constant is its largest curvature entry), l2-regularized binary logistic
-regression, and a small tanh MLP with manual backpropagation (tanh rather
-than ReLU keeps the gradient Lipschitz). All gradients are checked against
-central finite differences in the test suite.
+regression, and a one-hidden-layer tanh MLP with a hand-written two-layer
+backward pass (tanh rather than ReLU keeps the gradient Lipschitz). All
+gradients are checked against central finite differences in the test suite.
 
 The module also owns the parameter partition used for layer-wise
 quantization: a ``QuantLayout`` lists the coordinate ranges that are
@@ -149,25 +149,28 @@ class LogisticLoss(LossModel):
 
 
 class MlpLoss(LossModel):
-    """Softmax cross-entropy of a tanh MLP, parameters flattened into one vector.
+    """Softmax cross-entropy of a one-hidden-layer tanh MLP, parameters in one vector.
 
-    Layout: for consecutive sizes (n0, n1, ..., nL) the vector holds
-    W1 (n0 x n1), b1, W2, b2, ... in order. ``weight_ranges`` exposes the
-    coordinate span of each weight matrix so the trainer can quantize
-    layer-wise: every weight layer is quantized and the biases stay exempt.
+    ``layer_sizes = (inputs, hidden, classes)``; the vector holds W1
+    (inputs x hidden), b1, W2 (hidden x classes) and b2 in that order. Every
+    client of a federation has this one shape, so the server can average them.
+    ``weight_ranges`` gives the spans of W1 and W2: both weight layers are
+    quantized and the biases stay exempt.
     """
 
     def __init__(self, layer_sizes, features, labels, l2: float = 0.0):
         sizes = [int(s) for s in layer_sizes]
-        if len(sizes) < 3:
-            raise ValueError("need at least one hidden layer")
+        if len(sizes) != 3:
+            raise ValueError(f"layer_sizes must be (inputs, hidden, classes), "
+                             f"one hidden layer; got {sizes}")
+        n_in, n_hid, n_out = sizes
         z = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.int64)
         if z.ndim != 2 or z.shape[0] < 1:
             raise ValueError("empty dataset")
-        if z.shape[1] != sizes[0]:
+        if z.shape[1] != n_in:
             raise ValueError("feature dimension does not match the input layer")
-        if y.shape != (z.shape[0],) or y.min() < 0 or y.max() >= sizes[-1]:
+        if y.shape != (z.shape[0],) or y.min() < 0 or y.max() >= n_out:
             raise ValueError("labels must be ints in [0, n_classes)")
         if l2 < 0:
             raise ValueError("l2 must be nonnegative")
@@ -175,37 +178,23 @@ class MlpLoss(LossModel):
         self.features = z
         self.labels = y
         self.l2 = float(l2)
-        self._spans = []  # (kind, start, stop, shape) in flattening order
-        pos = 0
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            self._spans.append(("weight", pos, pos + a * b, (a, b)))
-            pos += a * b
-            self._spans.append(("bias", pos, pos + b, (b,)))
-            pos += b
-        self.dim = pos
+        self._w1 = slice(0, n_in * n_hid)
+        self._b1 = slice(self._w1.stop, self._w1.stop + n_hid)
+        self._w2 = slice(self._b1.stop, self._b1.stop + n_hid * n_out)
+        self._b2 = slice(self._w2.stop, self._w2.stop + n_out)
+        self.dim = self._b2.stop
 
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
 
     def weight_ranges(self) -> list[tuple[int, int]]:
-        return [(s, e) for kind, s, e, _ in self._spans if kind == "weight"]
+        return [(self._w1.start, self._w1.stop), (self._w2.start, self._w2.stop)]
 
-    def _unpack(self, x):
-        params = []
-        for kind, s, e, shape in self._spans:
-            params.append(x[s:e].reshape(shape))
-        return params
-
-    def _forward(self, x, features):
-        params = self._unpack(x)
-        act = features
-        hidden = []
-        for li in range(0, len(params) - 2, 2):
-            act = np.tanh(act @ params[li] + params[li + 1])
-            hidden.append(act)
-        logits = act @ params[-2] + params[-1]
-        return params, hidden, logits
+    def _logits(self, x, features):
+        """The tanh hidden layer and the output logits of ``features``."""
+        hidden = np.tanh(features @ x[self._w1].reshape(self.sizes[:2]) + x[self._b1])
+        return hidden, hidden @ x[self._w2].reshape(self.sizes[1:]) + x[self._b2]
 
     @staticmethod
     def _log_softmax(logits):
@@ -214,35 +203,26 @@ class MlpLoss(LossModel):
 
     def value(self, x):
         x = self._check(x)
-        _, _, logits = self._forward(x, self.features)
-        logp = self._log_softmax(logits)
+        logp = self._log_softmax(self._logits(x, self.features)[1])
         n = self.features.shape[0]
         ce = -float(np.mean(logp[np.arange(n), self.labels]))
         return ce + 0.5 * self.l2 * float(x @ x)
 
     def gradient(self, x):
         x = self._check(x)
-        params, hidden, logits = self._forward(x, self.features)
+        hidden, logits = self._logits(x, self.features)
         n = self.features.shape[0]
-        probs = np.exp(self._log_softmax(logits))
-        delta = probs
+        delta = np.exp(self._log_softmax(logits))  # dce/dlogits = (softmax - one-hot) / n
         delta[np.arange(n), self.labels] -= 1.0
         delta /= n
-        grads = [None] * len(params)
-        acts = [self.features] + hidden
-        for li in range(len(params) - 2, -2, -2):
-            a_in = acts[li // 2]
-            grads[li] = a_in.T @ delta
-            grads[li + 1] = delta.sum(axis=0)
-            if li > 0:
-                delta = (delta @ params[li].T) * (1.0 - acts[li // 2] ** 2)
-        flat = np.concatenate([g.ravel() for g in grads])
-        return flat + self.l2 * x
+        g_w2, g_b2 = hidden.T @ delta, delta.sum(axis=0)
+        delta = (delta @ x[self._w2].reshape(self.sizes[1:]).T) * (1.0 - hidden ** 2)
+        g_w1, g_b1 = self.features.T @ delta, delta.sum(axis=0)
+        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2]) + self.l2 * x
 
     def predict(self, x, features):
         x = self._check(x)
-        _, _, logits = self._forward(x, np.asarray(features, dtype=np.float64))
-        return logits.argmax(axis=1)
+        return self._logits(x, np.asarray(features, dtype=np.float64))[1].argmax(axis=1)
 
     def subset(self, indices):
         return MlpLoss(self.sizes, self.features[indices], self.labels[indices], self.l2)

@@ -136,7 +136,7 @@ def _scaled_binary_task(seed, per_class=200, d=12, spread=1.1):
 
     def with_bias(ds):
         feats = np.hstack([ds.features * scales, np.ones((ds.n, 1))])
-        return Dataset(feats, ds.labels, name=ds.name)
+        return Dataset(feats, ds.labels)
 
     return with_bias(train), with_bias(test)
 

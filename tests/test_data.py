@@ -44,6 +44,13 @@ class TestMakeBlobs:
         with pytest.raises(ValueError):
             make_blobs(3, 2, 10, 0.0, seed=1)
 
+    def test_always_holds_out_a_test_split(self):
+        with pytest.raises(ValueError, match="per_class must be >= 5"):
+            make_blobs(3, 2, 4, 0.5, seed=1)
+        train, test = make_blobs(3, 2, 5, 0.5, seed=1)
+        assert (train.n, test.n) == (12, 3)
+        assert train.n_classes == test.n_classes == 3
+
 
 class TestPartitionNonIid:
     def test_label_sets_and_disjointness(self):

@@ -62,6 +62,11 @@ class TestBuildClients:
         for c in clients[1:]:
             assert np.array_equal(c.x, clients[0].x)
 
+    def test_blob_task_without_a_test_split_is_refused(self):
+        # per_class=4 holds out no test rows, which every client consumer needs
+        with pytest.raises(ValueError, match="per_class must be >= 5"):
+            build_blob_task(n_classes=3, dim=2, per_class=4, spread=0.5, seed=1)
+
     def test_m_list_length_validated(self):
         task = build_blob_task(n_classes=4, dim=4, per_class=30, spread=0.5, seed=2)
         with pytest.raises(ValueError):

@@ -120,6 +120,12 @@ class TestMlp:
         with pytest.raises(ValueError):
             loss.value(np.zeros(loss.dim + 1))
 
+    @pytest.mark.parametrize("sizes", [[8], [8, 10], [8, 12, 12, 10]])
+    def test_refuses_any_depth_but_one_hidden_layer(self, sizes):
+        z = Rng(12).normal(40).reshape(5, 8)
+        with pytest.raises(ValueError, match="one hidden layer"):
+            mlp_loss(sizes, z, np.zeros(5, dtype=np.int64))
+
 
 class TestComposedObjectives:
     def test_hard_mode_on_centers(self):
