@@ -9,19 +9,18 @@ baselines and convergence diagnostics.
 from .quantizer import CenterVector, QuantConfig, hard_quantize, soft_quantize
 from .proxops import ProxParams, prox_c, prox_x, regularizer
 from .losses import (
+    LogisticLoss,
     LossModel,
+    MlpLoss,
     ObjectiveEval,
+    QuadraticLoss,
     QuantLayout,
-    logistic_loss,
-    mlp_loss,
-    quadratic_loss,
 )
 from .centralized import (
     DivergenceError,
     HyperParams,
     LambdaSchedule,
     TrainResult,
-    centralized_step,
     run_centralized,
     safe_step_sizes,
     stationarity_gap,

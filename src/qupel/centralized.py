@@ -8,12 +8,13 @@ quantized coordinates on their centers (tracking further center motion)
 while exempt coordinates and the centers keep training. The returned model
 is the hard-quantized final iterate.
 
-One step kernel serves every trainer: the federated local update is the
-same step plus the coupling gradient lambda_p * (x - w), and fine-tuning is
-the same step with pinned assignments. A centralized run is one client of
-the trainer loop in ``qupel.federated``, run without the server; that loop
-owns the per-step record, the metrics cadence, the divergence rule and the
-checkpoint, so this module does no I/O.
+One step kernel serves every trainer, through ``client_local_step`` in
+``qupel.federated``: the federated local update is the step plus the
+coupling gradient lambda_p * (x - w), and fine-tuning is the same step with
+pinned assignments. A centralized run is one client of the trainer loop in
+``qupel.federated``, run without the server; that loop owns the per-step
+record, the metrics cadence, the divergence rule and the checkpoint, so this
+module does no I/O.
 
 Each value is checked once, where it enters (``LambdaSchedule``,
 ``HyperParams``, each client's start) or where the step makes it (the gradient
@@ -39,7 +40,7 @@ from .losses import (
     loss_quant_gradient_c,
     loss_quant_gradient_x,
 )
-from .proxops import ProxParams, prox_c, prox_x
+from .proxops import ProxParams, _strictly_increasing, prox_c, prox_x
 from .quantizer import CenterVector, QuantConfig
 from .rng import Rng
 
@@ -48,7 +49,6 @@ __all__ = [
     "HyperParams",
     "TrainResult",
     "DivergenceError",
-    "centralized_step",
     "run_centralized",
     "stationarity_gap",
     "safe_step_sizes",
@@ -114,7 +114,6 @@ class HyperParams:
     divergence_factor: float = 1e6
     metrics_every: int = 1
     batch_size: int | None = None
-    flip_w_update_sign: bool = False
     checkpoint_every: int | None = None
 
     def __post_init__(self):
@@ -215,22 +214,6 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
     return x_new, centers_new
 
 
-def centralized_step(state, loss, hp: HyperParams, t: int,
-                     layout: QuantLayout | None = None):
-    """One full-batch alternating prox-gradient step on (x, c); returns the new pair.
-
-    ``x`` must be finite; a step that overflows returns a non-finite one. ``c`` is
-    one CenterVector or a list per group, and comes back as a list. With
-    ``hp.batch_size`` set it raises, having no stream to draw from.
-    """
-    x, c = np.asarray(state[0], dtype=np.float64), state[1]
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    if layout is None:
-        layout = QuantLayout.full(loss.dim)
-    return _step(x, layout.check_centers(c), None, loss, layout, hp, t, None)
-
-
 def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:
     """Prox-residual stationarity measure ||z_next - z_prev||^2 / min(eta)^2; centers as lists."""
     dx = np.asarray(x_next, dtype=np.float64) - np.asarray(x_prev, dtype=np.float64)
@@ -247,8 +230,8 @@ def run_centralized(loss, init_x, init_c, hp: HyperParams, *,
                     checkpoint_path=None) -> TrainResult:
     """Run the full alternating scheme for ``hp.steps`` steps.
 
-    ``init_c`` may be a single CenterVector (whole-vector quantization) or a
-    list matching ``layout.groups``. ``test`` enables accuracy metrics every
+    ``init_c`` is a list of CenterVectors, one per group of ``layout`` (default:
+    the whole vector as one group). ``test`` enables accuracy metrics every
     ``hp.metrics_every`` steps for classifier losses. ``rng`` draws the
     minibatches and is advanced. Aborts with DivergenceError when the
     objective exceeds ``divergence_factor`` times max(1, |F_0|). The run is
@@ -267,11 +250,11 @@ def run_centralized(loss, init_x, init_c, hp: HyperParams, *,
 # step-size estimation ("safe mode")
 
 
-def _power_iteration(hvp, dim, rng: Rng, iters: int = 30) -> float:
+def _power_iteration(hvp, dim, rng: Rng) -> float:
     v = rng.normal(dim)
     v /= max(np.linalg.norm(v), 1e-12)
     eig = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         w = hvp(v)
         nw = np.linalg.norm(w)
         if nw < 1e-14:
@@ -281,9 +264,8 @@ def _power_iteration(hvp, dim, rng: Rng, iters: int = 30) -> float:
     return abs(eig)
 
 
-def safe_step_sizes(loss, x0, centers0, hp_template: HyperParams | None = None, *,
-                    layout: QuantLayout | None = None, cfg: QuantConfig | None = None,
-                    lambda_p: float = 0.0, seed: int = 314, n_probes: int = 3,
+def safe_step_sizes(loss, x0, centers0, *, cfg: QuantConfig,
+                    layout: QuantLayout | None = None, lambda_p: float = 0.0,
                     safety: float = 2.0) -> tuple[float, float]:
     """Estimate smoothness constants and return eta1 = 1/(2 Lx), eta2 = 1/(2 Lc).
 
@@ -291,16 +273,14 @@ def safe_step_sizes(loss, x0, centers0, hp_template: HyperParams | None = None, 
     in the federated case) and of c -> f(Qs(x)) is measured by power
     iteration on finite-difference Hessian-vector products of the analytic
     gradients, maximized over probe points, then inflated by ``safety``.
-    Probes cover the start point, its hard-quantized image, random
+    Probes cover the start point, its hard-quantized image, two random
     perturbations, and (in soft mode) points pushed onto the center
     midpoints where the quantizer's curvature peaks.
     """
-    if cfg is None:
-        cfg = hp_template.quant_cfg if hp_template is not None else QuantConfig(hard_limit=True)
     if layout is None:
         layout = QuantLayout.full(loss.dim)
     centers = layout.check_centers(centers0)
-    rng = Rng(seed)
+    rng = Rng(314)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = 1e-5
 
@@ -312,7 +292,7 @@ def safe_step_sizes(loss, x0, centers0, hp_template: HyperParams | None = None, 
         return loss_quant_gradient_c(loss, x0, cvs, layout, cfg)
 
     probes = [x0, hard_quantize_grouped(x0, centers, layout)]
-    probes += [x0 + 0.3 * rng.normal(x0.size) for _ in range(n_probes - 1)]
+    probes += [x0 + 0.3 * rng.normal(x0.size) for _ in range(2)]
     if not cfg.hard_limit:
         for (start, stop), c in zip(layout.groups, centers):
             for mid in c.midpoints():
@@ -347,15 +327,13 @@ def safe_step_sizes(loss, x0, centers0, hp_template: HyperParams | None = None, 
 # initialization
 
 
-def init_weights(dim: int, rng: Rng, scale: float = 0.5) -> np.ndarray:
-    """Seeded uniform(-scale, scale) initialization of the parameter vector."""
-    return rng.uniform(-scale, scale, dim)
+def init_weights(dim: int, rng: Rng) -> np.ndarray:
+    """Seeded uniform(-0.5, 0.5) initialization of the parameter vector."""
+    return rng.uniform(-0.5, 0.5, dim)
 
 
 def init_centers_from_weights(x_group: np.ndarray, m: int, c_max: float = 10.0) -> CenterVector:
     """Centers at the m empirical quantiles (j - 1/2)/m of the group's weights."""
-    from .proxops import _strictly_increasing
-
     x_group = np.asarray(x_group, dtype=np.float64)
     qs = (np.arange(1, m + 1) - 0.5) / m
     vals = np.quantile(x_group, qs)

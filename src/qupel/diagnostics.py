@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .losses import (
+    LogisticLoss,
+    MlpLoss,
+    QuadraticLoss,
     QuantLayout,
-    logistic_loss,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
-    mlp_loss,
-    quadratic_loss,
     quantize_grouped,
 )
 from .proxops import ProxParams, prox_x
@@ -181,24 +181,23 @@ def _random_loss(rng: Rng, d: int, kind: int):
     if kind == 0:
         a = rng.uniform(-1.5, 1.5, d)
         h = rng.uniform(0.5, 3.0, d)
-        return quadratic_loss(a, h)
+        return QuadraticLoss(a, h)
     if kind == 1:
         n = 8
         z = rng.normal(n * d).reshape(n, d)
         y = np.where(rng.uniform(0, 1, n) < 0.5, -1.0, 1.0)
-        return logistic_loss(z, y, l2=0.01)
+        return LogisticLoss(z, y, l2=0.01)
     n, classes = 6, 3
     hidden = 4
     z = rng.normal(n * d).reshape(n, d)
     y = np.array([rng.randint(classes) for _ in range(n)], dtype=np.int64)
-    return mlp_loss([d, hidden, classes], z, y)
+    return MlpLoss([d, hidden, classes], z, y)
 
 
 def run_gradient_suite(
     n_instances: int = 1000,
     tol: float = 1e-5,
     seed: int = 20240,
-    step: float = 1e-6,
     broken: bool = False,
 ) -> SuiteReport:
     """Check every analytic gradient against central differences on random draws.
@@ -231,7 +230,7 @@ def run_gradient_suite(
             ),
         ]
         for fn, gfn in checks:
-            rep = finite_diff_check(fn, gfn, x, step=step, tol=tol)
+            rep = finite_diff_check(fn, gfn, x, tol=tol)
             if rep.max_rel_err > worst:
                 worst = rep.max_rel_err
                 detail = f"instance {i}, x-side coord {rep.worst_coord}"
@@ -244,7 +243,7 @@ def run_gradient_suite(
             cand = CenterVector(np.sort(cv), c_max=c.c_max)
             return sign * loss_quant_gradient_c(loss, x, [cand], layout, cfg)[0]
 
-        rep = finite_diff_check(fn_c, gfn_c, c.values.copy(), step=step, tol=tol)
+        rep = finite_diff_check(fn_c, gfn_c, c.values.copy(), tol=tol)
         if rep.max_rel_err > worst:
             worst = rep.max_rel_err
             detail = f"instance {i}, c-side coord {rep.worst_coord}"

@@ -19,7 +19,7 @@ from .centralized import HyperParams, init_centers_from_weights, init_weights
 from .data import Dataset, Partition, filter_test_indices, make_blobs
 from .diagnostics import evaluate_accuracy
 from .federated import ClientState, run_fedavg, run_local_only, run_qupel
-from .losses import LogisticLoss, MlpLoss, QuantLayout, mlp_loss
+from .losses import LogisticLoss, MlpLoss, QuantLayout
 from .rng import Rng
 
 __all__ = [
@@ -64,8 +64,8 @@ def build_blob_task(n_classes: int, dim: int, per_class: int, spread: float, see
 
 def _make_loss(kind: str, train: Dataset, n_classes: int, hidden: int, l2: float):
     if kind == "mlp":
-        return mlp_loss([train.features.shape[1], hidden, n_classes],
-                        train.features, train.labels, l2=l2)
+        return MlpLoss([train.features.shape[1], hidden, n_classes],
+                       train.features, train.labels, l2=l2)
     if kind == "logistic":
         if n_classes != 2:
             raise ValueError("logistic clients need a binary task")

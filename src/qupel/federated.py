@@ -10,9 +10,7 @@ term lambda_p * (x_i - w_i) enters the client's weight gradient, and w_i is
 then moved toward the fresh personalized model.
 
 The w update descends the coupling penalty,
-``w_i <- w_i + eta3 * lambda_p * (x_i - w_i)``; the penalty-ascending
-variant is available behind ``flip_w_update_sign`` for comparison with the
-alternative sign convention.
+``w_i <- w_i + eta3 * lambda_p * (x_i - w_i)``.
 
 One trainer loop, ``_train``, pins, steps (``client_local_step``) and
 records every client at every step; its metrics cadence, divergence rule and
@@ -21,8 +19,8 @@ and runs only under ``run_qupel``; ``run_local_only`` is the loop without it,
 at lambda_p = 0, and ``run_centralized`` is that loop on one client. With
 lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a QuPeL run is
 bitwise-identical to local-only training: the kernel skips the coupling.
-``run_fedavg`` keeps its own loop, on the clients' ``w_local``, averaging with
-``sync_round``'s mean, ``_mean_w``, and stopping under ``_train``'s divergence rule.
+``run_fedavg`` keeps its own loop, on its own array of global-model copies, and
+stops under ``_train``'s divergence rule.
 """
 
 from __future__ import annotations
@@ -97,25 +95,18 @@ def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
                                cs.data_rng, coupling=coupling)
     if hp.lambda_p == 0.0 or hp.eta3 == 0.0:
         w_new = cs.w_local
-    elif hp.flip_w_update_sign:
-        w_new = cs.w_local - hp.eta3 * hp.lambda_p * (x_new - cs.w_local)
     else:
         w_new = cs.w_local + hp.eta3 * hp.lambda_p * (x_new - cs.w_local)
     return replace(cs, x=x_new, centers=centers_new, w_local=w_new)
 
 
-def _mean_w(clients: list[ClientState]) -> np.ndarray:
-    """The mean of the local global-model copies, in ascending id order."""
-    ordered = sorted(clients, key=lambda c: c.id)
-    if len({c.w_local.shape for c in ordered}) != 1:
-        raise ValueError("clients disagree on the global model dimension")
-    return np.mean(np.stack([c.w_local for c in ordered]), axis=0)
-
-
 def sync_round(clients: list[ClientState]):
     """Average the local global-model copies (ascending id) and broadcast;
     returns ``(clients, w_mean)``, each client holding its own copy of the mean."""
-    w_mean = _mean_w(clients)
+    ordered = sorted(clients, key=lambda c: c.id)
+    if len({c.w_local.shape for c in ordered}) != 1:
+        raise ValueError("clients disagree on the global model dimension")
+    w_mean = np.mean(np.stack([c.w_local for c in ordered]), axis=0)
     return [replace(c, w_local=w_mean.copy()) for c in clients], w_mean
 
 
@@ -260,8 +251,9 @@ def run_local_only(clients: list[ClientState], hp: HyperParams) -> list[TrainRes
 def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
     """Full-precision FedAvg baseline on the plain client losses.
 
-    Every step each client takes one gradient step on f_i from its ``w_local``;
-    steps divisible by tau first average the copies. A non-finite step raises a
+    Every step each client takes one gradient step on f_i from its copy of the
+    global model, which starts at its ``w_local``; steps divisible by tau first
+    average the copies. No ``ClientState`` is changed. A non-finite step raises a
     DivergenceError naming the client, as does, at the metrics cadence, a mean
     client loss at the averaged model past ``_train``'s threshold (F_0 at the first
     averaged model). The result holds the final averaged model (no quantization).
@@ -269,20 +261,21 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.id)
+    ws = np.stack([cs.w_local for cs in clients])  # the global-model copies, one row per client
     history: list[RoundMetrics] = []
     for t in range(hp.steps):
         if t % hp.tau == 0:
-            clients, w_global = sync_round(clients)
+            w_global = ws.mean(axis=0)
+            ws[:] = w_global
             if t == 0:
                 f0 = float(np.mean([cs.loss.value(w_global) for cs in clients]))
                 limit = _divergence_limit(hp, f0, "fedavg")
-        for cs in clients:  # the copies sync_round made at t = 0, so updated in place
-            grad = _grad_step_loss(cs.loss, hp, cs.data_rng).gradient(cs.w_local)
-            cs.w_local = cs.w_local - hp.eta1 * grad
-            if not np.isfinite(cs.w_local).all():
+        for pos, cs in enumerate(clients):
+            ws[pos] -= hp.eta1 * _grad_step_loss(cs.loss, hp, cs.data_rng).gradient(ws[pos])
+            if not np.isfinite(ws[pos]).all():
                 raise DivergenceError(f"client {cs.id} diverged at step {t}: non-finite step")
         if _at_cadence(hp, t):
-            w_mean = _mean_w(clients)  # evaluated, not broadcast
+            w_mean = ws.mean(axis=0)  # evaluated, not broadcast
             mean_loss = float(np.mean([cs.loss.value(w_mean) for cs in clients]))
             _check_objective("fedavg", t, mean_loss, f0, limit, w_mean)
             accs = [evaluate_accuracy(cs.loss, w_mean, cs.test)
@@ -293,6 +286,6 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
                 total=mean_loss, stationarity_gap=None, w_drift=None, quant_error=None,
                 test_acc=acc, kappa_round=None,
             ))
-    w_final = _mean_w(clients)
+    w_final = ws.mean(axis=0)
     return TrainResult(x_final=w_final, centers_final=[], x_hard=w_final.copy(),
                        history=history)

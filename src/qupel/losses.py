@@ -39,9 +39,6 @@ __all__ = [
     "QuadraticLoss",
     "LogisticLoss",
     "MlpLoss",
-    "quadratic_loss",
-    "logistic_loss",
-    "mlp_loss",
     "QuantLayout",
     "ObjectiveEval",
     "quantize_grouped",
@@ -228,18 +225,6 @@ class MlpLoss(LossModel):
         return MlpLoss(self.sizes, self.features[indices], self.labels[indices], self.l2)
 
 
-def quadratic_loss(a, h_diag) -> QuadraticLoss:
-    return QuadraticLoss(a, h_diag)
-
-
-def logistic_loss(features, labels, l2: float = 0.0, class_labels=(-1, 1)) -> LogisticLoss:
-    return LogisticLoss(features, labels, l2, class_labels)
-
-
-def mlp_loss(layer_sizes, features, labels, l2: float = 0.0) -> MlpLoss:
-    return MlpLoss(layer_sizes, features, labels, l2)
-
-
 # ---------------------------------------------------------------------------
 # parameter partition and grouped quantization
 
@@ -274,11 +259,11 @@ class QuantLayout:
         return cls(loss.dim, tuple(loss.weight_ranges()))
 
     def check_centers(self, centers) -> list[CenterVector]:
-        """One center vector per group, as a list; a lone CenterVector counts as one group."""
-        centers = [centers] if isinstance(centers, CenterVector) else list(centers)
-        if len(centers) != len(self.groups):
-            raise ValueError("need one center vector per quantized group")
-        return centers
+        """``centers`` as a list, which must hold one CenterVector per group."""
+        if isinstance(centers, CenterVector) or len(centers) != len(self.groups):
+            raise ValueError(f"centers are a list of CenterVectors, one per quantized group: "
+                             f"need {len(self.groups)}")
+        return list(centers)
 
 
 def quantize_grouped(x, centers, layout: QuantLayout, cfg: QuantConfig) -> np.ndarray:

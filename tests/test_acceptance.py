@@ -13,7 +13,6 @@ import pytest
 from qupel.centralized import (
     HyperParams,
     LambdaSchedule,
-    centralized_step,
     init_centers_from_weights,
     init_weights,
     run_centralized,
@@ -28,13 +27,13 @@ from qupel.experiments import (
     build_clients,
     run_mode,
 )
-from qupel.federated import ClientState, run_local_only, run_qupel
+from qupel.federated import ClientState, client_local_step, run_local_only, run_qupel
 from qupel.losses import (
     LogisticLoss,
+    MlpLoss,
+    QuadraticLoss,
     QuantLayout,
     eval_F_i_grouped,
-    mlp_loss,
-    quadratic_loss,
 )
 from qupel.quantizer import CenterVector, QuantConfig
 from qupel.rng import Rng
@@ -83,7 +82,7 @@ def _clustered_quadratic(seed, m, d=10):
     h = rng.uniform(0.5, 2.0, d)
     x0 = a + rng.uniform(-0.1, 0.1, d)
     c0 = CenterVector(np.sort(clusters + rng.uniform(-0.05, 0.05, m)), c_max=3.0)
-    return quadratic_loss(a, h), x0, c0
+    return QuadraticLoss(a, h), x0, c0
 
 
 @criterion(3, "centralized convergence on the quadratic suite "
@@ -98,15 +97,17 @@ def test_criterion_3_centralized_convergence():
             loss, x0, c0 = _clustered_quadratic(seed, m)
             layout = QuantLayout.full(loss.dim)
             cfg = hard_cfg()
-            e1, e2 = safe_step_sizes(loss, x0, c0, cfg=cfg)
+            e1, e2 = safe_step_sizes(loss, x0, [c0], cfg=cfg)
             hp = HyperParams(eta1=e1, eta2=e2, steps=10_000, quant_cfg=cfg,
                              lambda_schedule=LambdaSchedule.constant(lam))
             lx_hat = 1.0 / (2.0 * e1)
             x, cs = x0, [c0]
+            client = ClientState(id=0, x=x, centers=cs, w_local=x, loss=loss, layout=layout)
             gaps = np.empty(hp.steps)
             f_prev = eval_F_i_grouped(loss, x, cs, layout, x, cfg, lam, 0.0).total
             for t in range(hp.steps):
-                x_new, cs_new = centralized_step((x, cs), loss, hp, t, layout=layout)
+                client = client_local_step(client, hp, t)  # lambda_p = 0: the centralized step
+                x_new, cs_new = client.x, client.centers
                 f_mid = eval_F_i_grouped(loss, x_new, cs, layout, x_new, cfg, lam, 0.0).total
                 dx = float(np.sum((x_new - x) ** 2))
                 # per-step sufficient decrease in the weights
@@ -156,7 +157,7 @@ def test_criterion_4_center_learning_gain():
                     fine_tune_start=320, metrics_every=200)
         accs = {}
         for name, eta2 in (("learned", 0.05), ("frozen", 0.0)):
-            res = run_centralized(loss, x0, c0, HyperParams(eta2=eta2, **base))
+            res = run_centralized(loss, x0, [c0], HyperParams(eta2=eta2, **base))
             accs[name] = evaluate_accuracy(loss, res.x_hard, test)
         wins += accs["learned"] >= accs["frozen"]
         diffs.append(accs["learned"] - accs["frozen"])
@@ -174,8 +175,8 @@ def _quad_client(cid, seed, d=4, m=2):
     vals = np.sort(rng.uniform(-1, 1, m))
     for j in range(1, m):
         vals[j] = max(vals[j], vals[j - 1] + 0.3)
-    return ClientState(id=cid, x=x0, centers=CenterVector(vals, c_max=10.0),
-                       w_local=x0.copy(), loss=quadratic_loss(a, h))
+    return ClientState(id=cid, x=x0, centers=[CenterVector(vals, c_max=10.0)],
+                       w_local=x0.copy(), loss=QuadraticLoss(a, h))
 
 
 def _results_identical(a, b):
@@ -267,7 +268,7 @@ def test_criterion_7_quantization_fidelity():
     gaps = []
     for seed in range(1, 6):
         task = build_blob_task(n_classes=10, dim=8, per_class=100, spread=0.4, seed=seed)
-        loss = mlp_loss([8, 16, 10], task.train.features, task.train.labels)
+        loss = MlpLoss([8, 16, 10], task.train.features, task.train.labels)
         x0 = init_weights(loss.dim, Rng(seed).spawn(4))
         layout = QuantLayout.for_mlp(loss)
         centers = [init_centers_from_weights(x0[s:e], 8, c_max=3.0)
@@ -279,7 +280,7 @@ def test_criterion_7_quantization_fidelity():
         acc_q = evaluate_accuracy(loss, res_q.x_hard, task.test)
         hp_fp = HyperParams(eta1=0.1, eta2=0.0, steps=600, quant_cfg=hard_cfg(),
                             lambda_schedule=LambdaSchedule.constant(0.0), metrics_every=600)
-        res_fp = run_centralized(loss, x0, centers[0], hp_fp)
+        res_fp = run_centralized(loss, x0, [centers[0]], hp_fp)
         acc_fp = evaluate_accuracy(loss, res_fp.x_final, task.test)
         gaps.append(acc_fp - acc_q)
     mean_gap = float(np.mean(gaps))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -238,6 +239,14 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 0
         rows = read_summary(str(tmp_path / "f"))
         assert all(r["bits"] == "32" for r in rows)
+
+    def test_fedavg_labels_its_accuracy_full_precision(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QUPEL_SEED", raising=False)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(CONFIG_DIR / "fedavg.json"), "--out", out]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "mode=fedavg clients=10 bits=[32, 32, 32, 32, 32, 32, 32, 32, ...]",
+            "avg full-precision test accuracy: 0.7094", f"outputs in {out}"]
 
     @pytest.mark.parametrize("eta1", [1e300, 1e100], ids=["overflow", "past-threshold"])
     def test_fedavg_divergence_exits_3_with_one_line(self, tmp_path, capsys, eta1):
@@ -528,7 +537,9 @@ INVALID_CONFIGS = [
     ("compare", lambda c: c.update(seeds=[1, 1]), "seeds"),
     ("run", lambda c: c["hyper"].update(eta2_decay=[[5, 0.5], [0, 1.0]]), "hyper.eta2_decay"),
     ("run", lambda c: c["hyper"].update(eta2_decay=[[5, 0.5], [5, 1.0]]), "hyper.eta2_decay"),
-    ("quadratic", lambda c: c["hyper"].update({"eta2": 1e300, "lambda": 1e10}), "hyper"),
+    ("quadratic", lambda c: c["hyper"].update({"eta2": 1e300,
+                                               "lambda": {"kind": "constant", "value": 1e10}}),
+     "hyper"),
     ("quadratic", lambda c: c["hyper"].update({"lambda": {"kind": "linear", "base": 1e308},
                                               "divergence_factor": 1e308}), "hyper"),
     ("run", lambda c: c["hyper"].update(lamda_p=1.0), "hyper.lamda_p"),
@@ -558,6 +569,8 @@ INVALID_CONFIGS = [
     ("compare", compare_local_alone, "hyper.tau"),
     ("compare", lambda c: c.update(modes=["local", "local"]), "modes"),
     ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise"}}), "hyper.lambda.kind"),
+    ("run", lambda c: c["hyper"].update(flip_w_update_sign=True), "hyper.flip_w_update_sign"),
+    ("run", lambda c: c["hyper"].update({"lambda": 0.05}), "hyper.lambda"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -580,7 +593,8 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "out-dir-bool", "compare-out-dir-bool", "centralized-out-dir-list", "local-tau",
         "local-lambda-p", "centralized-lambda-p", "quadratic-hidden", "quadratic-l2",
         "quadratic-exempt", "logistic-hidden", "fedavg-eta2", "fedavg-lambda", "fedavg-m",
-        "compare-local-tau", "compare-modes-repeated", "lambda-piecewise"]
+        "compare-local-tau", "compare-modes-repeated", "lambda-piecewise", "flip-sign",
+        "lambda-number"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)
@@ -609,6 +623,11 @@ def test_invalid_config_leaves_earlier_outputs(tmp_path, capsys):
     cfg_dict["partition"]["clients"] = 1000
     assert main(["run", "--config", write_cfg(tmp_path, "b.json", cfg_dict)]) == 2
     assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+
+def test_every_hyperparams_field_has_a_config_source():
+    built = {"lambda_schedule", "quant_cfg"}  # made by build_hyper from their own keys
+    assert {f.name for f in dataclasses.fields(cli.HyperParams)} == set(cli._HYPER_FIELDS) | built
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)

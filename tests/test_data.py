@@ -9,7 +9,7 @@ from qupel.data import (
     make_blobs,
     partition_noniid,
 )
-from qupel.losses import logistic_loss
+from qupel.losses import LogisticLoss
 
 
 class TestMakeBlobs:
@@ -34,7 +34,7 @@ class TestMakeBlobs:
     def test_tiny_spread_linearly_separable(self):
         train, _ = make_blobs(n_classes=2, dim=4, per_class=25, spread=1e-6, seed=3)
         y = np.where(train.labels == 1, 1.0, -1.0)
-        loss = logistic_loss(train.features, y, l2=0.0, class_labels=(0, 1))
+        loss = LogisticLoss(train.features, y, l2=0.0, class_labels=(0, 1))
         x = np.zeros(4)
         for _ in range(500):
             x = x - 0.5 * loss.gradient(x)

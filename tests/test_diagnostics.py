@@ -13,7 +13,7 @@ from qupel.diagnostics import (
     run_gradient_suite,
     run_prox_suite,
 )
-from qupel.losses import logistic_loss, quadratic_loss
+from qupel.losses import LogisticLoss, QuadraticLoss
 from qupel.quantizer import CenterVector
 from qupel.rng import Rng
 
@@ -21,7 +21,7 @@ from qupel.rng import Rng
 class TestFiniteDiffCheck:
     def test_quadratic_tight(self):
         rng = Rng(1)
-        loss = quadratic_loss(rng.uniform(-1, 1, 5), rng.uniform(0.5, 2, 5))
+        loss = QuadraticLoss(rng.uniform(-1, 1, 5), rng.uniform(0.5, 2, 5))
         rep = finite_diff_check(loss.value, loss.gradient, rng.uniform(-1, 1, 5), tol=1e-8)
         assert rep.passed and rep.max_rel_err < 1e-8
 
@@ -30,7 +30,7 @@ class TestFiniteDiffCheck:
         assert rep.max_rel_err == 0.0
 
     def test_detects_wrong_sign(self):
-        loss = quadratic_loss([0.0], [1.0])
+        loss = QuadraticLoss([0.0], [1.0])
         rep = finite_diff_check(loss.value, lambda x: -loss.gradient(x), np.array([1.0]))
         assert not rep.passed
         assert rep.worst_coord == 0
@@ -54,7 +54,7 @@ class TestEvaluateAccuracy:
     def test_perfect_separation(self):
         train, test = make_blobs(2, 3, 25, 1e-6, seed=2)
         y = np.where(train.labels == 1, 1.0, -1.0)
-        loss = logistic_loss(train.features, y, class_labels=(0, 1))
+        loss = LogisticLoss(train.features, y, class_labels=(0, 1))
         x = np.zeros(3)
         for _ in range(400):
             x = x - 0.5 * loss.gradient(x)
@@ -69,13 +69,13 @@ class TestEvaluateAccuracy:
 
         test = Dataset(feats, labels)
         y_dummy = np.where(labels == 1, 1.0, -1.0)
-        loss = logistic_loss(feats, y_dummy, class_labels=(0, 1))
+        loss = LogisticLoss(feats, y_dummy, class_labels=(0, 1))
         acc = evaluate_accuracy(loss, np.array([1.0, 0.5]), test)
         # 3-sigma binomial band around 0.5
         assert abs(acc - 0.5) < 3 * 0.5 / np.sqrt(n)
 
     def test_empty_test_set(self):
-        loss = logistic_loss(np.ones((2, 1)), np.array([-1.0, 1.0]))
+        loss = LogisticLoss(np.ones((2, 1)), np.array([-1.0, 1.0]))
         from qupel.data import Dataset
 
         with pytest.raises(ValueError):

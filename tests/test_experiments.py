@@ -16,7 +16,7 @@ from qupel.experiments import (
     run_mode,
 )
 from qupel.federated import run_local_only, run_qupel
-from qupel.losses import logistic_loss
+from qupel.losses import LogisticLoss
 from qupel.quantizer import QuantConfig
 from qupel.rng import Rng
 
@@ -101,7 +101,7 @@ class TestMinibatchMode:
         n, d = 60, 5
         feats = rng.normal(n * d).reshape(n, d)
         labels = np.where(feats[:, 0] + 0.3 * feats[:, 1] > 0, 1.0, -1.0)
-        loss = logistic_loss(feats, labels, l2=1e-3)
+        loss = LogisticLoss(feats, labels, l2=1e-3)
         from qupel.centralized import init_centers_from_weights, init_weights
 
         x0 = init_weights(d, Rng(3))
@@ -109,21 +109,21 @@ class TestMinibatchMode:
         hp = HyperParams(eta1=0.3, eta2=0.01, steps=200, quant_cfg=hard_cfg(),
                          lambda_schedule=LambdaSchedule.linear(1e-4, cap=0.05),
                          batch_size=16, metrics_every=100)
-        r1 = run_centralized(loss, x0, c0, hp, rng=Rng(41))
-        r2 = run_centralized(loss, x0, c0, hp, rng=Rng(41))
-        r3 = run_centralized(loss, x0, c0, hp, rng=Rng(42))
+        r1 = run_centralized(loss, x0, [c0], hp, rng=Rng(41))
+        r2 = run_centralized(loss, x0, [c0], hp, rng=Rng(41))
+        r3 = run_centralized(loss, x0, [c0], hp, rng=Rng(42))
         assert np.array_equal(r1.x_final, r2.x_final)
         assert not np.array_equal(r1.x_final, r3.x_final)
         assert loss.value(r1.x_final) < loss.value(x0)
 
     def test_requires_rng(self):
-        loss = logistic_loss(np.ones((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
+        loss = LogisticLoss(np.ones((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
         hp = HyperParams(eta1=0.1, eta2=0.0, steps=2, quant_cfg=hard_cfg(), batch_size=2)
         from qupel.centralized import init_centers_from_weights
 
         c0 = init_centers_from_weights(np.array([0.1, -0.1]), 2, c_max=3.0)
         with pytest.raises(ValueError):
-            run_centralized(loss, np.zeros(2), c0, hp)
+            run_centralized(loss, np.zeros(2), [c0], hp)
 
 
 class TestMinibatchClients:

@@ -9,7 +9,6 @@ from qupel.centralized import (
     DivergenceError,
     HyperParams,
     LambdaSchedule,
-    centralized_step,
     run_centralized,
 )
 from qupel.federated import (
@@ -21,7 +20,7 @@ from qupel.federated import (
     run_qupel,
     sync_round,
 )
-from qupel.losses import quadratic_loss
+from qupel.losses import QuadraticLoss
 from qupel.quantizer import CenterVector, QuantConfig
 from qupel.rng import Rng
 
@@ -42,8 +41,8 @@ def make_client(cid, seed=None, d=4, m=2, target_shift=0.0):
     vals = np.sort(rng.uniform(-1, 1, m))
     for j in range(1, m):
         vals[j] = max(vals[j], vals[j - 1] + 0.3)
-    return ClientState(id=cid, x=x0, centers=centers(*vals), w_local=x0.copy(),
-                       loss=quadratic_loss(a, h))
+    return ClientState(id=cid, x=x0, centers=[centers(*vals)], w_local=x0.copy(),
+                       loss=QuadraticLoss(a, h))
 
 
 def results_equal(a, b):
@@ -65,35 +64,37 @@ def results_equal(a, b):
     return True
 
 
+@pytest.mark.parametrize("x, w", [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(3))],
+                         ids=["w-local-off", "both-off"])
+def test_client_state_refuses_mismatched_dimensions(x, w):
+    with pytest.raises(ValueError, match="^client model and global copy must share the loss "
+                                         "dimension$"):
+        ClientState(id=0, x=x, centers=[centers(0.0)], w_local=w,
+                    loss=QuadraticLoss([0.0, 0.0], [1.0, 1.0]))
+
+
 class TestClientLocalStep:
     def test_decouples_at_zero_coupling(self):
         cs = make_client(0)
         hp = HyperParams(eta1=0.1, eta2=0.05, steps=10, quant_cfg=hard_cfg(),
                          lambda_schedule=LambdaSchedule.constant(0.1), lambda_p=0.0, eta3=0.5)
         stepped = client_local_step(cs, hp, t=3)
-        x_ref, c_ref = centralized_step((cs.x, cs.centers), cs.loss, hp, t=3)
+        # the same client with another global-model copy steps (x, c) alike
+        ref = client_local_step(replace(cs, w_local=cs.w_local + 7.0), hp, t=3)
+        x_ref, c_ref = ref.x, ref.centers
         assert np.array_equal(stepped.x, x_ref)
         assert np.array_equal(stepped.centers[0].values, c_ref[0].values)
         assert np.array_equal(stepped.w_local, cs.w_local)
 
     def test_w_update_hand_value(self):
         # eta3 * lambda_p = 0.125 moves w an eighth of the way toward x
-        loss = quadratic_loss([1.0], [1e-9])
-        cs = ClientState(id=0, x=np.array([1.0]), centers=centers(1.0),
+        loss = QuadraticLoss([1.0], [1e-9])
+        cs = ClientState(id=0, x=np.array([1.0]), centers=[centers(1.0)],
                          w_local=np.array([0.0]), loss=loss)
         hp = HyperParams(eta1=1e-6, eta2=0.0, steps=1, quant_cfg=hard_cfg(),
                          lambda_p=0.25, eta3=0.5)
         stepped = client_local_step(cs, hp, t=1)
         assert stepped.w_local[0] == pytest.approx(0.125, abs=1e-9)
-
-    def test_paper_literal_sign_flips_w(self):
-        loss = quadratic_loss([1.0], [1e-9])
-        cs = ClientState(id=0, x=np.array([1.0]), centers=centers(1.0),
-                         w_local=np.array([0.0]), loss=loss)
-        hp = HyperParams(eta1=1e-6, eta2=0.0, steps=1, quant_cfg=hard_cfg(),
-                         lambda_p=0.25, eta3=0.5, flip_w_update_sign=True)
-        stepped = client_local_step(cs, hp, t=1)
-        assert stepped.w_local[0] == pytest.approx(-0.125, abs=1e-9)
 
     def test_zero_coupling_when_models_agree(self):
         cs = make_client(1)
@@ -227,7 +228,7 @@ class TestRunQupel:
         monkeypatch.setattr(federated, "_step", lambda *a, **k: steps.append(a))
         clients = [make_client(i) for i in range(3)]
         # finite x, but f(x) = 0.5 * sum(h * (x - a)^2) overflows to +inf
-        clients[2].loss = quadratic_loss([1.9, -1.92, 0.0, 0.0], [1e308] * 4)
+        clients[2].loss = QuadraticLoss([1.9, -1.92, 0.0, 0.0], [1e308] * 4)
         with pytest.raises(DivergenceError, match="^client 2 cannot start:"):
             run_qupel(clients, self.qupel_hp(lambda_p=0.5))
         assert steps == []
@@ -250,8 +251,8 @@ class TestRunLocalOnly:
 
     def test_first_client_to_diverge_in_step_order_raises(self):
         # eta1 * h > 2 makes the iterates grow: 1.5x a step on client 0, 9x on client 2
-        clients = [ClientState(id=i, x=np.full(2, 0.5), centers=centers(-1.0, 1.0),
-                               w_local=np.full(2, 0.5), loss=quadratic_loss([0.0, 0.0], [h, h]))
+        clients = [ClientState(id=i, x=np.full(2, 0.5), centers=[centers(-1.0, 1.0)],
+                               w_local=np.full(2, 0.5), loss=QuadraticLoss([0.0, 0.0], [h, h]))
                    for i, h in enumerate([2.5, 1.0, 10.0])]
         hp = HyperParams(eta1=1.0, eta2=0.0, steps=200, quant_cfg=hard_cfg())
         with pytest.raises(DivergenceError, match="^client 0 objective diverged at step 19:"):
@@ -273,8 +274,8 @@ class TestRunFedavg:
     def test_converges_to_mean_of_targets(self):
         targets = [np.array([1.0, -1.0]), np.array([0.0, 2.0]), np.array([-1.0, 0.5])]
         clients = [
-            ClientState(id=i, x=np.zeros(2), centers=centers(0.0), w_local=np.zeros(2),
-                        loss=quadratic_loss(t, [1.0, 1.0]))
+            ClientState(id=i, x=np.zeros(2), centers=[centers(0.0)], w_local=np.zeros(2),
+                        loss=QuadraticLoss(t, [1.0, 1.0]))
             for i, t in enumerate(targets)
         ]
         hp = HyperParams(eta1=0.2, eta2=0.0, steps=400, tau=1, quant_cfg=hard_cfg())
@@ -297,8 +298,8 @@ class TestRunFedavg:
 
     @staticmethod
     def target_clients(curvature=1.0):
-        return [ClientState(id=i, x=np.zeros(2), centers=centers(0.0), w_local=np.zeros(2),
-                            loss=quadratic_loss([1.0 + i, -1.0], [curvature, curvature]))
+        return [ClientState(id=i, x=np.zeros(2), centers=[centers(0.0)], w_local=np.zeros(2),
+                            loss=QuadraticLoss([1.0 + i, -1.0], [curvature, curvature]))
                 for i in range(3)]
 
     def test_nonfinite_step_raises_naming_the_client(self):
@@ -335,10 +336,10 @@ class TestEstimateDiversity:
         assert np.mean(kappa_i) == 0.0
 
     def test_hand_example(self):
-        c1 = ClientState(id=0, x=np.array([1.0]), centers=centers(0.0),
-                         w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
-        c2 = ClientState(id=1, x=np.array([-1.0]), centers=centers(0.0),
-                         w_local=np.zeros(1), loss=quadratic_loss([0.0], [1.0]))
+        c1 = ClientState(id=0, x=np.array([1.0]), centers=[centers(0.0)],
+                         w_local=np.zeros(1), loss=QuadraticLoss([0.0], [1.0]))
+        c2 = ClientState(id=1, x=np.array([-1.0]), centers=[centers(0.0)],
+                         w_local=np.zeros(1), loss=QuadraticLoss([0.0], [1.0]))
         kappa_i = estimate_diversity([c1, c2], np.zeros(1), lambda_p=1.0)
         np.testing.assert_allclose(kappa_i, [1.0, 1.0], atol=1e-15)
         assert np.mean(kappa_i) == pytest.approx(1.0, abs=1e-15)
@@ -368,9 +369,9 @@ class TestPerClientSufficientDecrease:
             h = rng.uniform(0.5, 2.0, 6)
             x0 = a + rng.uniform(-0.1, 0.1, 6)
             vals = np.sort(clusters + rng.uniform(-0.05, 0.05, 2))
-            clients.append(ClientState(id=i, x=x0, centers=CenterVector(vals, c_max=3.0),
-                                       w_local=x0.copy(), loss=quadratic_loss(a, h)))
-        e1, e2 = safe_step_sizes(clients[0].loss, clients[0].x, clients[0].centers[0],
+            clients.append(ClientState(id=i, x=x0, centers=[CenterVector(vals, c_max=3.0)],
+                                       w_local=x0.copy(), loss=QuadraticLoss(a, h)))
+        e1, e2 = safe_step_sizes(clients[0].loss, clients[0].x, clients[0].centers,
                                  cfg=hard_cfg(), lambda_p=lam_p)
         hp = HyperParams(eta1=e1, eta2=e2, steps=120, tau=tau, eta3=0.2, lambda_p=lam_p,
                          quant_cfg=hard_cfg(), lambda_schedule=LambdaSchedule.constant(lam))

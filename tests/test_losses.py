@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from qupel.losses import (
+    LogisticLoss,
+    MlpLoss,
+    QuadraticLoss,
     QuantLayout,
     eval_F_i_grouped,
     hard_quantize_grouped,
-    logistic_loss,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
-    mlp_loss,
-    quadratic_loss,
     quantize_grouped,
 )
 from qupel import losses, quantizer
@@ -27,23 +27,23 @@ def centers(*vals):
 
 class TestQuadratic:
     def test_minimum(self):
-        loss = quadratic_loss([1.0, -2.0], [1.0, 3.0])
+        loss = QuadraticLoss([1.0, -2.0], [1.0, 3.0])
         x = np.array([1.0, -2.0])
         assert loss.value(x) == 0.0
         assert np.array_equal(loss.gradient(x), [0.0, 0.0])
 
     def test_hand_value(self):
-        loss = quadratic_loss([1.0], [1.0])
+        loss = QuadraticLoss([1.0], [1.0])
         assert loss.value(np.array([0.5])) == pytest.approx(0.125, abs=0)
         assert loss.gradient(np.array([0.5]))[0] == pytest.approx(-0.5, abs=0)
 
     def test_rejects_bad_curvature(self):
         with pytest.raises(ValueError):
-            quadratic_loss([0.0], [0.0])
+            QuadraticLoss([0.0], [0.0])
 
     def test_gradient_matches_fd(self):
         rng = Rng(2)
-        loss = quadratic_loss(rng.uniform(-1, 1, 6), rng.uniform(0.5, 3, 6))
+        loss = QuadraticLoss(rng.uniform(-1, 1, 6), rng.uniform(0.5, 3, 6))
         rep = finite_diff_check(loss.value, loss.gradient, rng.uniform(-2, 2, 6), tol=1e-8)
         assert rep.passed
 
@@ -52,7 +52,7 @@ class TestLogistic:
     def make(self, rng, n=12, d=4, l2=0.05):
         z = rng.normal(n * d).reshape(n, d)
         y = np.where(rng.uniform(0, 1, n) < 0.5, -1.0, 1.0)
-        return logistic_loss(z, y, l2=l2)
+        return LogisticLoss(z, y, l2=l2)
 
     def test_value_at_zero(self):
         loss = self.make(Rng(3))
@@ -71,12 +71,12 @@ class TestLogistic:
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            logistic_loss(np.zeros((0, 3)), np.zeros(0))
+            LogisticLoss(np.zeros((0, 3)), np.zeros(0))
 
     def test_predict_in_class_label_space(self):
         rng = Rng(6)
-        loss = logistic_loss(rng.normal(8).reshape(4, 2),
-                             np.array([-1.0, 1.0, 1.0, -1.0]), class_labels=(0, 1))
+        loss = LogisticLoss(rng.normal(8).reshape(4, 2),
+                            np.array([-1.0, 1.0, 1.0, -1.0]), class_labels=(0, 1))
         pred = loss.predict(np.array([1.0, 0.0]), np.array([[2.0, 0.0], [-2.0, 0.0]]))
         assert set(pred) <= {0, 1}
 
@@ -85,7 +85,7 @@ class TestMlp:
     def make(self, rng, n=20, d=3, hidden=4, classes=2):
         z = rng.normal(n * d).reshape(n, d)
         y = np.array([i % classes for i in range(n)], dtype=np.int64)
-        return mlp_loss([d, hidden, classes], z, y)
+        return MlpLoss([d, hidden, classes], z, y)
 
     def test_zero_weights_uniform_logits(self):
         loss = self.make(Rng(7))
@@ -93,8 +93,8 @@ class TestMlp:
 
     def test_gradient_matches_fd(self):
         rng = Rng(8)
-        loss = mlp_loss([2, 4, 2], rng.normal(16).reshape(8, 2),
-                        np.array([0, 1] * 4, dtype=np.int64))
+        loss = MlpLoss([2, 4, 2], rng.normal(16).reshape(8, 2),
+                       np.array([0, 1] * 4, dtype=np.int64))
         x = rng.uniform(-0.8, 0.8, loss.dim)
         rep = finite_diff_check(loss.value, loss.gradient, x, tol=1e-4)
         assert rep.passed
@@ -124,21 +124,50 @@ class TestMlp:
     def test_refuses_any_depth_but_one_hidden_layer(self, sizes):
         z = Rng(12).normal(40).reshape(5, 8)
         with pytest.raises(ValueError, match="one hidden layer"):
-            mlp_loss(sizes, z, np.zeros(5, dtype=np.int64))
+            MlpLoss(sizes, z, np.zeros(5, dtype=np.int64))
+
+
+_SHAPES = "^targets and curvature must be 1-d vectors of equal length$"
+_PM_LABELS = r"^labels must be a vector of \+-1 matching the feature rows$"
+_INT_LABELS = r"^labels must be ints in \[0, n_classes\)$"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuadraticLoss([0.0, 1.0], [1.0]), _SHAPES),
+    (lambda: QuadraticLoss([[0.0]], [[1.0]]), _SHAPES),
+    (lambda: LogisticLoss(np.zeros(3), np.ones(3)), "^empty dataset$"),
+    (lambda: LogisticLoss(np.zeros((3, 2)), np.ones(2)), _PM_LABELS),
+    (lambda: LogisticLoss(np.zeros((3, 2)), np.array([0.0, 1.0, 1.0])), _PM_LABELS),
+    (lambda: LogisticLoss(np.zeros((3, 2)), np.ones(3), l2=-0.1), "^l2 must be nonnegative$"),
+    (lambda: MlpLoss([2, 3, 2], np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
+     "^empty dataset$"),
+    (lambda: MlpLoss([2, 3, 2], np.zeros((4, 3)), np.zeros(4, dtype=np.int64)),
+     "^feature dimension does not match the input layer$"),
+    (lambda: MlpLoss([2, 3, 2], np.zeros((4, 2)), np.zeros(3, dtype=np.int64)), _INT_LABELS),
+    (lambda: MlpLoss([2, 3, 2], np.zeros((4, 2)), np.array([0, 1, 2, 0])), _INT_LABELS),
+    (lambda: MlpLoss([2, 3, 2], np.zeros((4, 2)), np.array([0, -1, 1, 0])), _INT_LABELS),
+    (lambda: MlpLoss([2, 3, 2], np.zeros((4, 2)), np.zeros(4, dtype=np.int64), l2=-1.0),
+     "^l2 must be nonnegative$"),
+], ids=["quadratic-lengths", "quadratic-2d", "logistic-1d-features", "logistic-label-count",
+        "logistic-label-values", "logistic-l2", "mlp-empty", "mlp-feature-dim",
+        "mlp-label-count", "mlp-label-above", "mlp-label-below", "mlp-l2"])
+def test_loss_constructors_refuse(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestComposedObjectives:
     def test_hard_mode_on_centers(self):
-        loss = quadratic_loss([0.0, 1.0], [1.0, 1.0])
+        loss = QuadraticLoss([0.0, 1.0], [1.0, 1.0])
         x = np.array([0.0, 1.0])
-        ev = eval_F_i_grouped(loss, x, centers(0.0, 1.0), QuantLayout.full(2), x,
+        ev = eval_F_i_grouped(loss, x, [centers(0.0, 1.0)], QuantLayout.full(2), x,
                               QuantConfig(hard_limit=True), lam=0.0, lambda_p=0.0)
         assert ev.total == 2 * ev.f_x == 0.0
 
     def test_hand_example(self):
-        loss = quadratic_loss([1.0], [1.0])
+        loss = QuadraticLoss([1.0], [1.0])
         x = np.array([0.6])
-        ev = eval_F_i_grouped(loss, x, centers(0.0, 1.0), QuantLayout.full(1), x,
+        ev = eval_F_i_grouped(loss, x, [centers(0.0, 1.0)], QuantLayout.full(1), x,
                               QuantConfig(hard_limit=True), lam=0.1, lambda_p=0.0)
         assert ev.f_x == pytest.approx(0.08, abs=1e-15)
         assert ev.f_q == 0.0
@@ -147,38 +176,38 @@ class TestComposedObjectives:
 
     def test_total_is_ordered_sum(self):
         rng = Rng(13)
-        loss = quadratic_loss(rng.uniform(-1, 1, 5), rng.uniform(0.5, 2, 5))
+        loss = QuadraticLoss(rng.uniform(-1, 1, 5), rng.uniform(0.5, 2, 5))
         x = rng.uniform(-1, 1, 5)
-        ev = eval_F_i_grouped(loss, x, centers(-0.5, 0.5), QuantLayout.full(5), x,
+        ev = eval_F_i_grouped(loss, x, [centers(-0.5, 0.5)], QuantLayout.full(5), x,
                               QuantConfig(sharpness=4.0), lam=0.3, lambda_p=0.0)
         assert ev.total == ev.f_x + ev.f_q + ev.reg + ev.prox_penalty
         assert ev.total >= ev.f_x
 
     def test_F_i_penalty(self):
-        loss = quadratic_loss([1.0], [1.0])
-        ev = eval_F_i_grouped(loss, np.array([0.6]), centers(0.0, 1.0), QuantLayout.full(1),
+        loss = QuadraticLoss([1.0], [1.0])
+        ev = eval_F_i_grouped(loss, np.array([0.6]), [centers(0.0, 1.0)], QuantLayout.full(1),
                               np.array([0.8]), QuantConfig(hard_limit=True), lam=0.1, lambda_p=0.5)
         assert ev.prox_penalty == pytest.approx(0.01, abs=1e-15)
         assert ev.total == pytest.approx(0.11, abs=1e-15)
 
     def test_F_i_zero_penalty_when_models_agree(self):
-        loss = quadratic_loss([1.0], [1.0])
+        loss = QuadraticLoss([1.0], [1.0])
         x = np.array([0.3])
-        ev = eval_F_i_grouped(loss, x, centers(0.0, 1.0), QuantLayout.full(1), x,
+        ev = eval_F_i_grouped(loss, x, [centers(0.0, 1.0)], QuantLayout.full(1), x,
                               QuantConfig(hard_limit=True), 0.1, 2.0)
         assert ev.prox_penalty == 0.0
 
     def test_F_i_dimension_mismatch(self):
-        loss = quadratic_loss([1.0], [1.0])
+        loss = QuadraticLoss([1.0], [1.0])
         with pytest.raises(ValueError):
-            eval_F_i_grouped(loss, np.array([0.5]), centers(0.0), QuantLayout.full(1),
+            eval_F_i_grouped(loss, np.array([0.5]), [centers(0.0)], QuantLayout.full(1),
                              np.array([0.5, 0.5]), QuantConfig(hard_limit=True), 0.0, 1.0)
 
     def test_penalty_gradient_wrt_w(self):
         rng = Rng(14)
-        loss = quadratic_loss(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))
+        loss = QuadraticLoss(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))
         x = rng.uniform(-1, 1, 4)
-        c = centers(-0.5, 0.5)
+        c = [centers(-0.5, 0.5)]
         lam_p = 0.7
 
         def pen(w):
@@ -192,7 +221,7 @@ class TestComposedObjectives:
 class TestChainRuleGradients:
     def test_grad_x_through_quantizer_fd(self):
         rng = Rng(15)
-        loss = quadratic_loss(rng.uniform(-1, 1, 6), rng.uniform(0.5, 2, 6))
+        loss = QuadraticLoss(rng.uniform(-1, 1, 6), rng.uniform(0.5, 2, 6))
         layout = QuantLayout.full(6)
         cs = [centers(-0.8, 0.1, 0.9)]
         cfg = QuantConfig(sharpness=5.0)
@@ -206,7 +235,7 @@ class TestChainRuleGradients:
 
     def test_grad_c_through_quantizer_fd(self):
         rng = Rng(16)
-        loss = quadratic_loss(rng.uniform(-1, 1, 6), rng.uniform(0.5, 2, 6))
+        loss = QuadraticLoss(rng.uniform(-1, 1, 6), rng.uniform(0.5, 2, 6))
         layout = QuantLayout.full(6)
         base = centers(-0.8, 0.1, 0.9)
         cfg = QuantConfig(sharpness=5.0)
@@ -222,7 +251,7 @@ class TestChainRuleGradients:
         assert rep.passed
 
     def test_hard_mode_grad_x_zero_on_quantized(self):
-        loss = quadratic_loss([0.5, 0.5], [1.0, 1.0])
+        loss = QuadraticLoss([0.5, 0.5], [1.0, 1.0])
         layout = QuantLayout(2, ((0, 1),))  # second coordinate exempt
         cs = [centers(0.0, 1.0)]
         cfg = QuantConfig(hard_limit=True)
@@ -232,7 +261,7 @@ class TestChainRuleGradients:
 
     def test_exempt_coordinates_identity(self):
         rng = Rng(17)
-        loss = quadratic_loss(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))
+        loss = QuadraticLoss(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))
         layout = QuantLayout(4, ((0, 2),))
         cs = [centers(-0.5, 0.5)]
         cfg = QuantConfig(sharpness=3.0)
@@ -246,7 +275,7 @@ class TestChainRuleGradients:
         with pytest.raises(ValueError):
             QuantLayout(4, ((0, 5),))
         with pytest.raises(ValueError):
-            eval_F_i_grouped(quadratic_loss([0.0], [1.0]), np.array([0.0]), [],
+            eval_F_i_grouped(QuadraticLoss([0.0], [1.0]), np.array([0.0]), [],
                              QuantLayout.full(1), np.array([0.0]), QuantConfig(hard_limit=True),
                              0.0, 0.0)
 
@@ -258,8 +287,8 @@ class TestObjectiveEvaluator:
 
     def make(self):
         rng = Rng(18)
-        loss = mlp_loss([3, 4, 2], rng.normal(30).reshape(10, 3),
-                        np.array([0, 1] * 5, dtype=np.int64))
+        loss = MlpLoss([3, 4, 2], rng.normal(30).reshape(10, 3),
+                       np.array([0, 1] * 5, dtype=np.int64))
         layout = QuantLayout.for_mlp(loss)  # two weight groups; the biases are exempt
         x = rng.uniform(-1, 1, loss.dim)
         w = rng.uniform(-1, 1, loss.dim)

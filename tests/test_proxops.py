@@ -164,3 +164,24 @@ class TestProxC:
         val = exact_prox_c_objective(mu, mu, np.array([0.2, 0.3, 0.9]), p)
         # at c = mu the quadratic part vanishes; only the weighted l1 term remains
         assert val == pytest.approx((0.1 / 2) * (0.1 + 0.2 + 0.05), abs=1e-12)
+
+
+@pytest.mark.parametrize("eta, lam, message", [
+    (0.0, 0.1, "^eta must be a positive finite real$"),
+    (-1.0, 0.1, "^eta must be a positive finite real$"),
+    (np.inf, 0.1, "^eta must be a positive finite real$"),
+    (np.nan, 0.1, "^eta must be a positive finite real$"),
+    (1.0, -0.1, "^lambda must be a nonnegative finite real$"),
+    (1.0, np.inf, "^lambda must be a nonnegative finite real$"),
+    (1.0, np.nan, "^lambda must be a nonnegative finite real$"),
+], ids=["eta-zero", "eta-negative", "eta-inf", "eta-nan", "lam-negative", "lam-inf", "lam-nan"])
+def test_prox_params_refuse_out_of_range(eta, lam, message):
+    with pytest.raises(ValueError, match=message):
+        ProxParams(eta=eta, lam=lam)
+
+
+@pytest.mark.parametrize("mu", [np.zeros(3), np.zeros(1), np.zeros((2, 1))],
+                         ids=["long", "short", "column"])
+def test_prox_c_refuses_misshaped_mu(mu):
+    with pytest.raises(ValueError, match="^mu must have one entry per center$"):
+        prox_c(mu, np.array([0.2, 0.8]), centers(0.0, 1.0), ProxParams(eta=1.0, lam=0.1))

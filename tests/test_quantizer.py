@@ -272,3 +272,25 @@ class TestHardGradC:
         got = hard_grad_c(assign, up, c.m)
         want = np.array([up[assign == j].sum() for j in range(c.m)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c_max", [0.0, -1.0, np.inf, np.nan])
+def test_center_vector_refuses_bad_c_max(c_max):
+    with pytest.raises(ValueError, match="^c_max must be a positive finite real$"):
+        CenterVector(np.array([0.0]), c_max=c_max)
+
+
+@pytest.mark.parametrize("sharpness", [0.0, -2.0, np.inf, np.nan])
+def test_quant_config_refuses_bad_sharpness(sharpness):
+    with pytest.raises(ValueError, match="^sharpness P must be a positive finite real$"):
+        QuantConfig(sharpness=sharpness)
+
+
+@pytest.mark.parametrize("assignments, m, message", [
+    ([0, 0], 0, "^m must be >= 1$"),
+    ([0, 2], 2, "^assignment index out of range$"),
+    ([-1, 0], 2, "^assignment index out of range$"),
+], ids=["m-zero", "index-above", "index-below"])
+def test_hard_grad_c_refuses(assignments, m, message):
+    with pytest.raises(ValueError, match=message):
+        hard_grad_c(np.array(assignments), np.ones(2), m)

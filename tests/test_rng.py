@@ -66,3 +66,17 @@ class TestSampling:
     def test_sample_validates(self):
         with pytest.raises(ValueError):
             Rng(1).sample(3, 5)
+
+
+def test_negative_seed_refused():
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        Rng(-1)
+
+
+@pytest.mark.parametrize("state", [(1, 2, 3), (1, 2, 3, 4, 5), ()], ids=["3", "5", "0"])
+def test_setstate_refuses_wrong_length(state):
+    rng = Rng(7)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match="^state must have 4 words$"):
+        rng.setstate(state)
+    assert rng.getstate() == before
