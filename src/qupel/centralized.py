@@ -1,20 +1,13 @@
-"""Alternating proximal gradient training of weights and quantization centers.
+"""What a training run is configured by and returns, and the one-client run.
 
-One step alternates: (1) gradient of f(x) + f(Qs(x)) in x followed by the
-soft-threshold prox, (2) gradient of f(Qs(x)) in the centers, evaluated at
-the fresh x, followed by the surrogate center prox. A linear ramp may drive
-the regularization weight, and an optional fine-tuning phase freezes the
-quantized coordinates on their centers (tracking further center motion)
-while exempt coordinates and the centers keep training. The returned model
-is the hard-quantized final iterate.
-
-One step kernel serves every trainer, through ``client_local_step`` in
-``qupel.federated``: the federated local update is the step plus the
-coupling gradient lambda_p * (x - w), and fine-tuning is the same step with
-pinned assignments. A centralized run is one client of the trainer loop in
-``qupel.federated``, run without the server; that loop owns the per-step
-record, the metrics cadence, the divergence rule and the checkpoint, so this
-module does no I/O.
+``LambdaSchedule`` and ``HyperParams`` configure a run; ``TrainResult`` and
+``DivergenceError`` are what it returns or raises. ``run_centralized`` runs
+one client of the trainer loop in ``qupel.federated`` without the server.
+The step kernel, ``client_local_step`` and that loop live there, beside
+their only callers; the loop owns the per-step record, the metrics cadence,
+the divergence rule and the checkpoint, so this module does no I/O. Beside
+these sit the stationarity gap, the safe step-size estimator and the
+initializers.
 
 Each value is checked once, where it enters (``LambdaSchedule``,
 ``HyperParams``, each client's start) or where the step makes it (the gradient
@@ -40,7 +33,7 @@ from .losses import (
     loss_quant_gradient_c,
     loss_quant_gradient_x,
 )
-from .proxops import ProxParams, _strictly_increasing, prox_c, prox_x
+from .proxops import _strictly_increasing
 from .quantizer import CenterVector, QuantConfig
 from .rng import Rng
 
@@ -160,58 +153,6 @@ class TrainResult:
     centers_final: list[CenterVector]
     x_hard: np.ndarray
     history: list[RoundMetrics]
-
-
-# ---------------------------------------------------------------------------
-# the step kernel (used by the one trainer loop in qupel.federated)
-
-
-def _grad_step_loss(loss, hp: HyperParams, rng: Rng | None):
-    """Loss used for gradients this step: full loss, or a minibatch view."""
-    if hp.batch_size is None:
-        return loss
-    if rng is None:
-        raise ValueError("minibatch mode needs an explicit rng")
-    n = loss.n_samples
-    b = min(hp.batch_size, n)
-    idx = np.sort(rng.sample(n, b))
-    return loss.subset(idx)
-
-
-def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | None,
-          coupling=None):
-    """Alg. lines 2-5: prox-gradient in x, then in the centers.
-
-    ``pinned`` (fine-tuning) holds per-group assignments: those coordinates
-    ride their centers instead of taking the x-prox, before and after the
-    center step. ``coupling`` is the federated term lambda_p * (x - w).
-    """
-    gl = _grad_step_loss(loss, hp, rng)
-    lam_t = hp.lam(t)
-    cfg = hp.quant_cfg
-    pins = [None] * len(layout.groups) if pinned is None else pinned
-
-    g = gl.gradient(x) + loss_quant_gradient_x(gl, x, centers, layout, cfg)
-    if coupling is not None:
-        g = g + coupling
-    x_new = x - hp.eta1 * g
-    if not np.isfinite(x_new).all():  # before prox_x snaps a NaN; _train raises on it
-        return x_new, list(centers)
-    px = ProxParams(eta=hp.eta1, lam=lam_t)
-    for (start, stop), c, assign in zip(layout.groups, centers, pins):
-        x_new[start:stop] = prox_x(x_new[start:stop], c, px) if assign is None else c.values[assign]
-
-    if hp.eta2 == 0.0:
-        return x_new, list(centers)
-    h_list = loss_quant_gradient_c(gl, x_new, centers, layout, cfg)
-    pc = ProxParams(eta=hp.eta2, lam=lam_t)
-    centers_new = []
-    for (start, stop), c, h, assign in zip(layout.groups, centers, h_list, pins):
-        c_new = prox_c(c.values - hp.eta2 * h, x_new[start:stop], c, pc)
-        centers_new.append(c_new)
-        if assign is not None:
-            x_new[start:stop] = c_new.values[assign]
-    return x_new, centers_new
 
 
 def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:

@@ -183,10 +183,11 @@ def build_hyper(cfg: dict, modes: set) -> HyperParams:
         fields = {name: _get(cfg, f"hyper.{name}", conv=conv,
                              required=name in ("eta1", "eta2", "steps"))
                   for name, (conv, users) in _HYPER_FIELDS.items() if modes & users}
-        if modes & _CENTERS:
-            fields.update(lambda_schedule=_lambda_schedule(cfg), quant_cfg=QuantConfig(
-                sharpness=_get(cfg, "quantization.sharpness", default=8.0, conv=_pos),
-                hard_limit=_get(cfg, "quantization.hard_limit", default=True, conv=_flag)))
+        if modes & _CENTERS:  # the hard quantizer ignores sharpness, so only soft mode reads it
+            hard = _get(cfg, "quantization.hard_limit", default=True, conv=_flag)
+            sharpness = 8.0 if hard else _get(cfg, "quantization.sharpness", default=8.0, conv=_pos)
+            fields.update(lambda_schedule=_lambda_schedule(cfg),
+                          quant_cfg=QuantConfig(sharpness=sharpness, hard_limit=hard))
         return HyperParams(**{"eta2": 0.0, **{n: v for n, v in fields.items() if v is not None}})
     except ValueError as exc:
         raise ConfigError("hyper", str(exc)) from exc

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundMetrics:
     """Per-step diagnostics recorded by the trainers; None where the trainer computes none."""
 

@@ -12,15 +12,19 @@ then moved toward the fresh personalized model.
 The w update descends the coupling penalty,
 ``w_i <- w_i + eta3 * lambda_p * (x_i - w_i)``.
 
-One trainer loop, ``_train``, pins, steps (``client_local_step``) and
-records every client at every step; its metrics cadence, divergence rule and
-checkpoint writer sit beside it. The server is the mean ``sync_round`` returns
-and runs only under ``run_qupel``; ``run_local_only`` is the loop without it,
-at lambda_p = 0, and ``run_centralized`` is that loop on one client. With
-lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a QuPeL run is
-bitwise-identical to local-only training: the kernel skips the coupling.
-``run_fedavg`` keeps its own loop, on its own array of global-model copies, and
-stops under ``_train``'s divergence rule.
+The step kernel (``_step``: the x prox step, then the center prox step) and
+``client_local_step`` (the kernel plus the coupling and the w update) live
+here beside the one trainer loop, ``_train``, which pins and steps every
+client, then records them all; its metrics cadence, divergence rule and
+checkpoint writer sit beside it. What a run is configured by and returns
+(``HyperParams``, ``TrainResult``) lives in ``qupel.centralized``. The server
+is the mean ``sync_round`` returns and runs only under ``run_qupel``;
+``run_local_only`` is the loop without it, at lambda_p = 0, and
+``run_centralized`` is that loop on one client. With lambda_p = 0 the w
+exchange cannot influence (x_i, c_i), so a QuPeL run is bitwise-identical to
+local-only training: the kernel skips the coupling. ``run_fedavg`` keeps its
+own loop, on its own array of global-model copies, and stops under
+``_train``'s divergence rule.
 """
 
 from __future__ import annotations
@@ -30,16 +34,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .centralized import (
-    DivergenceError,
-    HyperParams,
-    TrainResult,
-    _grad_step_loss,
-    _step,
-    stationarity_gap,
-)
+from .centralized import DivergenceError, HyperParams, TrainResult, stationarity_gap
 from .diagnostics import RoundMetrics, evaluate_accuracy, write_atomic
-from .losses import QuantLayout, _hard_assign_grouped, eval_F_i_grouped, hard_quantize_grouped
+from .losses import (
+    QuantLayout,
+    _hard_assign_grouped,
+    eval_F_i_grouped,
+    hard_quantize_grouped,
+    loss_quant_gradient_c,
+    loss_quant_gradient_x,
+)
+from .proxops import ProxParams, prox_c, prox_x
 from .quantizer import CenterVector
 from .rng import Rng
 
@@ -85,6 +90,53 @@ def _pin(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
         return cs
     x, pinned = _hard_assign_grouped(cs.x, cs.centers, cs.layout)
     return replace(cs, x=x, pinned=pinned)
+
+
+def _grad_step_loss(loss, hp: HyperParams, rng: Rng | None):
+    """Loss used for gradients this step: full loss, or a minibatch view."""
+    if hp.batch_size is None:
+        return loss
+    if rng is None:
+        raise ValueError("minibatch mode needs an explicit rng")
+    n = loss.n_samples
+    return loss.subset(np.sort(rng.sample(n, min(hp.batch_size, n))))
+
+
+def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | None,
+          coupling=None):
+    """Alg. lines 2-5: a gradient step on f(x) + f(Qs(x)) in x and the soft-threshold
+    prox, then one on f(Qs(x)) in the centers at the fresh x and the surrogate center prox.
+
+    ``pinned`` (fine-tuning) holds per-group assignments: those coordinates
+    ride their centers instead of taking the x-prox, before and after the
+    center step. ``coupling`` is the federated term lambda_p * (x - w).
+    """
+    gl = _grad_step_loss(loss, hp, rng)
+    lam_t = hp.lam(t)
+    cfg = hp.quant_cfg
+    pins = [None] * len(layout.groups) if pinned is None else pinned
+
+    g = gl.gradient(x) + loss_quant_gradient_x(gl, x, centers, layout, cfg)
+    if coupling is not None:
+        g = g + coupling
+    x_new = x - hp.eta1 * g
+    if not np.isfinite(x_new).all():  # before prox_x snaps a NaN; _train raises on it
+        return x_new, list(centers)
+    px = ProxParams(eta=hp.eta1, lam=lam_t)
+    for (start, stop), c, assign in zip(layout.groups, centers, pins):
+        x_new[start:stop] = prox_x(x_new[start:stop], c, px) if assign is None else c.values[assign]
+
+    if hp.eta2 == 0.0:
+        return x_new, list(centers)
+    h_list = loss_quant_gradient_c(gl, x_new, centers, layout, cfg)
+    pc = ProxParams(eta=hp.eta2, lam=lam_t)
+    centers_new = []
+    for (start, stop), c, h, assign in zip(layout.groups, centers, h_list, pins):
+        c_new = prox_c(c.values - hp.eta2 * h, x_new[start:stop], c, pc)
+        centers_new.append(c_new)
+        if assign is not None:
+            x_new[start:stop] = c_new.values[assign]
+    return x_new, centers_new
 
 
 def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
@@ -166,7 +218,12 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``.
     Without it every client steps at lambda_p = 0, so ``client_local_step`` skips the
     coupling and keeps w_local. The starting x and w_local and each client's divergence
-    threshold are checked once here; the kernel checks each step."""
+    threshold are checked once here; the kernel checks each step.
+
+    Each step runs four phases: (1) the sync, federated only; (2) pin and step every
+    client, then check each objective in id order, so a divergence is raised after the
+    whole step; (3) at the metrics cadence, the test accuracies and, federated only,
+    kappa once; (4) each client's record, then the server record, from values in hand."""
     clients = sorted(clients, key=lambda c: c.id)
     for cs in clients:
         if not (np.isfinite(cs.x).all() and np.isfinite(cs.w_local).all()):
@@ -185,36 +242,36 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
             clients, w_global = sync_round(clients)
             sync_dev = max(float(np.max(np.abs(c.w_local - w_global))) for c in clients)
 
+        before = [_pin(cs, hp, t) for cs in clients]  # the gap measures the step, not the pin
+        clients = [client_local_step(cs, step_hp, t) for cs in before]
+        evs = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local,
+                                hp.quant_cfg, hp.lam(t), step_hp.lambda_p) for cs in clients]
+        for cs, ev, f, limit in zip(clients, evs, f0, limits):
+            _check_objective(f"client {cs.id}", t, ev.total, f, limit, cs.x)
+
         at_cadence = _at_cadence(hp, t)
-        for pos, cs in enumerate(clients):
-            cs = _pin(cs, hp, t)  # the gap then measures the prox step, not the pin jump
-            new = client_local_step(cs, step_hp, t)
-            ev = eval_F_i_grouped(cs.loss, new.x, new.centers, cs.layout, new.w_local,
-                                  hp.quant_cfg, hp.lam(t), step_hp.lambda_p)
-            _check_objective(f"client {cs.id}", t, ev.total, f0[pos], limits[pos], new.x)
-            acc = evaluate_accuracy(cs.loss, new.x, cs.test) \
-                if cs.test is not None and at_cadence else None
-            histories[pos].append(RoundMetrics(
+        kappa_i = estimate_diversity(clients, w_global, hp.lambda_p).tolist() \
+            if federated and at_cadence else [0.0 if at_cadence else None] * len(clients)
+        accs = [evaluate_accuracy(cs.loss, cs.x, cs.test)
+                if cs.test is not None and at_cadence else None for cs in clients]
+
+        for hist, old, cs, ev, acc, kappa in zip(histories, before, clients, evs, accs, kappa_i):
+            hist.append(RoundMetrics(
                 step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=ev.prox_penalty,
                 total=ev.total, quant_error=ev.quant_error, test_acc=acc,
-                stationarity_gap=stationarity_gap(cs.x, new.x, cs.centers, new.centers, hp),
-                w_drift=float(np.sum((new.w_local - w_global) ** 2)) if federated else 0.0,
-                kappa_round=0.0 if at_cadence and not federated else None,  # federated: below
+                stationarity_gap=stationarity_gap(old.x, cs.x, old.centers, cs.centers, hp),
+                w_drift=float(np.sum((cs.w_local - w_global) ** 2)) if federated else 0.0,
+                kappa_round=kappa,
             ))
-            clients[pos] = new
-
         if federated:
             record = {"step": t, "synced": sync_dev is not None, "post_sync_dev": sync_dev}
             w_stack = np.stack([c.w_local for c in clients])
             w_mean = w_stack.mean(axis=0)
             record["consensus_drift"] = float(np.mean(np.sum((w_stack - w_mean) ** 2, axis=1)))
             if at_cadence:
-                kappa_i = estimate_diversity(clients, w_global, hp.lambda_p)
                 record["kappa"] = float(np.mean(kappa_i))
-                for pos, hist in enumerate(histories):
-                    hist[-1].kappa_round = float(kappa_i[pos])
-                accs = [h[-1].test_acc for h in histories if h[-1].test_acc is not None]
-                record["mean_test_acc"] = float(np.mean(accs)) if accs else None
+                known = [a for a in accs if a is not None]
+                record["mean_test_acc"] = float(np.mean(known)) if known else None
             global_history.append(record)
         if checkpoint_path is not None and hp.checkpoint_every \
                 and (t + 1) % hp.checkpoint_every == 0:

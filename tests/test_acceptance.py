@@ -35,8 +35,10 @@ from qupel.losses import (
     QuantLayout,
     eval_F_i_grouped,
 )
-from qupel.quantizer import CenterVector, QuantConfig
+from qupel.quantizer import CenterVector
 from qupel.rng import Rng
+
+from helpers import clustered_quadratic, hard_cfg, results_identical
 
 
 def criterion(num, label):
@@ -51,10 +53,6 @@ def criterion(num, label):
             print(f"\n[PASS] criterion {num}: {label}" + (f" ({detail})" if detail else ""))
         return wrapper
     return deco
-
-
-def hard_cfg():
-    return QuantConfig(hard_limit=True)
 
 
 @criterion(1, "gradient oracle suite, 1000 instances, rel err < 1e-5, < 30 s")
@@ -73,18 +71,6 @@ def test_criterion_2_prox_oracle():
     return f"max deviation {rep.max_err:.2e}, {rep.elapsed_s:.1f}s"
 
 
-def _clustered_quadratic(seed, m, d=10):
-    rng = Rng(seed)
-    clusters = np.sort(rng.uniform(-1.2, 1.2, m))
-    for j in range(1, m):
-        clusters[j] = max(clusters[j], clusters[j - 1] + 0.5)
-    a = np.array([clusters[rng.randint(m)] + 0.02 * (2 * rng.random() - 1) for _ in range(d)])
-    h = rng.uniform(0.5, 2.0, d)
-    x0 = a + rng.uniform(-0.1, 0.1, d)
-    c0 = CenterVector(np.sort(clusters + rng.uniform(-0.05, 0.05, m)), c_max=3.0)
-    return QuadraticLoss(a, h), x0, c0
-
-
 @criterion(3, "centralized convergence on the quadratic suite "
               "(monotone, sufficient decrease, gap < 1e-6, 1/T rate), < 60 s")
 def test_criterion_3_centralized_convergence():
@@ -94,7 +80,7 @@ def test_criterion_3_centralized_convergence():
     worst_rate = 0.0
     for seed in (1, 2, 3):
         for m in (2, 4):
-            loss, x0, c0 = _clustered_quadratic(seed, m)
+            loss, x0, c0 = clustered_quadratic(seed, m)
             layout = QuantLayout.full(loss.dim)
             cfg = hard_cfg()
             e1, e2 = safe_step_sizes(loss, x0, [c0], cfg=cfg)
@@ -179,20 +165,6 @@ def _quad_client(cid, seed, d=4, m=2):
                        w_local=x0.copy(), loss=QuadraticLoss(a, h))
 
 
-def _results_identical(a, b):
-    if not np.array_equal(a.x_final, b.x_final) or not np.array_equal(a.x_hard, b.x_hard):
-        return False
-    for ca, cb in zip(a.centers_final, b.centers_final):
-        if not np.array_equal(ca.values, cb.values):
-            return False
-    for ma, mb in zip(a.history, b.history):
-        if (ma.total, ma.stationarity_gap, ma.w_drift, ma.quant_error, ma.test_acc,
-                ma.kappa_round) != (mb.total, mb.stationarity_gap, mb.w_drift,
-                                    mb.quant_error, mb.test_acc, mb.kappa_round):
-            return False
-    return len(a.history) == len(b.history)
-
-
 @criterion(5, "federated decoupling, symmetry and post-sync equality are exact")
 def test_criterion_5_decoupling_and_symmetry():
     base_hp = dict(eta1=0.05, eta2=0.02, steps=60, tau=5, quant_cfg=hard_cfg(),
@@ -202,7 +174,7 @@ def test_criterion_5_decoupling_and_symmetry():
     hp0 = HyperParams(lambda_p=0.0, eta3=0.2, **base_hp)
     fed = run_qupel(clients, hp0)
     loc = run_local_only(clients, hp0)
-    assert all(_results_identical(f, l) for f, l in zip(fed.per_client, loc)), \
+    assert all(results_identical(f, l) for f, l in zip(fed.per_client, loc)), \
         "qupel with lambda_p=0 differs from local-only"
     # identical clients stay identical under every-step syncing
     proto = _quad_client(0, seed=55)
@@ -232,7 +204,7 @@ def test_zero_coupling_matches_local_only_with_fine_tune():
     loc = run_local_only(clients, hp)
     for f, l in zip(fed.per_client, loc):
         assert np.array_equal(f.x_final, l.x_final)  # holds: only the recorded gap differs
-    assert all(_results_identical(f, l) for f, l in zip(fed.per_client, loc))
+    assert all(results_identical(f, l) for f, l in zip(fed.per_client, loc))
 
 
 def _ordering_hp(steps=400):

@@ -18,16 +18,10 @@ from qupel.centralized import (
 from qupel.federated import ClientState, client_local_step
 from qupel.losses import QuadraticLoss, QuantLayout, eval_F_i_grouped, loss_quant_gradient_x
 from qupel.proxops import ProxParams, prox_x
-from qupel.quantizer import CenterVector, QuantConfig
+from qupel.quantizer import QuantConfig
 from qupel.rng import Rng
 
-
-def centers(*vals, c_max=10.0):
-    return CenterVector(np.array(vals, dtype=float), c_max=c_max)
-
-
-def hard_cfg():
-    return QuantConfig(hard_limit=True)
+from helpers import centers, clustered_quadratic, hard_cfg
 
 
 def one_step(x, c, loss, hp, t, layout=None):
@@ -35,19 +29,6 @@ def one_step(x, c, loss, hp, t, layout=None):
     new = client_local_step(ClientState(id=0, x=x, centers=c, w_local=x, loss=loss,
                                         layout=layout), hp, t)
     return new.x, new.centers
-
-
-def clustered_quadratic(seed, m, d=10):
-    """Separable quadratic whose targets sit in m tight clusters."""
-    rng = Rng(seed)
-    clusters = np.sort(rng.uniform(-1.2, 1.2, m))
-    for j in range(1, m):
-        clusters[j] = max(clusters[j], clusters[j - 1] + 0.5)
-    a = np.array([clusters[rng.randint(m)] + 0.02 * (2 * rng.random() - 1) for _ in range(d)])
-    h = rng.uniform(0.5, 2.0, d)
-    x0 = a + rng.uniform(-0.1, 0.1, d)
-    c0 = CenterVector(np.sort(clusters + rng.uniform(-0.05, 0.05, m)), c_max=3.0)
-    return QuadraticLoss(a, h), x0, c0
 
 
 class TestSchedules:

@@ -571,6 +571,10 @@ INVALID_CONFIGS = [
     ("run", lambda c: c["hyper"].update({"lambda": {"kind": "piecewise"}}), "hyper.lambda.kind"),
     ("run", lambda c: c["hyper"].update(flip_w_update_sign=True), "hyper.flip_w_update_sign"),
     ("run", lambda c: c["hyper"].update({"lambda": 0.05}), "hyper.lambda"),
+    # the hard quantizer ignores sharpness, so a hard run refuses it
+    ("run", lambda c: c["quantization"].update(sharpness=3.0), "quantization.sharpness"),
+    ("run", lambda c: c["quantization"].update(hard_limit=False, sharpness="sharp"),
+     "quantization.sharpness"),
 ]
 INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model-kind",
         "logistic-multiclass", "precision-case", "infeasible-partition", "fine-tune-start",
@@ -594,7 +598,7 @@ INVALID_IDS = ["compare-no-classes", "compare-csv", "compare-no-clients", "model
         "local-lambda-p", "centralized-lambda-p", "quadratic-hidden", "quadratic-l2",
         "quadratic-exempt", "logistic-hidden", "fedavg-eta2", "fedavg-lambda", "fedavg-m",
         "compare-local-tau", "compare-modes-repeated", "lambda-piecewise", "flip-sign",
-        "lambda-number"]
+        "lambda-number", "sharpness-in-hard-mode", "soft-sharpness-string"]
 
 
 @pytest.mark.parametrize("command, edit, field", INVALID_CONFIGS, ids=INVALID_IDS)

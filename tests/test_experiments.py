@@ -17,12 +17,9 @@ from qupel.experiments import (
 )
 from qupel.federated import run_local_only, run_qupel
 from qupel.losses import LogisticLoss
-from qupel.quantizer import QuantConfig
 from qupel.rng import Rng
 
-
-def hard_cfg():
-    return QuantConfig(hard_limit=True)
+from helpers import hard_cfg
 
 
 class TestMixedPrecisionPresets:

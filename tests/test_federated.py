@@ -20,17 +20,14 @@ from qupel.federated import (
     run_qupel,
     sync_round,
 )
+from qupel.data import partition_noniid
+from qupel.diagnostics import evaluate_accuracy
+from qupel.experiments import build_blob_task, build_clients
 from qupel.losses import QuadraticLoss
-from qupel.quantizer import CenterVector, QuantConfig
+from qupel.quantizer import CenterVector
 from qupel.rng import Rng
 
-
-def centers(*vals, c_max=10.0):
-    return CenterVector(np.array(vals, dtype=float), c_max=c_max)
-
-
-def hard_cfg():
-    return QuantConfig(hard_limit=True)
+from helpers import centers, hard_cfg, results_identical
 
 
 def make_client(cid, seed=None, d=4, m=2, target_shift=0.0):
@@ -43,25 +40,6 @@ def make_client(cid, seed=None, d=4, m=2, target_shift=0.0):
         vals[j] = max(vals[j], vals[j - 1] + 0.3)
     return ClientState(id=cid, x=x0, centers=[centers(*vals)], w_local=x0.copy(),
                        loss=QuadraticLoss(a, h))
-
-
-def results_equal(a, b):
-    if not np.array_equal(a.x_final, b.x_final) or not np.array_equal(a.x_hard, b.x_hard):
-        return False
-    for ca, cb in zip(a.centers_final, b.centers_final):
-        if not np.array_equal(ca.values, cb.values):
-            return False
-    if len(a.history) != len(b.history):
-        return False
-    for ma, mb in zip(a.history, b.history):
-        if (ma.step, ma.f_x, ma.f_q, ma.reg, ma.prox_penalty, ma.total,
-                ma.stationarity_gap, ma.w_drift, ma.quant_error, ma.test_acc,
-                ma.kappa_round) != (
-                mb.step, mb.f_x, mb.f_q, mb.reg, mb.prox_penalty, mb.total,
-                mb.stationarity_gap, mb.w_drift, mb.quant_error, mb.test_acc,
-                mb.kappa_round):
-            return False
-    return True
 
 
 @pytest.mark.parametrize("x, w", [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(3))],
@@ -147,7 +125,7 @@ class TestRunQupel:
         hp = self.qupel_hp(lambda_p=0.0, fine_tune_start=fine_tune_start)
         fed = run_qupel([cs], hp)
         cen = run_centralized(cs.loss, cs.x, cs.centers, hp)
-        assert results_equal(fed.per_client[0], cen)
+        assert results_identical(fed.per_client[0], cen)
 
     @pytest.mark.parametrize("fine_tune_start", [None, 40])
     def test_zero_coupling_matches_local_only_bitwise(self, fine_tune_start):
@@ -155,7 +133,7 @@ class TestRunQupel:
         hp = self.qupel_hp(lambda_p=0.0, fine_tune_start=fine_tune_start)
         fed = run_qupel(clients, hp)
         loc = run_local_only(clients, hp)
-        assert all(results_equal(f, l) for f, l in zip(fed.per_client, loc))
+        assert all(results_identical(f, l) for f, l in zip(fed.per_client, loc))
 
     def test_identical_clients_stay_identical(self):
         base = make_client(0, seed=55)
@@ -210,6 +188,43 @@ class TestRunQupel:
         assert len(synced) == 3  # steps 0, 5 and 10
         np.testing.assert_array_equal(fed.w_global, np.mean(np.stack(synced[-1]), axis=0))
 
+    def test_cadence_records_kappa_and_mean_accuracy(self, monkeypatch):
+        stepped, means = [], []
+
+        def recording_step(cs, hp, t):
+            stepped.append(client_local_step(cs, hp, t))
+            return stepped[-1]
+
+        def recording_sync(clients):
+            clients, w_mean = sync_round(clients)
+            means.append(w_mean)
+            return clients, w_mean
+
+        monkeypatch.setattr(federated, "client_local_step", recording_step)
+        monkeypatch.setattr(federated, "sync_round", recording_sync)
+        task = build_blob_task(n_classes=4, dim=3, per_class=10, spread=0.6, seed=3)
+        clients = build_clients(task, partition_noniid(task.train, 3, 2, 3), m_list=[4, 4, 2],
+                                seed=3, hidden=4)
+        hp = HyperParams(eta1=0.1, eta2=0.01, steps=7, tau=2, eta3=0.3, lambda_p=1.0,
+                         quant_cfg=hard_cfg(), lambda_schedule=LambdaSchedule.constant(0.01),
+                         metrics_every=3)
+        fed = run_qupel(clients, hp)
+        n = len(clients)
+        assert len(stepped) == n * hp.steps and len(means) == 4  # syncs at steps 0, 2, 4, 6
+        for t, server in enumerate(fed.global_history):
+            records = [r.history[t] for r in fed.per_client]
+            if t not in (0, 3, 6):  # the cadence: every third step and the last
+                assert all(r.kappa_round is None and r.test_acc is None for r in records)
+                assert server.get("kappa") is None and server.get("mean_test_acc") is None
+                continue
+            post = stepped[n * t:n * (t + 1)]
+            kappa_i = estimate_diversity(post, means[t // hp.tau], hp.lambda_p)
+            accs = [evaluate_accuracy(cs.loss, cs.x, cs.test) for cs in post]
+            assert [r.kappa_round for r in records] == list(kappa_i)
+            assert [r.test_acc for r in records] == accs
+            assert server["kappa"] == float(np.mean(kappa_i))
+            assert server["mean_test_acc"] == float(np.mean(accs))
+
     def test_w_global_is_none_without_the_server(self):
         hp = self.qupel_hp(steps=3)
         assert federated._train([make_client(0)], hp, federated=False).w_global is None
@@ -246,8 +261,8 @@ class TestRunLocalOnly:
         base = run_local_only(clients, hp)
         perturbed = [make_client(0, target_shift=2.0)] + clients[1:]
         alt = run_local_only(perturbed, hp)
-        assert not results_equal(base[0], alt[0])
-        assert all(results_equal(b, a) for b, a in zip(base[1:], alt[1:]))
+        assert not results_identical(base[0], alt[0])
+        assert all(results_identical(b, a) for b, a in zip(base[1:], alt[1:]))
 
     def test_first_client_to_diverge_in_step_order_raises(self):
         # eta1 * h > 2 makes the iterates grow: 1.5x a step on client 0, 9x on client 2

@@ -20,9 +20,7 @@ from qupel.quantizer import CenterVector, QuantConfig, hard_grad_c, quantize_ass
 from qupel.diagnostics import finite_diff_check
 from qupel.rng import Rng
 
-
-def centers(*vals):
-    return CenterVector(np.array(vals, dtype=float))
+from helpers import centers
 
 
 class TestQuadratic:

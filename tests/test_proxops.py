@@ -15,9 +15,7 @@ from qupel.quantizer import CenterVector, hard_quantize, quantize_assignments
 from qupel.diagnostics import prox_oracle_1d
 from qupel.rng import Rng
 
-
-def centers(*vals, c_max=10.0):
-    return CenterVector(np.array(vals, dtype=float), c_max=c_max)
+from helpers import centers
 
 
 class TestRegularizer:
@@ -132,10 +130,11 @@ class TestProxC:
                      ProxParams(eta=1.0, lam=2.0))
         assert out.values[0] <= 3.0
 
-    def test_center_crossing_warns_and_sorts(self, caplog):
+    def test_center_crossing_warns_and_sorts(self, caplog, monkeypatch):
         import qupel.proxops as proxops_mod
 
-        proxops_mod._crossing_logged = False  # the warning is emitted once per process
+        # the warning is emitted once per process
+        monkeypatch.setattr(proxops_mod, "_crossing_logged", False)
         with caplog.at_level(logging.WARNING, logger="qupel.proxops"):
             out = prox_c(np.array([1.0, 0.0]), np.array([5.0]), centers(0.0, 1.0),
                          ProxParams(eta=1.0, lam=0.0))

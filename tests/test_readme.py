@@ -39,6 +39,7 @@ def test_config_schema_lists_every_key_the_readers_ask_for(tmp_path, monkeypatch
                       "test": str(tmp_path / "a.csv")}),
         dict(qupel, quantization={"m_list": [4] * qupel["partition"]["clients"]}),
         dict(qupel, quantization={"case": "2bits"}),
+        dict(qupel, quantization={"hard_limit": False}),  # only soft mode reads sharpness
         {k: v for k, v in shipped["compare"].items() if k != "seeds"},
     ]
     for cfg in [*shipped.values(), *variants]:
