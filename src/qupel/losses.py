@@ -5,6 +5,8 @@ constant is its largest curvature entry), l2-regularized binary logistic
 regression, and a one-hidden-layer tanh MLP with a hand-written two-layer
 backward pass (tanh rather than ReLU keeps the gradient Lipschitz). All
 gradients are checked against central finite differences in the test suite.
+The MLP's passes write their row-sized temporaries into a workspace shared
+per array shape (``_mlp_workspace``) instead of allocating them per call.
 
 The module also owns the parameter partition used for layer-wise
 quantization: a ``QuantLayout`` lists the coordinate ranges that are
@@ -145,6 +147,23 @@ class LogisticLoss(LossModel):
         return LogisticLoss(self.features[indices], self.labels[indices], self.l2, self.class_labels)
 
 
+# Scratch arrays of the MLP passes, one set per (rows, hidden, classes) shape,
+# kept for the life of the process: the clients of a partition and every
+# minibatch of one size share a set. A pass overwrites its set, so the passes
+# are not reentrant (qupel runs in one thread) and no returned value aliases it.
+_MLP_WORKSPACES: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
+
+
+def _mlp_workspace(n: int, n_hid: int, n_out: int) -> tuple[np.ndarray, ...]:
+    """(hidden, backward delta, logits or log-softmax, exp, row indices) for n rows."""
+    ws = _MLP_WORKSPACES.get((n, n_hid, n_out))
+    if ws is None:
+        ws = _MLP_WORKSPACES[n, n_hid, n_out] = (
+            np.empty((n, n_hid)), np.empty((n, n_hid)), np.empty((n, n_out)),
+            np.empty((n, n_out)), np.arange(n))
+    return ws
+
+
 class MlpLoss(LossModel):
     """Softmax cross-entropy of a one-hidden-layer tanh MLP, parameters in one vector.
 
@@ -188,38 +207,54 @@ class MlpLoss(LossModel):
     def weight_ranges(self) -> list[tuple[int, int]]:
         return [(self._w1.start, self._w1.stop), (self._w2.start, self._w2.stop)]
 
-    def _logits(self, x, features):
-        """The tanh hidden layer and the output logits of ``features``."""
-        hidden = np.tanh(features @ x[self._w1].reshape(self.sizes[:2]) + x[self._b1])
-        return hidden, hidden @ x[self._w2].reshape(self.sizes[1:]) + x[self._b2]
+    def _forward(self, x, features):
+        """The workspace of ``features``'s row count, filled with the tanh
+        hidden layer and the raw logits of ``features``."""
+        _, n_hid, n_out = self.sizes
+        ws = _mlp_workspace(features.shape[0], n_hid, n_out)
+        hidden, _, logits, _, _ = ws
+        np.matmul(features, x[self._w1].reshape(self.sizes[:2]), out=hidden)
+        np.add(hidden, x[self._b1], out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, x[self._w2].reshape(self.sizes[1:]), out=logits)
+        np.add(logits, x[self._b2], out=logits)
+        return ws
 
-    @staticmethod
-    def _log_softmax(logits):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    def _log_probs(self, x):
+        """``_forward`` on the training rows, with the logits turned into
+        their log-softmax in place."""
+        ws = self._forward(x, self.features)
+        _, _, logp, expo, _ = ws
+        np.subtract(logp, logp.max(axis=1, keepdims=True), out=logp)
+        np.exp(logp, out=expo)
+        np.subtract(logp, np.log(expo.sum(axis=1, keepdims=True)), out=logp)
+        return ws
 
     def value(self, x):
         x = self._check(x)
-        logp = self._log_softmax(self._logits(x, self.features)[1])
-        n = self.features.shape[0]
-        ce = -float(np.mean(logp[np.arange(n), self.labels]))
+        _, _, logp, _, rows = self._log_probs(x)
+        ce = -float(np.mean(logp[rows, self.labels]))
         return ce + 0.5 * self.l2 * float(x @ x)
 
     def gradient(self, x):
         x = self._check(x)
-        hidden, logits = self._logits(x, self.features)
-        n = self.features.shape[0]
-        delta = np.exp(self._log_softmax(logits))  # dce/dlogits = (softmax - one-hot) / n
-        delta[np.arange(n), self.labels] -= 1.0
-        delta /= n
+        hidden, back, logp, delta, rows = self._log_probs(x)
+        np.exp(logp, out=delta)  # dce/dlogits = (softmax - one-hot) / n
+        delta[rows, self.labels] -= 1.0
+        delta /= rows.size
         g_w2, g_b2 = hidden.T @ delta, delta.sum(axis=0)
-        delta = (delta @ x[self._w2].reshape(self.sizes[1:]).T) * (1.0 - hidden ** 2)
-        g_w1, g_b1 = self.features.T @ delta, delta.sum(axis=0)
+        np.matmul(delta, x[self._w2].reshape(self.sizes[1:]).T, out=back)
+        np.multiply(hidden, hidden, out=hidden)  # tanh' = 1 - hidden**2
+        np.subtract(1.0, hidden, out=hidden)
+        back *= hidden
+        g_w1, g_b1 = self.features.T @ back, back.sum(axis=0)
         return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2]) + self.l2 * x
 
     def predict(self, x, features):
         x = self._check(x)
-        return self._logits(x, np.asarray(features, dtype=np.float64))[1].argmax(axis=1)
+        # the raw logits, not their log-softmax: the shift can round two to a tie
+        _, _, logits, _, _ = self._forward(x, np.asarray(features, dtype=np.float64))
+        return logits.argmax(axis=1)
 
     def subset(self, indices):
         return MlpLoss(self.sizes, self.features[indices], self.labels[indices], self.l2)

@@ -104,14 +104,20 @@ class Rng:
             arr[i], arr[j] = arr[j], arr[i]
 
     def sample(self, n: int, k: int) -> np.ndarray:
-        """k distinct integers from [0, n), in draw order (partial Fisher-Yates)."""
+        """k distinct integers from [0, n), in draw order (partial Fisher-Yates).
+
+        The swapped positions of the virtual pool ``range(n)`` live in a dict,
+        so a draw costs O(k) whatever n is.
+        """
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
+        moved: dict[int, int] = {}
+        out = []
         for i in range(k):
             j = i + self.randint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return np.array(pool[:k], dtype=np.int64)
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)  # position i is never read again
+        return np.array(out, dtype=np.int64)
 
     def spawn(self, key: int) -> "Rng":
         """Derive an independent child stream keyed by a small integer."""

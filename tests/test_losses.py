@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,100 @@ class TestMlp:
         loss = self.make(Rng(11))
         with pytest.raises(ValueError):
             loss.value(np.zeros(loss.dim + 1))
+
+    @staticmethod
+    def reference(loss, x, features):
+        """Hidden layer and logits by freshly allocated temporaries."""
+        d, h, k = loss.sizes
+        w1, b1 = x[:d * h].reshape(d, h), x[d * h:d * h + h]
+        w2, b2 = x[d * h + h:d * h + h + h * k].reshape(h, k), x[d * h + h + h * k:]
+        hidden = np.tanh(features @ w1 + b1)
+        return hidden, hidden @ w2 + b2, w2
+
+    def reference_value(self, loss, x):
+        logits = self.reference(loss, x, loss.features)[1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        n = loss.features.shape[0]
+        return -float(np.mean(logp[np.arange(n), loss.labels])) + 0.5 * loss.l2 * float(x @ x)
+
+    def reference_gradient(self, loss, x):
+        hidden, logits, w2 = self.reference(loss, x, loss.features)
+        n = loss.features.shape[0]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        delta = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+        delta[np.arange(n), loss.labels] -= 1.0
+        delta /= n
+        g_w2, g_b2 = hidden.T @ delta, delta.sum(axis=0)
+        delta = (delta @ w2.T) * (1.0 - hidden ** 2)
+        g_w1, g_b1 = loss.features.T @ delta, delta.sum(axis=0)
+        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2]) + loss.l2 * x
+
+    def assert_matches_reference(self, loss, x, features):
+        assert (np.float64(loss.value(x)).tobytes()
+                == np.float64(self.reference_value(loss, x)).tobytes())
+        assert loss.gradient(x).tobytes() == self.reference_gradient(loss, x).tobytes()
+        want = self.reference(loss, x, features)[1].argmax(axis=1)
+        assert loss.predict(x, features).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, d, hidden, classes, l2", [
+        (1, 3, 4, 2, 0.0), (1, 8, 12, 10, 0.05), (20, 3, 4, 2, 0.0), (32, 8, 12, 10, 0.05),
+        (8000, 8, 64, 10, 0.0), (8000, 8, 64, 10, 0.01),
+    ])
+    def test_bitwise_equal_to_allocating_reference(self, n, d, hidden, classes, l2):
+        rng = Rng(n + hidden)
+        loss = MlpLoss([d, hidden, classes], rng.normal(n * d).reshape(n, d) * 2.0,
+                       np.array([i % classes for i in range(n)], dtype=np.int64), l2)
+        for _ in range(2):  # the second round runs on a warm workspace
+            x = rng.uniform(-1.5, 1.5, loss.dim)
+            self.assert_matches_reference(loss, x, loss.features)
+            self.assert_matches_reference(loss, x, rng.normal(7 * d).reshape(7, d))
+
+    def test_instances_of_one_shape_interleave(self):
+        rng = Rng(13)
+        first, second = self.make(rng), self.make(rng)
+        x1, x2 = rng.uniform(-1, 1, first.dim), rng.uniform(-1, 1, first.dim)
+        for loss, x in [(first, x1), (second, x2), (first, x2), (second, x1), (first, x1)]:
+            self.assert_matches_reference(loss, x, first.features)
+
+    def test_results_do_not_alias_the_workspace(self):
+        rng = Rng(14)
+        loss = self.make(rng)
+        x1, x2 = rng.uniform(-1, 1, loss.dim), rng.uniform(-1, 1, loss.dim)
+        g1, p1 = loss.gradient(x1), loss.predict(x1, loss.features)
+        g1_bytes, p1_bytes = g1.tobytes(), p1.tobytes()
+        for pass_ in (loss.gradient, loss.value):
+            pass_(x2)
+        loss.predict(x2, loss.features)
+        assert g1.tobytes() == g1_bytes and p1.tobytes() == p1_bytes
+
+    def test_subset_matches_fresh_loss(self):
+        rng = Rng(15)
+        loss = self.make(rng, n=40, d=3, hidden=5, classes=3)
+        idx = np.array([0, 3, 4, 9, 17, 22, 38, 39])
+        fresh = MlpLoss(loss.sizes, loss.features[idx], loss.labels[idx], loss.l2)
+        sub = loss.subset(idx)
+        for _ in range(2):
+            x = rng.uniform(-1, 1, loss.dim)
+            assert np.float64(sub.value(x)).tobytes() == np.float64(fresh.value(x)).tobytes()
+            assert sub.gradient(x).tobytes() == fresh.gradient(x).tobytes()
+            loss.gradient(x)  # the full-size passes run between the subset's
+
+    def test_warm_passes_allocate_less_than_one_hidden_layer(self):
+        n, hidden = 8000, 64
+        rng = Rng(16)
+        loss = self.make(rng, n=n, d=8, hidden=hidden, classes=10)
+        x = rng.uniform(-1, 1, loss.dim)
+        loss.value(x)  # warm-up fills the workspace
+        tracemalloc.start()
+        try:
+            for pass_ in (loss.gradient, loss.value):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                pass_(x)
+                assert tracemalloc.get_traced_memory()[1] - base < n * hidden * 8, pass_.__name__
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("sizes", [[8], [8, 10], [8, 12, 12, 10]])
     def test_refuses_any_depth_but_one_hidden_layer(self, sizes):

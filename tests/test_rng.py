@@ -67,6 +67,30 @@ class TestSampling:
         with pytest.raises(ValueError):
             Rng(1).sample(3, 5)
 
+    @staticmethod
+    def sample_with_full_pool(rng, n, k):
+        """The O(n) partial Fisher-Yates over a materialised pool."""
+        pool = list(range(n))
+        for i in range(k):
+            j = i + rng.randint(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return np.array(pool[:k], dtype=np.int64)
+
+    def test_sample_matches_full_pool_bitwise(self):
+        picks = Rng(23)
+        cases = [(0, 0), (1, 0), (1, 1), (5, 0), (5, 5), (64, 64), (8000, 32)]
+        for _ in range(200):
+            n = 1 + picks.randint(300)
+            cases.append((n, picks.randint(n + 1)))
+        for seed, (n, k) in enumerate(cases):
+            got_rng, want_rng = Rng(seed), Rng(seed)
+            for _ in range(2):  # a second draw starts from the state the first left
+                got = got_rng.sample(n, k)
+                want = self.sample_with_full_pool(want_rng, n, k)
+                assert got.dtype == want.dtype and got.shape == want.shape == (k,)
+                assert got.tobytes() == want.tobytes(), (n, k)
+                assert got_rng.getstate() == want_rng.getstate(), (n, k)
+
 
 def test_negative_seed_refused():
     with pytest.raises(ValueError, match="^seed must be nonnegative$"):
