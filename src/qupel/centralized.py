@@ -173,8 +173,8 @@ def run_centralized(loss, init_x, init_c, hp: HyperParams, *,
 
     ``init_c`` is a list of CenterVectors, one per group of ``layout`` (default:
     the whole vector as one group). ``test`` enables accuracy metrics every
-    ``hp.metrics_every`` steps for classifier losses. ``rng`` draws the
-    minibatches and is advanced. Aborts with DivergenceError when the
+    ``hp.metrics_every`` steps for classifier losses. The minibatches come from
+    a copy of ``rng``, which is not advanced. Aborts with DivergenceError when the
     objective exceeds ``divergence_factor`` times max(1, |F_0|). The run is
     client 0 of the trainer loop in ``qupel.federated``, without the server;
     ``checkpoint_path`` receives its state every ``hp.checkpoint_every`` steps.

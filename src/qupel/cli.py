@@ -7,8 +7,8 @@ the manifest reproduces the metrics bitwise. Each reader asks only for the keys
 that its modes use (``compare``: the union of its modes) and refuses any other
 key, so neither a misspelt key nor one that the mode ignores passes unnoticed.
 
-``_population`` is the one reader of a federated config's clients, for ``run``
-and, once per seed, ``read_compare_config``; both commands then call ``run_mode``.
+``_population`` builds a federated config's clients once, for ``run`` and, per seed,
+``read_compare_config``; every ``run_mode`` of a command runs on them unchanged.
 
 Exit codes: 0 success, 1 verification failure (gradcheck), 2 invalid config,
 command-line flag or unusable output directory, 3 divergence during training.
@@ -342,8 +342,8 @@ def _out_dir(out_dir: str, outputs) -> Path:
 
 
 def _population(cfg: dict, seed: int, modes: set, default_kind=None):
-    """``(partition, new_clients)`` of a federated config under ``seed`` for ``modes``: the
-    dataset and partition are drawn once, and each ``new_clients()`` builds fresh clients."""
+    """``(partition, clients)`` of a federated config under ``seed`` for ``modes``: the
+    dataset, the partition and the clients are each built once."""
     task = _build_task(cfg, seed, default_kind)
     part_seed = _get(cfg, "partition.seed", default=seed, conv=_nonneg_int)
     n, k = (_get(cfg, f"partition.{f}", required=True, conv=_pos_int)
@@ -358,7 +358,7 @@ def _population(cfg: dict, seed: int, modes: set, default_kind=None):
             raise ConfigError("dataset.test", f"no sample of client {i}'s labels "
                               f"{[names[c] for c in classes]}")
     spec = _client_spec(cfg, partition.n_clients, modes, task.train.n_classes)
-    return partition, lambda: build_clients(task, partition, seed=part_seed, **spec)
+    return partition, build_clients(task, partition, seed=part_seed, **spec)
 
 
 @_reader
@@ -378,8 +378,7 @@ def read_run_config(cfg: dict):
     hp = build_hyper(cfg, {mode})
     if mode == "centralized":
         return mode, seed, hp, out_dir, _centralized_train(cfg, seed, hp)
-    partition, new_clients = _population(cfg, seed, {mode})
-    clients = new_clients()
+    partition, clients = _population(cfg, seed, {mode})
 
     def train(out_dir: Path):
         export_partition_json(partition, out_dir / "partition.json")
@@ -427,8 +426,8 @@ def cmd_gradcheck(tol: float = 1e-5, instances: int = 1000, inject_fault: bool =
 
 @_reader
 def read_compare_config(cfg: dict):
-    """``(modes, hp, out_dir, [(seed, new_clients)])`` of a checked ``compare`` config: each
-    seed's dataset and partition are drawn once, and checked, before any mode trains."""
+    """``(modes, hp, out_dir, [(seed, clients)])`` of a checked ``compare`` config: each
+    seed's dataset, partition and clients are built and checked once, before any mode."""
     modes = _get(cfg, "modes", default=[], conv=_list_of(_compare_mode))
     if not modes or len(set(modes)) != len(modes):
         raise ConfigError("modes", "must list at least one mode, and no mode twice")
@@ -452,9 +451,9 @@ def cmd_compare(cfg: dict, out_override) -> int:
     modes, hp, out_dir, populations = read_compare_config(cfg)
     out_dir = _out_dir(out_override or out_dir, ("comparison.csv",))
     records, by_seed = [], {}
-    for seed, new_clients in populations:
+    for seed, clients in populations:
         for mode in modes:
-            acc = avg_quantized_accuracy(run_mode(mode, new_clients(), hp)[0])
+            acc = avg_quantized_accuracy(run_mode(mode, clients, hp)[0])
             records.append({"mode": mode, "seed": seed, "avg_test_acc": acc})
             by_seed.setdefault(seed, {})[mode] = acc
     _write_csv(out_dir / "comparison.csv", ["mode", "seed", "avg_test_acc"], records)

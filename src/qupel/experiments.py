@@ -3,15 +3,15 @@
 These helpers wire datasets, losses and trainer state together for the CLI
 and the verification suites. Clients share a common seeded initialization of
 the personalized model (keeping hidden units aligned across clients so that
-averaging the global-model copies is meaningful), while data partitions and
-minibatch streams derive from per-purpose child seeds. ``run_mode`` is the one
-dispatch from a mode name to its trainer: ``qupel run`` calls it once and
-``qupel compare`` once per (seed, mode), each on clients from the same reader.
+averaging the global-model copies is meaningful) and, per precision, its
+starting centers; partitions and minibatch streams derive from per-purpose
+child seeds. ``run_mode`` dispatches a mode name to its trainer, which changes
+no client: ``qupel compare`` runs every mode of a seed on the same clients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,7 +97,8 @@ def build_clients(
     """Assemble one trainer state per client of ``partition``.
 
     All clients share one seeded initialization of the personalized model;
-    each client's centers start at the per-group quantiles of that vector.
+    each client's centers start at the per-group quantiles of that vector,
+    computed once per distinct m and shared by the clients of that m.
     The per-client test set is the global test split filtered to the
     client's assigned classes. Each client draws minibatches from its own
     child stream ``data_rng``, keyed by its id.
@@ -105,17 +106,14 @@ def build_clients(
     if len(m_list) != partition.n_clients:
         raise ValueError("m_list must have one entry per client")
     test_idx = filter_test_indices(task.test, partition)
-    rng = Rng(seed).spawn(1)
     streams = Rng(seed).spawn(2)
-    x0 = None
-    clients = []
-    for i, idx in enumerate(partition.client_indices):
-        loss = _make_loss(model, task.train.take(idx), task.train.n_classes, hidden, l2)
-        if x0 is None:
-            x0 = init_weights(loss.dim, rng)
-        clients.append(make_client(i, loss, x0, m_list[i], c_max=c_max,
-                                   test=task.test.take(test_idx[i]), data_rng=streams.spawn(i)))
-    return clients
+    losses = [_make_loss(model, task.train.take(idx), task.train.n_classes, hidden, l2)
+              for idx in partition.client_indices]
+    x0 = init_weights(losses[0].dim, Rng(seed).spawn(1))
+    starts = {m: make_client(0, losses[0], x0, m, c_max=c_max) for m in set(m_list)}
+    return [replace(starts[m], id=i, x=x0.copy(), w_local=x0.copy(), loss=loss,
+                    test=task.test.take(test_idx[i]), data_rng=streams.spawn(i))
+            for i, (loss, m) in enumerate(zip(losses, m_list))]
 
 
 def summarize_clients(results, clients) -> list[dict]:

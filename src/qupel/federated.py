@@ -30,6 +30,7 @@ own loop, on its own array of global-model copies, and stops under
 from __future__ import annotations
 
 import json
+from copy import deepcopy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,7 +141,7 @@ def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | 
 
 
 def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
-    """One local update of (x_i, c_i, w_i); advances only this client's data_rng."""
+    """One local update of (x_i, c_i, w_i); advances the data_rng it is handed, a run's copy."""
     cs = _pin(cs, hp, t)
     coupling = hp.lambda_p * (cs.x - cs.w_local) if hp.lambda_p != 0.0 else None
     x_new, centers_new = _step(cs.x, cs.centers, cs.pinned, cs.loss, cs.layout, hp, t,
@@ -224,7 +225,8 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     client, then check each objective in id order, so a divergence is raised after the
     whole step; (3) at the metrics cadence, the test accuracies and, federated only,
     kappa once; (4) each client's record, then the server record, from values in hand."""
-    clients = sorted(clients, key=lambda c: c.id)
+    clients = [replace(cs, data_rng=deepcopy(cs.data_rng))  # the run's own streams
+               for cs in sorted(clients, key=lambda c: c.id)]
     for cs in clients:
         if not (np.isfinite(cs.x).all() and np.isfinite(cs.w_local).all()):
             raise ValueError(f"client {cs.id}: starting x and w_local must be finite")
@@ -310,14 +312,15 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
 
     Every step each client takes one gradient step on f_i from its copy of the
     global model, which starts at its ``w_local``; steps divisible by tau first
-    average the copies. No ``ClientState`` is changed. A non-finite step raises a
-    DivergenceError naming the client, as does, at the metrics cadence, a mean
-    client loss at the averaged model past ``_train``'s threshold (F_0 at the first
-    averaged model). The result holds the final averaged model (no quantization).
+    average the copies. Nothing it is given changes, each data_rng included. A
+    non-finite step raises a DivergenceError naming the client, as does, at the metrics
+    cadence, a mean client loss at the averaged model past ``_train``'s threshold (F_0
+    at the first averaged model). The result holds the final averaged model.
     """
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.id)
+    rngs = [deepcopy(cs.data_rng) for cs in clients]  # the run's own minibatch streams
     ws = np.stack([cs.w_local for cs in clients])  # the global-model copies, one row per client
     history: list[RoundMetrics] = []
     for t in range(hp.steps):
@@ -328,7 +331,7 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
                 f0 = float(np.mean([cs.loss.value(w_global) for cs in clients]))
                 limit = _divergence_limit(hp, f0, "fedavg")
         for pos, cs in enumerate(clients):
-            ws[pos] -= hp.eta1 * _grad_step_loss(cs.loss, hp, cs.data_rng).gradient(ws[pos])
+            ws[pos] -= hp.eta1 * _grad_step_loss(cs.loss, hp, rngs[pos]).gradient(ws[pos])
             if not np.isfinite(ws[pos]).all():
                 raise DivergenceError(f"client {cs.id} diverged at step {t}: non-finite step")
         if _at_cadence(hp, t):

@@ -138,7 +138,7 @@ def soft_quantize(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarra
 def quantize_assignments(x: np.ndarray, c: CenterVector) -> np.ndarray:
     """Index of the nearest center per coordinate; midpoint ties take the smaller center."""
     # side='left' sends a coordinate exactly at a midpoint to the lower cell
-    return np.searchsorted(c.midpoints(), x, side="left").astype(np.int64)
+    return c.midpoints().searchsorted(x, side="left").astype(np.int64, copy=False)
 
 
 def hard_quantize(x: np.ndarray, c: CenterVector) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from qupel import cli
 from qupel.cli import main
 from qupel.data import partition_noniid
+from qupel.experiments import build_clients
 from qupel.rng import Rng
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -701,17 +702,22 @@ def test_fedavg_alone_compares_as_beside_the_other_modes(tmp_path, capsys):
 
 
 def test_partition_drawn_once_per_run_and_per_compare_seed(tmp_path, capsys, monkeypatch):
-    seeds = []
+    seeds, built = [], []  # every mode of a compare seed runs on that seed's one population
 
     def counting(ds, n_clients, k, seed):
         seeds.append(seed)
         return partition_noniid(ds, n_clients, k, seed)
 
+    def counting_build(task, partition, seed, **spec):
+        built.append(seed)
+        return build_clients(task, partition, seed=seed, **spec)
+
     monkeypatch.setattr(cli, "partition_noniid", counting)
+    monkeypatch.setattr(cli, "build_clients", counting_build)
     run_dict = federated_cfg("qupel", str(tmp_path / "run"), steps=2)
     assert main(["run", "--config", write_cfg(tmp_path, "run.json", run_dict)]) == 0
-    assert seeds == [3]
+    assert seeds == built == [3]
     cmp_dict = compare_cfg(str(tmp_path / "cmp"))
     cmp_dict.update(modes=["qupel", "local", "fedavg"], seeds=[1, 2])
     assert main(["compare", "--config", write_cfg(tmp_path, "cmp.json", cmp_dict)]) == 0
-    assert seeds == [3, 1, 2]
+    assert seeds == built == [3, 1, 2]

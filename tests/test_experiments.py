@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qupel.centralized import HyperParams, LambdaSchedule, run_centralized
+from qupel import experiments
+from qupel.centralized import (
+    HyperParams,
+    LambdaSchedule,
+    init_centers_from_weights,
+    init_weights,
+    run_centralized,
+)
 from qupel.cli import main
 from qupel.data import partition_noniid
 from qupel.experiments import (
@@ -15,7 +22,7 @@ from qupel.experiments import (
     mixed_precision_m,
     run_mode,
 )
-from qupel.federated import run_local_only, run_qupel
+from qupel.federated import run_fedavg, run_local_only, run_qupel
 from qupel.losses import LogisticLoss
 from qupel.rng import Rng
 
@@ -52,12 +59,31 @@ class TestBuildClients:
             assert np.array_equal(ca.x, cb.x)
             assert np.array_equal(ca.test.features, cb.test.features)
 
-    def test_common_init_across_clients(self):
-        task = build_blob_task(n_classes=4, dim=4, per_class=30, spread=0.5, seed=3)
-        clients = build_clients(task, partition_noniid(task.train, 3, 2, 3),
-                                m_list=[4] * 3, seed=3, model="mlp", hidden=6)
-        for c in clients[1:]:
-            assert np.array_equal(c.x, clients[0].x)
+    def test_common_init_across_clients(self, monkeypatch):
+        made = []
+
+        def counting(x_group, m, c_max):
+            made.append(m)
+            return init_centers_from_weights(x_group, m, c_max=c_max)
+
+        monkeypatch.setattr(experiments, "init_centers_from_weights", counting)
+        for blobs, n_clients, m_list, calls in [
+            (dict(n_classes=4, dim=4, per_class=30), 3, [4] * 3, 2),
+            # 100 clients at 2.75 bits as in qupel-100c-mixed: 75 at m=8, 25 at m=4
+            (dict(n_classes=10, dim=8, per_class=50), 100, mixed_precision_m("2.75bits", 100), 4),
+        ]:
+            made.clear()
+            task = build_blob_task(spread=0.5, seed=3, **blobs)
+            clients = build_clients(task, partition_noniid(task.train, n_clients, 2, 3),
+                                    m_list=m_list, seed=3, model="mlp", hidden=6)
+            assert len(made) == calls  # once per (group, distinct m), not per client
+            x0 = init_weights(clients[0].loss.dim, Rng(3).spawn(1))
+            for c, m in zip(clients, m_list):
+                assert c.x.tobytes() == c.w_local.tobytes() == x0.tobytes()
+                want = [init_centers_from_weights(x0[s:e], m, c_max=3.0)
+                        for s, e in c.layout.groups]
+                assert [cv.values.tobytes() for cv in c.centers] == \
+                    [cv.values.tobytes() for cv in want]
 
     def test_blob_task_without_a_test_split_is_refused(self):
         # per_class=4 holds out no test rows, which every client consumer needs
@@ -138,6 +164,33 @@ class TestMinibatchClients:
         return HyperParams(eta1=0.1, eta2=0.01, steps=30, tau=5, eta3=0.3, lambda_p=lambda_p,
                            quant_cfg=hard_cfg(), batch_size=8, metrics_every=10,
                            lambda_schedule=LambdaSchedule.linear(1e-3, cap=0.05))
+
+    @pytest.mark.parametrize("train", [
+        lambda cs, hp: run_centralized(cs[0].loss, cs[0].x, cs[0].centers, hp,
+                                       layout=cs[0].layout, test=cs[0].test, rng=cs[0].data_rng),
+        run_local_only, run_qupel, run_fedavg,
+    ], ids=["centralized", "local", "qupel", "fedavg"])
+    def test_runs_change_nothing_they_are_given(self, train):
+        def state(clients):
+            return [(c.data_rng.getstate(), c.x.tobytes(), c.w_local.tobytes(),
+                     [cv.values.tobytes() for cv in c.centers]) for c in clients]
+
+        clients = self.clients()
+        before = state(clients)
+        train(clients, self.hp(lambda_p=1.0))
+        assert state(clients) == before
+
+    def test_a_mode_leaves_its_population_as_a_fresh_one(self):
+        task = build_blob_task(4, 3, 20, 0.6, 3)
+
+        def population():
+            return build_clients(task, partition_noniid(task.train, 3, 2, 3), m_list=[4] * 3,
+                                 seed=3, model="mlp", hidden=6)
+
+        hp = replace(self.hp(lambda_p=1.0), steps=5, batch_size=4, metrics_every=2)
+        shared = population()
+        run_mode("fedavg", shared, hp)
+        assert run_mode("qupel", shared, hp) == run_mode("qupel", population(), hp)
 
     def test_each_client_has_its_own_stream(self):
         states = {c.data_rng.getstate() for c in self.clients()}
