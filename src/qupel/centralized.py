@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .diagnostics import RoundMetrics
 from .losses import (
     QuantLayout,
     hard_quantize_grouped,
@@ -147,12 +146,13 @@ class HyperParams:
 
 @dataclass
 class TrainResult:
-    """Final full-precision iterate, centers, hard-quantized model, history."""
+    """Final full-precision iterate, centers, hard-quantized model, and ``history``: the
+    run's ``metrics.jsonl`` records, dicts in the file's key order."""
 
     x_final: np.ndarray
     centers_final: list[CenterVector]
     x_hard: np.ndarray
-    history: list[RoundMetrics]
+    history: list[dict]
 
 
 def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:

@@ -288,7 +288,9 @@ def _centralized_train(cfg: dict, seed: int, hp: HyperParams):
         res = run_centralized(loss, client.x, client.centers, hp, layout=client.layout,
                               test=test, rng=data_rng, checkpoint_path=out_dir / "checkpoint.json"
                               if hp.checkpoint_every else None)
-        return summarize_clients([res], [client]), [m.as_record() for m in res.history]
+        for rec in res.history:  # the centralized file has no client column
+            del rec["client_id"]
+        return summarize_clients([res], [client]), res.history
     return train
 
 

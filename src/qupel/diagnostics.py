@@ -30,7 +30,6 @@ from .quantizer import CenterVector, QuantConfig, hard_quantize
 from .rng import Rng
 
 __all__ = [
-    "RoundMetrics",
     "GradCheckReport",
     "finite_diff_check",
     "prox_oracle_1d",
@@ -40,41 +39,6 @@ __all__ = [
     "run_gradient_suite",
     "run_prox_suite",
 ]
-
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    """Per-step diagnostics recorded by the trainers; None where the trainer computes none."""
-
-    step: int
-    f_x: float
-    f_q: float | None
-    reg: float | None
-    prox_penalty: float | None
-    total: float
-    stationarity_gap: float | None
-    w_drift: float | None
-    quant_error: float | None
-    test_acc: float | None = None
-    kappa_round: float | None = None
-
-    def as_record(self, client_id: int | None = None) -> dict:
-        rec = {"step": self.step}
-        if client_id is not None:
-            rec["client_id"] = client_id
-        rec.update(
-            f_x=self.f_x,
-            f_q=self.f_q,
-            reg=self.reg,
-            prox_penalty=self.prox_penalty,
-            F_total=self.total,
-            stationarity_gap=self.stationarity_gap,
-            w_drift=self.w_drift,
-            quant_error=self.quant_error,
-            test_acc=self.test_acc,
-            kappa_round=self.kappa_round,
-        )
-        return rec
 
 
 @dataclass
@@ -148,7 +112,7 @@ def write_atomic(path, chunks) -> None:
 
 
 def export_metrics(records, path) -> None:
-    """Write metric records (dicts, see ``RoundMetrics.as_record``) to ``path`` as JSONL.
+    """Write metric records (dicts, a ``TrainResult.history``) to ``path`` as JSONL.
 
     One record per line, streamed through ``write_atomic``; values round-trip
     exactly through JSON parsing.

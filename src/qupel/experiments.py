@@ -128,8 +128,8 @@ def summarize_clients(results, clients) -> list[dict]:
             "acc_fp_eval": acc_fp,
             "acc_quantized": evaluate_accuracy(cs.loss, res.x_hard, cs.test)
             if cs.test is not None and res.centers_final else acc_fp,
-            "final_total": last.total if last else None,
-            "final_gap": last.stationarity_gap if last else None,
+            "final_total": last["F_total"] if last else None,
+            "final_gap": last["stationarity_gap"] if last else None,
         })
     return rows
 
@@ -137,22 +137,21 @@ def summarize_clients(results, clients) -> list[dict]:
 def run_mode(mode: str, clients, hp: HyperParams) -> tuple[list[dict], list[dict]]:
     """Run one protocol; returns its summary rows and its metrics records by (step, client).
 
+    Every client records every step, and the trainers return the clients in id
+    order, so interleaving their histories gives that order without a sort.
     fedavg's one global model records ``client_id = -1``.
     """
-    clients = sorted(clients, key=lambda c: c.id)
+    clients = sorted(clients, key=lambda c: c.id)  # the order of the results it summarises
     if mode == "fedavg":  # every client is summarised on the one global model
         res = run_fedavg(clients, hp)
-        return (summarize_clients([res] * len(clients), clients),
-                [m.as_record(client_id=-1) for m in res.history])
+        return summarize_clients([res] * len(clients), clients), res.history
     if mode == "qupel":
         results = run_qupel(clients, hp).per_client
     elif mode == "local":
         results = run_local_only(clients, hp)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    records = [m.as_record(client_id=cs.id) for cs, res in zip(clients, results)
-               for m in res.history]
-    records.sort(key=lambda r: (r["step"], r["client_id"]))
+    records = [r for step in zip(*(res.history for res in results)) for r in step]
     return summarize_clients(results, clients), records
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .centralized import DivergenceError, HyperParams, TrainResult, stationarity_gap
-from .diagnostics import RoundMetrics, evaluate_accuracy, write_atomic
+from .diagnostics import evaluate_accuracy, write_atomic
 from .losses import (
     QuantLayout,
     _hard_assign_grouped,
@@ -224,7 +224,8 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     Each step runs four phases: (1) the sync, federated only; (2) pin and step every
     client, then check each objective in id order, so a divergence is raised after the
     whole step; (3) at the metrics cadence, the test accuracies and, federated only,
-    kappa once; (4) each client's record, then the server record, from values in hand."""
+    kappa once; (4) each client's ``metrics.jsonl`` record, a dict built once from values
+    in hand and kept as is in its ``TrainResult.history``, then the server record."""
     clients = [replace(cs, data_rng=deepcopy(cs.data_rng))  # the run's own streams
                for cs in sorted(clients, key=lambda c: c.id)]
     for cs in clients:
@@ -235,7 +236,7 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
                            hp.lam(0), step_hp.lambda_p).total for cs in clients]
     limits = [_divergence_limit(hp, f, f"client {cs.id}") for cs, f in zip(clients, f0)]
-    histories: list[list[RoundMetrics]] = [[] for _ in clients]
+    histories: list[list[dict]] = [[] for _ in clients]
     global_history: list[dict] = []
 
     for t in range(hp.steps):
@@ -258,13 +259,13 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
                 if cs.test is not None and at_cadence else None for cs in clients]
 
         for hist, old, cs, ev, acc, kappa in zip(histories, before, clients, evs, accs, kappa_i):
-            hist.append(RoundMetrics(
-                step=t, f_x=ev.f_x, f_q=ev.f_q, reg=ev.reg, prox_penalty=ev.prox_penalty,
-                total=ev.total, quant_error=ev.quant_error, test_acc=acc,
-                stationarity_gap=stationarity_gap(old.x, cs.x, old.centers, cs.centers, hp),
-                w_drift=float(np.sum((cs.w_local - w_global) ** 2)) if federated else 0.0,
-                kappa_round=kappa,
-            ))
+            hist.append({
+                "step": t, "client_id": cs.id, "f_x": ev.f_x, "f_q": ev.f_q, "reg": ev.reg,
+                "prox_penalty": ev.prox_penalty, "F_total": ev.total,
+                "stationarity_gap": stationarity_gap(old.x, cs.x, old.centers, cs.centers, hp),
+                "w_drift": float(np.sum((cs.w_local - w_global) ** 2)) if federated else 0.0,
+                "quant_error": ev.quant_error, "test_acc": acc, "kappa_round": kappa,
+            })
         if federated:
             record = {"step": t, "synced": sync_dev is not None, "post_sync_dev": sync_dev}
             w_stack = np.stack([c.w_local for c in clients])
@@ -322,7 +323,7 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
     clients = sorted(clients, key=lambda c: c.id)
     rngs = [deepcopy(cs.data_rng) for cs in clients]  # the run's own minibatch streams
     ws = np.stack([cs.w_local for cs in clients])  # the global-model copies, one row per client
-    history: list[RoundMetrics] = []
+    history: list[dict] = []
     for t in range(hp.steps):
         if t % hp.tau == 0:
             w_global = ws.mean(axis=0)
@@ -341,11 +342,11 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
             accs = [evaluate_accuracy(cs.loss, w_mean, cs.test)
                     for cs in clients if cs.test is not None]
             acc = float(np.mean(accs)) if accs else None
-            history.append(RoundMetrics(  # fedavg computes no quantized or coupled terms
-                step=t, f_x=mean_loss, f_q=None, reg=None, prox_penalty=None,
-                total=mean_loss, stationarity_gap=None, w_drift=None, quant_error=None,
-                test_acc=acc, kappa_round=None,
-            ))
+            history.append({  # the one global model; no quantized or coupled terms
+                "step": t, "client_id": -1, "f_x": mean_loss, "f_q": None, "reg": None,
+                "prox_penalty": None, "F_total": mean_loss, "stationarity_gap": None,
+                "w_drift": None, "quant_error": None, "test_acc": acc, "kappa_round": None,
+            })
     w_final = ws.mean(axis=0)
     return TrainResult(x_final=w_final, centers_final=[], x_hard=w_final.copy(),
                        history=history)

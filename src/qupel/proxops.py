@@ -6,9 +6,7 @@ nearest center; its prox in the centers is solved through a first-order
 surrogate around the previous centers, which nudges each center by
 ``lambda * eta / 2`` times the count imbalance of assigned weights strictly
 above versus strictly below it (coordinates exactly on the center count in
-neither set); one signed bincount gives that imbalance. The exact
-center-prox objective is also exposed for monitoring, since the surrogate
-carries no error analysis.
+neither set); one signed bincount gives that imbalance.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ __all__ = [
     "regularizer",
     "prox_x",
     "prox_c",
-    "exact_prox_c_objective",
 ]
 
 logger = logging.getLogger(__name__)
@@ -127,25 +124,3 @@ def prox_c(
         new = np.sort(new, kind="stable")
     new = _strictly_increasing(new, c_prev.c_max)
     return CenterVector(new, c_max=c_prev.c_max)
-
-
-def exact_prox_c_objective(
-    c_candidate: np.ndarray,
-    mu: np.ndarray,
-    x_new: np.ndarray,
-    p: ProxParams,
-) -> float:
-    """Exact (non-surrogate) center-prox objective value, for monitoring only.
-
-    Evaluates ``1/(2 eta) * ||c - mu||^2 + lambda/2 * ||Q_c(x) - x||_1`` with
-    nearest-center assignments recomputed at the candidate centers.
-    """
-    cand = np.sort(np.asarray(c_candidate, dtype=np.float64))
-    if np.any(np.diff(cand) <= 0):
-        cand = _strictly_increasing(cand, np.inf)
-    cv = CenterVector(cand, c_max=max(np.max(np.abs(cand)), 1.0))
-    mu = np.asarray(mu, dtype=np.float64)
-    x_new = np.asarray(x_new, dtype=np.float64)
-    quad = float(np.sum((cand - mu) ** 2)) / (2.0 * p.eta)
-    dist = float(np.sum(np.abs(hard_quantize(x_new, cv) - x_new)))
-    return quad + (p.lam / 2.0) * dist

@@ -186,7 +186,8 @@ def test_criterion_5_decoupling_and_symmetry():
     for r in fed1.per_client[1:]:
         assert np.array_equal(r.x_final, ref.x_final)
         for ma, mb in zip(r.history, ref.history):
-            assert (ma.total, ma.stationarity_gap) == (mb.total, mb.stationarity_gap)
+            assert (ma["F_total"], ma["stationarity_gap"]) == (
+                mb["F_total"], mb["stationarity_gap"])
     # post-sync equality at every synchronization
     hp2 = HyperParams(lambda_p=0.5, eta3=0.2, **base_hp)
     fed2 = run_qupel([_quad_client(i, seed=200 + i) for i in range(3)], hp2)

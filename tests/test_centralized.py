@@ -190,7 +190,7 @@ class TestRunCentralized:
         hp = HyperParams(eta1=e1, eta2=e2, steps=10_000, quant_cfg=hard_cfg(),
                          lambda_schedule=LambdaSchedule.constant(0.05))
         res = run_centralized(loss, x0, [c0], hp)
-        assert res.history[-1].stationarity_gap < 1e-6
+        assert res.history[-1]["stationarity_gap"] < 1e-6
         np.testing.assert_allclose(res.centers_final[0].values, [0.1, 0.9], atol=1e-3)
 
     def test_monotone_decrease_on_quadratic_suite(self):
@@ -199,7 +199,7 @@ class TestRunCentralized:
         hp = HyperParams(eta1=e1, eta2=e2, steps=2000, quant_cfg=hard_cfg(),
                          lambda_schedule=LambdaSchedule.constant(0.2))
         res = run_centralized(loss, x0, [c0], hp)
-        tot = np.array([m.total for m in res.history])
+        tot = np.array([m["F_total"] for m in res.history])
         assert np.all(np.diff(tot) <= 1e-10)
 
     def test_soft_mode_x_side_sufficient_decrease(self):
@@ -255,7 +255,7 @@ class TestRunCentralized:
         r2 = run_centralized(loss, x0, [c0], hp)
         assert np.array_equal(r1.x_final, r2.x_final)
         assert np.array_equal(r1.centers_final[0].values, r2.centers_final[0].values)
-        assert [m.total for m in r1.history] == [m.total for m in r2.history]
+        assert [m["F_total"] for m in r1.history] == [m["F_total"] for m in r2.history]
 
     def test_fine_tune_freezes_on_centers(self):
         loss, x0, c0 = clustered_quadratic(seed=9, m=2)
@@ -263,14 +263,14 @@ class TestRunCentralized:
                          quant_cfg=hard_cfg(), lambda_schedule=LambdaSchedule.constant(0.1))
         res = run_centralized(loss, x0, [c0], hp)
         # quantized coordinates sit exactly on the final centers
-        assert res.history[-1].quant_error == 0.0
+        assert res.history[-1]["quant_error"] == 0.0
         assert float(np.sum(np.abs(res.x_final - res.x_hard))) == 0.0
         # centers keep training during fine-tuning
         pre_ft = None
         for m in res.history:
-            if m.step == 300:
-                pre_ft = m.total
-        assert res.history[-1].total <= pre_ft + 1e-12
+            if m["step"] == 300:
+                pre_ft = m["F_total"]
+        assert res.history[-1]["F_total"] <= pre_ft + 1e-12
 
     def test_exempt_coordinates_keep_training_during_fine_tune(self):
         loss = QuadraticLoss([0.4, -0.7], [1.0, 1.0])
@@ -307,7 +307,7 @@ class TestStationarityGap:
         hp = HyperParams(eta1=e1, eta2=e2, steps=4000, quant_cfg=hard_cfg(),
                          lambda_schedule=LambdaSchedule.constant(0.2))
         res = run_centralized(loss, x0, [c0], hp)
-        gaps = np.array([m.stationarity_gap for m in res.history])
+        gaps = np.array([m["stationarity_gap"] for m in res.history])
         assert gaps[-1] < 1e-10
 
     def test_running_average_nonincreasing(self):
@@ -316,7 +316,7 @@ class TestStationarityGap:
         hp = HyperParams(eta1=e1, eta2=e2, steps=2000, quant_cfg=hard_cfg(),
                          lambda_schedule=LambdaSchedule.constant(0.2))
         res = run_centralized(loss, x0, [c0], hp)
-        gaps = np.array([m.stationarity_gap for m in res.history])
+        gaps = np.array([m["stationarity_gap"] for m in res.history])
         avg = np.cumsum(gaps) / np.arange(1, gaps.size + 1)
         assert np.all(np.diff(avg) <= 1e-12)
 

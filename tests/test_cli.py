@@ -276,6 +276,21 @@ class TestRunCommand:
         assert main(["run", "--config", write_cfg(tmp_path, "q.json", cfg_dict)]) == 2
         assert "invalid config: dataset.kind: missing required field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["centralized", "local", "qupel", "fedavg"])
+    def test_metrics_record_layout(self, tmp_path, capsys, mode):
+        out = str(tmp_path / "out")
+        cfg = centralized_mlp_cfg(out) if mode == "centralized" else \
+            federated_cfg(mode, out, steps=6)
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 0
+        with open(out + "/metrics.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        client = [] if mode == "centralized" else ["client_id"]  # no client column
+        keys = ["step", *client, "f_x", "f_q", "reg", "prox_penalty", "F_total",
+                "stationarity_gap", "w_drift", "quant_error", "test_acc", "kappa_round"]
+        assert records and all(list(rec) == keys for rec in records)
+        if mode == "fedavg":  # the one global model
+            assert {rec["client_id"] for rec in records} == {-1}
+
     def test_partition_export_written(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "q.json", federated_cfg("qupel", str(tmp_path / "q")))
         assert main(["run", "--config", cfg]) == 0

@@ -5,7 +5,6 @@ import pytest
 
 from qupel.data import make_blobs
 from qupel.diagnostics import (
-    RoundMetrics,
     evaluate_accuracy,
     export_metrics,
     finite_diff_check,
@@ -85,12 +84,12 @@ class TestEvaluateAccuracy:
 class TestExportMetrics:
     def sample_history(self):
         return [
-            RoundMetrics(step=0, f_x=0.5, f_q=0.25, reg=0.1, prox_penalty=0.0,
-                         total=0.85, stationarity_gap=1e-3, w_drift=0.0,
-                         quant_error=0.2, test_acc=None, kappa_round=0.0).as_record(),
-            RoundMetrics(step=1, f_x=0.4, f_q=0.2, reg=0.1, prox_penalty=0.0,
-                         total=0.7, stationarity_gap=5e-4, w_drift=0.0,
-                         quant_error=0.1, test_acc=0.9, kappa_round=None).as_record(),
+            {"step": 0, "f_x": 0.5, "f_q": 0.25, "reg": 0.1, "prox_penalty": 0.0,
+             "F_total": 0.85, "stationarity_gap": 1e-3, "w_drift": 0.0,
+             "quant_error": 0.2, "test_acc": None, "kappa_round": 0.0},
+            {"step": 1, "f_x": 0.4, "f_q": 0.2, "reg": 0.1, "prox_penalty": 0.0,
+             "F_total": 0.7, "stationarity_gap": 5e-4, "w_drift": 0.0,
+             "quant_error": 0.1, "test_acc": 0.9, "kappa_round": None},
         ]
 
     def test_jsonl_round_trip_exact(self, tmp_path):

@@ -192,6 +192,13 @@ class TestMinibatchClients:
         run_mode("fedavg", shared, hp)
         assert run_mode("qupel", shared, hp) == run_mode("qupel", population(), hp)
 
+    @pytest.mark.parametrize("mode", ["local", "qupel"])
+    def test_run_mode_records_by_step_then_client(self, mode):
+        c0, c1, c2 = self.clients()
+        _, records = run_mode(mode, [c2, c0, c1], replace(self.hp(lambda_p=1.0), steps=4))
+        assert [(rec["step"], rec["client_id"]) for rec in records] == \
+            [(t, i) for t in range(4) for i in range(3)]
+
     def test_each_client_has_its_own_stream(self):
         states = {c.data_rng.getstate() for c in self.clients()}
         assert len(states) == 3
@@ -204,7 +211,7 @@ class TestMinibatchClients:
             assert np.array_equal(f.x_final, l.x_final)
             assert all(np.array_equal(a.values, b.values)
                        for a, b in zip(f.centers_final, l.centers_final))
-            assert [m.as_record() for m in f.history] == [m.as_record() for m in l.history]
+            assert f.history == l.history
         full = run_local_only(self.clients(), replace(hp, batch_size=None))
         assert not np.array_equal(loc[0].x_final, full[0].x_final)
 

@@ -150,8 +150,8 @@ class TestRunQupel:
             assert np.array_equal(r.x_hard, ref.x_hard)
             # identical per-step metrics means identical states at every step
             for ma, mb in zip(r.history, ref.history):
-                assert (ma.total, ma.stationarity_gap, ma.quant_error) == (
-                    mb.total, mb.stationarity_gap, mb.quant_error)
+                assert (ma["F_total"], ma["stationarity_gap"], ma["quant_error"]) == (
+                    mb["F_total"], mb["stationarity_gap"], mb["quant_error"])
 
     def test_post_sync_equality(self):
         clients = [make_client(i) for i in range(3)]
@@ -214,14 +214,14 @@ class TestRunQupel:
         for t, server in enumerate(fed.global_history):
             records = [r.history[t] for r in fed.per_client]
             if t not in (0, 3, 6):  # the cadence: every third step and the last
-                assert all(r.kappa_round is None and r.test_acc is None for r in records)
+                assert all(r["kappa_round"] is None and r["test_acc"] is None for r in records)
                 assert server.get("kappa") is None and server.get("mean_test_acc") is None
                 continue
             post = stepped[n * t:n * (t + 1)]
             kappa_i = estimate_diversity(post, means[t // hp.tau], hp.lambda_p)
             accs = [evaluate_accuracy(cs.loss, cs.x, cs.test) for cs in post]
-            assert [r.kappa_round for r in records] == list(kappa_i)
-            assert [r.test_acc for r in records] == accs
+            assert [r["kappa_round"] for r in records] == list(kappa_i)
+            assert [r["test_acc"] for r in records] == accs
             assert server["kappa"] == float(np.mean(kappa_i))
             assert server["mean_test_acc"] == float(np.mean(accs))
 
@@ -332,7 +332,7 @@ class TestRunFedavg:
         with pytest.raises(DivergenceError, match="^fedavg objective diverged at step 10: "):
             run_fedavg(self.target_clients(), hp)
         res = run_fedavg(self.target_clients(), replace(hp, divergence_factor=1e300))
-        assert len(res.history) == 30 and res.history[-1].total > 1e18
+        assert len(res.history) == 30 and res.history[-1]["F_total"] > 1e18
 
     def test_nonfinite_start_cannot_start(self):
         hp = HyperParams(eta1=0.1, eta2=0.0, steps=5, quant_cfg=hard_cfg())

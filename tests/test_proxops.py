@@ -6,7 +6,6 @@ import pytest
 from qupel.proxops import (
     ProxParams,
     _strictly_increasing,
-    exact_prox_c_objective,
     prox_c,
     prox_x,
     regularizer,
@@ -156,13 +155,6 @@ class TestProxC:
             want = _strictly_increasing(want[np.argsort(want, kind="stable")], 2.0)
             got = prox_c(mu, x, c, p).values
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_exact_objective_monitoring(self):
-        mu = np.array([0.1, 0.95])
-        p = ProxParams(eta=1.0, lam=0.1)
-        val = exact_prox_c_objective(mu, mu, np.array([0.2, 0.3, 0.9]), p)
-        # at c = mu the quadratic part vanishes; only the weighted l1 term remains
-        assert val == pytest.approx((0.1 / 2) * (0.1 + 0.2 + 0.05), abs=1e-12)
 
 
 @pytest.mark.parametrize("eta, lam, message", [
