@@ -2,12 +2,15 @@
 
 ``LambdaSchedule`` and ``HyperParams`` configure a run; ``TrainResult`` and
 ``DivergenceError`` are what it returns or raises. ``run_centralized`` runs
-one client of the trainer loop in ``qupel.federated`` without the server.
-The step kernel, ``client_local_step`` and that loop live there, beside
-their only callers; the loop owns the per-step record, the metrics cadence,
-the divergence rule and the checkpoint, so this module does no I/O. Beside
-these sit the stationarity gap, the safe step-size estimator and the
-initializers.
+one client of the trainer loop in ``qupel.federated`` without the server:
+a population of one row, stepped by the same stacked kernel as a federation.
+The kernel, ``client_local_step`` and that loop live there, beside their
+only callers; the loop owns the per-step record, the metrics cadence, the
+divergence rule and the checkpoint, so this module does no I/O. Beside
+these sit the stationarity gap (``stationarity_gap_rows`` for every row of
+a population, ``stationarity_gap`` its one-row case), the safe step-size
+estimator and the initializers, whose quantiles follow numpy's ``linear``
+rule without importing ``numpy.ma``.
 
 Each value is checked once, where it enters (``LambdaSchedule``,
 ``HyperParams``, each client's start) or where the step makes it (the gradient
@@ -33,7 +36,7 @@ from .losses import (
     loss_quant_gradient_x,
 )
 from .proxops import _strictly_increasing
-from .quantizer import CenterVector, QuantConfig
+from .quantizer import CenterStack, CenterVector, QuantConfig
 from .rng import Rng
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "DivergenceError",
     "run_centralized",
     "stationarity_gap",
+    "stationarity_gap_rows",
     "safe_step_sizes",
     "init_weights",
     "init_centers_from_weights",
@@ -156,12 +160,24 @@ class TrainResult:
 
 
 def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:
-    """Prox-residual stationarity measure ||z_next - z_prev||^2 / min(eta)^2; centers as lists."""
-    dx = np.asarray(x_next, dtype=np.float64) - np.asarray(x_prev, dtype=np.float64)
-    total = float(dx @ dx)
+    """Prox-residual stationarity measure ||z_next - z_prev||^2 / min(eta)^2; centers as
+    lists. The one-row case of ``stationarity_gap_rows``."""
+    x_prev = np.asarray(x_prev, dtype=np.float64)[None]
+    x_next = np.asarray(x_next, dtype=np.float64)[None]
+    return float(stationarity_gap_rows(x_prev, x_next, [CenterStack.of([c]) for c in c_prev],
+                                       [CenterStack.of([c]) for c in c_next], hp)[0])
+
+
+def stationarity_gap_rows(x_prev, x_next, c_prev: list[CenterStack],
+                          c_next: list[CenterStack], hp: HyperParams) -> np.ndarray:
+    """``stationarity_gap`` of every row; each row's squared norms are row dot products,
+    taken over its own m centers per group."""
+    dx = x_next - x_prev
+    total = np.vecdot(dx, dx)
     for cp, cn in zip(c_prev, c_next):
         dc = cn.values - cp.values
-        total += float(dc @ dc)
+        for m, rows in cp.by_m:
+            total[rows] += np.vecdot(dc[rows, :m], dc[rows, :m])
     eta_min = hp.eta1 if hp.eta2 == 0 else min(hp.eta1, hp.eta2)
     return total / (eta_min * eta_min)
 
@@ -273,11 +289,29 @@ def init_weights(dim: int, rng: Rng) -> np.ndarray:
     return rng.uniform(-0.5, 0.5, dim)
 
 
+def _quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, qs)`` by numpy's default ``linear`` rule, bit for bit,
+    without the ``np.unique`` call through which ``np.quantile`` imports ``numpy.ma``."""
+    s = np.array(values, dtype=np.float64).ravel()
+    n = s.size
+    if n == 1:
+        return np.full(qs.shape, s[0])
+    v = (n - 1) * qs
+    lo = np.floor(v).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    s.partition(sorted({0, n - 1, *lo.tolist(), *hi.tolist()}))
+    if np.isnan(s[-1]):  # NaN sorts last, and np.quantile answers NaN for it
+        return np.full(qs.shape, np.nan)
+    a, b, g = s[lo], s[hi], v - lo
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+
+
 def init_centers_from_weights(x_group: np.ndarray, m: int, c_max: float = 10.0) -> CenterVector:
     """Centers at the m empirical quantiles (j - 1/2)/m of the group's weights."""
     x_group = np.asarray(x_group, dtype=np.float64)
     qs = (np.arange(1, m + 1) - 0.5) / m
-    vals = np.quantile(x_group, qs)
+    vals = _quantiles(x_group, qs)
     vals = np.clip(vals, -c_max, c_max)
     # enforce strict sortedness for degenerate groups
     span = max(float(vals[-1] - vals[0]), 1e-3)

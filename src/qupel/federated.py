@@ -12,18 +12,23 @@ then moved toward the fresh personalized model.
 The w update descends the coupling penalty,
 ``w_i <- w_i + eta3 * lambda_p * (x_i - w_i)``.
 
-The step kernel (``_step``: the x prox step, then the center prox step) and
-``client_local_step`` (the kernel plus the coupling and the w update) live
-here beside the one trainer loop, ``_train``, which pins and steps every
-client, then records them all; its metrics cadence, divergence rule and
-checkpoint writer sit beside it. What a run is configured by and returns
-(``HyperParams``, ``TrainResult``) lives in ``qupel.centralized``. The server
-is the mean ``sync_round`` returns and runs only under ``run_qupel``;
-``run_local_only`` is the loop without it, at lambda_p = 0, and
-``run_centralized`` is that loop on one client. With lambda_p = 0 the w
-exchange cannot influence (x_i, c_i), so a QuPeL run is bitwise-identical to
-local-only training: the kernel skips the coupling. ``run_fedavg`` keeps its
-own loop, on its own array of global-model copies, and stops under
+The one trainer loop, ``_train``, holds the population as arrays, one row per
+client in id order (``_Rows``): x and w as (n, dim), each group's centers as a
+``CenterStack`` padded to the largest m, and the losses as one stack
+(``stack_losses``). Each step is one call per operation for every client: the
+step kernel ``_step`` (the x prox step, the center prox step and the w
+update), then the objective, the stationarity gap, the server mean and kappa
+over rows, and each client's record is built from those columns. The
+per-client functions are the one-row case of that code: ``client_local_step``
+runs ``_step`` on one client, ``sync_round`` and ``estimate_diversity`` run
+the server mean and kappa on a list of clients. What a run is configured by
+and returns (``HyperParams``, ``TrainResult``) lives in ``qupel.centralized``.
+The server runs only under ``run_qupel``; ``run_local_only`` is the loop
+without it, at lambda_p = 0, and ``run_centralized`` is that loop on one
+client. With lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a
+QuPeL run is bitwise-identical to local-only training: the kernel skips the
+coupling. ``run_fedavg`` keeps its own loop, on its own array of global-model
+copies, takes every client's gradient in one stacked pass and stops under
 ``_train``'s divergence rule.
 """
 
@@ -35,18 +40,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .centralized import DivergenceError, HyperParams, TrainResult, stationarity_gap
+from .centralized import DivergenceError, HyperParams, TrainResult, stationarity_gap_rows
 from .diagnostics import evaluate_accuracy, write_atomic
 from .losses import (
     QuantLayout,
-    _hard_assign_grouped,
-    eval_F_i_grouped,
-    hard_quantize_grouped,
-    loss_quant_gradient_c,
-    loss_quant_gradient_x,
+    hard_quantize_rows,
+    objective_rows,
+    quant_gradient_c_rows,
+    quant_gradient_x_rows,
+    stack_losses,
 )
-from .proxops import ProxParams, prox_c, prox_x
-from .quantizer import CenterVector
+from .proxops import _warn_crossing, prox_c_rows, prox_x_rows
+from .quantizer import CenterStack, CenterVector, assign_rows, take_rows
 from .rng import Rng
 
 __all__ = [
@@ -85,72 +90,124 @@ class ClientState:
             raise ValueError("client model and global copy must share the loss dimension")
 
 
-def _pin(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
+@dataclass
+class _Rows:
+    """A population's trainable state, one row per client in id order."""
+
+    x: np.ndarray  # (n, dim) personalized models
+    w: np.ndarray  # (n, dim) local copies of the global model
+    centers: list[CenterStack]  # one per quantized group
+    pinned: list[np.ndarray] | None  # per group, (n, group size) assignments once fine-tuning
+
+
+def _stack(clients: list[ClientState]) -> _Rows:
+    """The clients' state as rows, in the order given; they must share one layout."""
+    layout = clients[0].layout
+    if any(cs.layout != layout for cs in clients):
+        raise ValueError("clients disagree on the parameter layout")
+    if len({cs.pinned is None for cs in clients}) != 1:
+        raise ValueError("clients disagree on whether their assignments are pinned")
+    groups = range(len(layout.groups))
+    return _Rows(x=np.array([cs.x for cs in clients]), w=np.array([cs.w_local for cs in clients]),
+                 centers=[CenterStack.of([cs.centers[g] for cs in clients]) for g in groups],
+                 pinned=None if clients[0].pinned is None
+                 else [np.stack([cs.pinned[g] for cs in clients]) for g in groups])
+
+
+def _pin(rows: _Rows, layout: QuantLayout, hp: HyperParams, t: int) -> _Rows:
     """At ``fine_tune_start``, snap the quantized coordinates onto their centers and pin them."""
-    if cs.pinned is not None or t != hp.ft_start() or not cs.layout.groups:
-        return cs
-    x, pinned = _hard_assign_grouped(cs.x, cs.centers, cs.layout)
-    return replace(cs, x=x, pinned=pinned)
+    if rows.pinned is not None or t != hp.ft_start() or not layout.groups:
+        return rows
+    x, pinned = hard_quantize_rows(rows.x, rows.centers, layout)
+    return replace(rows, x=x, pinned=pinned)
 
 
-def _grad_step_loss(loss, hp: HyperParams, rng: Rng | None):
-    """Loss used for gradients this step: full loss, or a minibatch view."""
+def _draw_batches(losses, hp: HyperParams, rngs) -> list[np.ndarray] | None:
+    """Each client's minibatch rows for one step, drawn in id order from its own stream;
+    None in full-batch mode."""
     if hp.batch_size is None:
-        return loss
-    if rng is None:
-        raise ValueError("minibatch mode needs an explicit rng")
-    n = loss.n_samples
-    return loss.subset(np.sort(rng.sample(n, min(hp.batch_size, n))))
+        return None
+    batches = []
+    for loss, rng in zip(losses, rngs):
+        if rng is None:
+            raise ValueError("minibatch mode needs an explicit rng")
+        n = loss.n_samples
+        batches.append(np.sort(rng.sample(n, min(hp.batch_size, n))))
+    return batches
 
 
-def _step(x, centers, pinned, loss, layout, hp: HyperParams, t: int, rng: Rng | None,
-          coupling=None):
-    """Alg. lines 2-5: a gradient step on f(x) + f(Qs(x)) in x and the soft-threshold
-    prox, then one on f(Qs(x)) in the centers at the fresh x and the surrogate center prox.
+def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
+          batches=None) -> _Rows:
+    """Alg. lines 2-5 for every client at once: a gradient step on f(x) + f(Qs(x)) in x
+    and the soft-threshold prox, then one on f(Qs(x)) in the centers at the fresh x and
+    the surrogate center prox; then the w update.
 
-    ``pinned`` (fine-tuning) holds per-group assignments: those coordinates
-    ride their centers instead of taking the x-prox, before and after the
-    center step. ``coupling`` is the federated term lambda_p * (x - w).
+    ``losses`` is the population's loss stack and ``batches`` each client's minibatch
+    rows, or None. Pinned coordinates (fine-tuning) ride their centers instead of taking
+    the x-prox, before and after the center step. With lambda_p = 0 the coupling
+    lambda_p * (x - w) is skipped and w kept. A row whose gradient iterate is not finite
+    keeps that iterate and its centers and logs no crossing; ``_train`` raises on it.
     """
-    gl = _grad_step_loss(loss, hp, rng)
+    gl = losses if batches is None else losses.subset(batches)
     lam_t = hp.lam(t)
     cfg = hp.quant_cfg
-    pins = [None] * len(layout.groups) if pinned is None else pinned
+    x, centers, pins = rows.x, rows.centers, rows.pinned
 
-    g = gl.gradient(x) + loss_quant_gradient_x(gl, x, centers, layout, cfg)
-    if coupling is not None:
-        g = g + coupling
+    g = gl.gradient(x) + quant_gradient_x_rows(gl, x, centers, layout, cfg)
+    if hp.lambda_p != 0.0:
+        g = g + hp.lambda_p * (x - rows.w)
     x_new = x - hp.eta1 * g
-    if not np.isfinite(x_new).all():  # before prox_x snaps a NaN; _train raises on it
-        return x_new, list(centers)
-    px = ProxParams(eta=hp.eta1, lam=lam_t)
-    for (start, stop), c, assign in zip(layout.groups, centers, pins):
-        x_new[start:stop] = prox_x(x_new[start:stop], c, px) if assign is None else c.values[assign]
+    stepped = np.isfinite(x_new).all(axis=1)
+    raw = None
+    if not stepped.all():  # before prox_x snaps a NaN: such rows step on from x, then revert
+        raw, x_new = x_new, np.where(stepped[:, None], x_new, x)
+    t_x = lam_t * hp.eta1 / 2.0  # ProxParams(eta1, lam_t).threshold
+    for gi, ((start, stop), c) in enumerate(zip(layout.groups, centers)):
+        xg = x_new[:, start:stop]
+        x_new[:, start:stop] = (prox_x_rows(xg, c.values, assign_rows(xg, c.mids), t_x)
+                                if pins is None else take_rows(c.values, pins[gi]))
 
-    if hp.eta2 == 0.0:
-        return x_new, list(centers)
-    h_list = loss_quant_gradient_c(gl, x_new, centers, layout, cfg)
-    pc = ProxParams(eta=hp.eta2, lam=lam_t)
-    centers_new = []
-    for (start, stop), c, h, assign in zip(layout.groups, centers, h_list, pins):
-        c_new = prox_c(c.values - hp.eta2 * h, x_new[start:stop], c, pc)
-        centers_new.append(c_new)
-        if assign is not None:
-            x_new[start:stop] = c_new.values[assign]
-    return x_new, centers_new
+    new_centers = centers
+    if hp.eta2 != 0.0:
+        assigns = [assign_rows(x_new[:, start:stop], c.mids)
+                   for (start, stop), c in zip(layout.groups, centers)]
+        h_list = quant_gradient_c_rows(gl, x_new, centers, layout, cfg,
+                                       assigns if cfg.hard_limit else None)
+        t_c = lam_t * hp.eta2 / 2.0
+        new_centers = []
+        for gi, ((start, stop), c, h, a) in enumerate(zip(layout.groups, centers, h_list,
+                                                          assigns)):
+            values, crossed = prox_c_rows(c.values - hp.eta2 * h, x_new[:, start:stop], c, a,
+                                          t_c)
+            for _ in np.flatnonzero(crossed & stepped):
+                _warn_crossing()
+            new_centers.append(c.with_values(values))
+            if pins is not None:
+                x_new[:, start:stop] = take_rows(values, pins[gi])
+    if raw is not None:
+        x_new[~stepped] = raw[~stepped]
+        new_centers = [c_new.with_values(np.where(stepped[:, None], c_new.values, c.values))
+                       for c_new, c in zip(new_centers, centers)]
+
+    w = rows.w
+    if hp.lambda_p != 0.0 and hp.eta3 != 0.0:
+        w = w + hp.eta3 * hp.lambda_p * (x_new - w)
+    return _Rows(x=x_new, w=w, centers=new_centers, pinned=pins)
 
 
 def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
-    """One local update of (x_i, c_i, w_i); advances the data_rng it is handed, a run's copy."""
-    cs = _pin(cs, hp, t)
-    coupling = hp.lambda_p * (cs.x - cs.w_local) if hp.lambda_p != 0.0 else None
-    x_new, centers_new = _step(cs.x, cs.centers, cs.pinned, cs.loss, cs.layout, hp, t,
-                               cs.data_rng, coupling=coupling)
-    if hp.lambda_p == 0.0 or hp.eta3 == 0.0:
-        w_new = cs.w_local
-    else:
-        w_new = cs.w_local + hp.eta3 * hp.lambda_p * (x_new - cs.w_local)
-    return replace(cs, x=x_new, centers=centers_new, w_local=w_new)
+    """One local update of (x_i, c_i, w_i); advances the data_rng it is handed, a run's copy.
+    The one-row case of ``_step``."""
+    rows = _pin(_stack([cs]), cs.layout, hp, t)
+    new = _step(rows, stack_losses([cs.loss]), cs.layout, hp, t,
+                _draw_batches([cs.loss], hp, [cs.data_rng]))
+    return replace(cs, x=new.x[0], centers=[c.row(0) for c in new.centers], w_local=new.w[0],
+                   pinned=None if new.pinned is None else [p[0] for p in new.pinned])
+
+
+def _server_mean(w: np.ndarray) -> np.ndarray:
+    """The mean of the local global-model copies, rows in ascending id."""
+    return w.mean(axis=0)
 
 
 def sync_round(clients: list[ClientState]):
@@ -159,8 +216,15 @@ def sync_round(clients: list[ClientState]):
     ordered = sorted(clients, key=lambda c: c.id)
     if len({c.w_local.shape for c in ordered}) != 1:
         raise ValueError("clients disagree on the global model dimension")
-    w_mean = np.mean(np.stack([c.w_local for c in ordered]), axis=0)
+    w_mean = _server_mean(np.stack([c.w_local for c in ordered]))
     return [replace(c, w_local=w_mean.copy()) for c in clients], w_mean
+
+
+def _diversity(x: np.ndarray, w_global: np.ndarray, lambda_p: float) -> np.ndarray:
+    """kappa_i of every row of x; see ``estimate_diversity``."""
+    grads = lambda_p * (w_global - x)
+    mean = grads.mean(axis=0)
+    return np.sum((grads - mean) ** 2, axis=1)
 
 
 def estimate_diversity(clients: list[ClientState], w_global: np.ndarray,
@@ -168,9 +232,7 @@ def estimate_diversity(clients: list[ClientState], w_global: np.ndarray,
     """Per-client squared deviation kappa_i of the w-gradient lambda_p * (w_global - x_i)
     from the mean of them all, in ascending id order."""
     ordered = sorted(clients, key=lambda c: c.id)
-    grads = np.stack([lambda_p * (w_global - c.x) for c in ordered])
-    mean = grads.mean(axis=0)
-    return np.array([float(np.sum((g - mean) ** 2)) for g in grads])
+    return _diversity(np.stack([c.x for c in ordered]), w_global, lambda_p)
 
 
 @dataclass
@@ -200,13 +262,13 @@ def _check_objective(who: str, t: int, total: float, f0: float, limit: float, x)
                               f"initial={f0!r}, |x|={float(np.max(np.abs(x)))!r}")
 
 
-def _write_checkpoint(path, step, cs: ClientState, hp: HyperParams) -> None:
-    """``cs``'s state after ``step`` steps, with the hash of the caller's ``hp``."""
+def _write_checkpoint(path, step, rows: _Rows, rng: Rng | None, hp: HyperParams) -> None:
+    """Client 0's state (row 0) after ``step`` steps, with the hash of the caller's ``hp``."""
     payload = {
         "step": step,
-        "x": [float(v) for v in cs.x],
-        "c": [[float(v) for v in c.values] for c in cs.centers],
-        "rng_state": list(cs.data_rng.getstate()) if cs.data_rng is not None else None,
+        "x": rows.x[0].tolist(),
+        "c": [c.values[0, :int(c.m[0, 0])].tolist() for c in rows.centers],
+        "rng_state": list(rng.getstate()) if rng is not None else None,
         "hyperparams_hash": hp.config_hash(),
     }
     write_atomic(path, [json.dumps(payload)])
@@ -217,60 +279,78 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
            checkpoint_path=None) -> QupelResult:
     """The one trainer loop. ``federated`` adds the server: sync every tau steps,
     coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``.
-    Without it every client steps at lambda_p = 0, so ``client_local_step`` skips the
-    coupling and keeps w_local. The starting x and w_local and each client's divergence
-    threshold are checked once here; the kernel checks each step.
+    Without it every client steps at lambda_p = 0, so ``_step`` skips the coupling and
+    keeps w. The starting x and w_local and each client's divergence threshold are
+    checked once here; each step checks every objective.
 
+    The clients, which must share one layout, are stacked once as rows in id order.
     Each step runs four phases: (1) the sync, federated only; (2) pin and step every
-    client, then check each objective in id order, so a divergence is raised after the
+    row, then check each objective in id order, so a divergence is raised after the
     whole step; (3) at the metrics cadence, the test accuracies and, federated only,
-    kappa once; (4) each client's ``metrics.jsonl`` record, a dict built once from values
-    in hand and kept as is in its ``TrainResult.history``, then the server record."""
+    kappa once; (4) each client's ``metrics.jsonl`` record, a dict built once from the
+    step's columns and kept as is in its ``TrainResult.history``, then the server
+    record."""
     clients = [replace(cs, data_rng=deepcopy(cs.data_rng))  # the run's own streams
                for cs in sorted(clients, key=lambda c: c.id)]
     for cs in clients:
         if not (np.isfinite(cs.x).all() and np.isfinite(cs.w_local).all()):
             raise ValueError(f"client {cs.id}: starting x and w_local must be finite")
+    if not clients:
+        return QupelResult(per_client=[], global_history=[], w_global=None)
     step_hp = hp if federated else replace(hp, lambda_p=0.0)  # checkpoints keep hp's hash
+    ids = [cs.id for cs in clients]
+    client_losses = [cs.loss for cs in clients]
+    rngs = [cs.data_rng for cs in clients]
+    layout, losses, rows = clients[0].layout, stack_losses(client_losses), _stack(clients)
+    n = len(clients)
+
+    def objective(rows, t):
+        return objective_rows(losses, rows.x, rows.centers, layout, rows.w, hp.quant_cfg,
+                              hp.lam(t), step_hp.lambda_p)
+
+    f0 = objective(rows, 0).total.tolist()
+    limits = np.array([_divergence_limit(hp, f, f"client {i}") for i, f in zip(ids, f0)])
     w_global = None
-    f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
-                           hp.lam(0), step_hp.lambda_p).total for cs in clients]
-    limits = [_divergence_limit(hp, f, f"client {cs.id}") for cs, f in zip(clients, f0)]
     histories: list[list[dict]] = [[] for _ in clients]
     global_history: list[dict] = []
 
     for t in range(hp.steps):
         sync_dev = None
         if federated and t % hp.tau == 0:
-            clients, w_global = sync_round(clients)
-            sync_dev = max(float(np.max(np.abs(c.w_local - w_global))) for c in clients)
+            w_global = _server_mean(rows.w)
+            rows.w[:] = w_global
+            sync_dev = float(np.max(np.abs(rows.w - w_global)))
 
-        before = [_pin(cs, hp, t) for cs in clients]  # the gap measures the step, not the pin
-        clients = [client_local_step(cs, step_hp, t) for cs in before]
-        evs = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local,
-                                hp.quant_cfg, hp.lam(t), step_hp.lambda_p) for cs in clients]
-        for cs, ev, f, limit in zip(clients, evs, f0, limits):
-            _check_objective(f"client {cs.id}", t, ev.total, f, limit, cs.x)
+        before = _pin(rows, layout, hp, t)  # the gap measures the step, not the pin
+        rows = _step(before, losses, layout, step_hp, t, _draw_batches(client_losses, hp, rngs))
+        ev = objective(rows, t)
+        failed = ~np.isfinite(ev.total) | (ev.total > limits)
+        if failed.any():
+            i = int(np.argmax(failed))
+            _check_objective(f"client {ids[i]}", t, float(ev.total[i]), f0[i], limits[i],
+                             rows.x[i])
 
         at_cadence = _at_cadence(hp, t)
-        kappa_i = estimate_diversity(clients, w_global, hp.lambda_p).tolist() \
-            if federated and at_cadence else [0.0 if at_cadence else None] * len(clients)
-        accs = [evaluate_accuracy(cs.loss, cs.x, cs.test)
-                if cs.test is not None and at_cadence else None for cs in clients]
+        kappa_i = _diversity(rows.x, w_global, hp.lambda_p).tolist() \
+            if federated and at_cadence else [0.0 if at_cadence else None] * n
+        accs = [evaluate_accuracy(cs.loss, x, cs.test)
+                if cs.test is not None and at_cadence else None for cs, x in zip(clients, rows.x)]
+        gaps = stationarity_gap_rows(before.x, rows.x, before.centers, rows.centers, hp)
+        drift = np.sum((rows.w - w_global) ** 2, axis=1).tolist() if federated else [0.0] * n
 
-        for hist, old, cs, ev, acc, kappa in zip(histories, before, clients, evs, accs, kappa_i):
+        for hist, cid, f_x, f_q, reg, pen, total, gap, w_drift, qe, acc, kappa in zip(
+                histories, ids, ev.f_x.tolist(), ev.f_q.tolist(), ev.reg.tolist(),
+                ev.prox_penalty.tolist(), ev.total.tolist(), gaps.tolist(), drift,
+                ev.quant_error.tolist(), accs, kappa_i):
             hist.append({
-                "step": t, "client_id": cs.id, "f_x": ev.f_x, "f_q": ev.f_q, "reg": ev.reg,
-                "prox_penalty": ev.prox_penalty, "F_total": ev.total,
-                "stationarity_gap": stationarity_gap(old.x, cs.x, old.centers, cs.centers, hp),
-                "w_drift": float(np.sum((cs.w_local - w_global) ** 2)) if federated else 0.0,
-                "quant_error": ev.quant_error, "test_acc": acc, "kappa_round": kappa,
+                "step": t, "client_id": cid, "f_x": f_x, "f_q": f_q, "reg": reg,
+                "prox_penalty": pen, "F_total": total, "stationarity_gap": gap,
+                "w_drift": w_drift, "quant_error": qe, "test_acc": acc, "kappa_round": kappa,
             })
         if federated:
             record = {"step": t, "synced": sync_dev is not None, "post_sync_dev": sync_dev}
-            w_stack = np.stack([c.w_local for c in clients])
-            w_mean = w_stack.mean(axis=0)
-            record["consensus_drift"] = float(np.mean(np.sum((w_stack - w_mean) ** 2, axis=1)))
+            w_mean = rows.w.mean(axis=0)
+            record["consensus_drift"] = float(np.mean(np.sum((rows.w - w_mean) ** 2, axis=1)))
             if at_cadence:
                 record["kappa"] = float(np.mean(kappa_i))
                 known = [a for a in accs if a is not None]
@@ -278,11 +358,11 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
             global_history.append(record)
         if checkpoint_path is not None and hp.checkpoint_every \
                 and (t + 1) % hp.checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, t + 1, clients[0], hp)
+            _write_checkpoint(checkpoint_path, t + 1, rows, rngs[0], hp)
 
-    per_client = [TrainResult(x_final=cs.x, centers_final=cs.centers,
-                              x_hard=hard_quantize_grouped(cs.x, cs.centers, cs.layout),
-                              history=hist) for cs, hist in zip(clients, histories)]
+    x_hard, _ = hard_quantize_rows(rows.x, rows.centers, layout)
+    per_client = [TrainResult(x_final=rows.x[i], centers_final=[c.row(i) for c in rows.centers],
+                              x_hard=x_hard[i], history=hist) for i, hist in enumerate(histories)]
     return QupelResult(per_client=per_client, global_history=global_history,
                        w_global=w_global)
 
@@ -322,29 +402,37 @@ def run_fedavg(clients: list[ClientState], hp: HyperParams) -> TrainResult:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.id)
     rngs = [deepcopy(cs.data_rng) for cs in clients]  # the run's own minibatch streams
+    client_losses = [cs.loss for cs in clients]
+    losses = stack_losses(client_losses)
     ws = np.stack([cs.w_local for cs in clients])  # the global-model copies, one row per client
+
+    def mean_loss(w):  # every client's loss at the one model w
+        return float(np.mean(losses.value(np.repeat(w[None], len(clients), axis=0))))
+
     history: list[dict] = []
     for t in range(hp.steps):
         if t % hp.tau == 0:
             w_global = ws.mean(axis=0)
             ws[:] = w_global
             if t == 0:
-                f0 = float(np.mean([cs.loss.value(w_global) for cs in clients]))
+                f0 = mean_loss(w_global)
                 limit = _divergence_limit(hp, f0, "fedavg")
-        for pos, cs in enumerate(clients):
-            ws[pos] -= hp.eta1 * _grad_step_loss(cs.loss, hp, rngs[pos]).gradient(ws[pos])
-            if not np.isfinite(ws[pos]).all():
-                raise DivergenceError(f"client {cs.id} diverged at step {t}: non-finite step")
+        batches = _draw_batches(client_losses, hp, rngs)
+        ws -= hp.eta1 * (losses if batches is None else losses.subset(batches)).gradient(ws)
+        failed = ~np.isfinite(ws).all(axis=1)
+        if failed.any():
+            cid = clients[int(np.argmax(failed))].id
+            raise DivergenceError(f"client {cid} diverged at step {t}: non-finite step")
         if _at_cadence(hp, t):
             w_mean = ws.mean(axis=0)  # evaluated, not broadcast
-            mean_loss = float(np.mean([cs.loss.value(w_mean) for cs in clients]))
-            _check_objective("fedavg", t, mean_loss, f0, limit, w_mean)
+            loss_t = mean_loss(w_mean)
+            _check_objective("fedavg", t, loss_t, f0, limit, w_mean)
             accs = [evaluate_accuracy(cs.loss, w_mean, cs.test)
                     for cs in clients if cs.test is not None]
             acc = float(np.mean(accs)) if accs else None
             history.append({  # the one global model; no quantized or coupled terms
-                "step": t, "client_id": -1, "f_x": mean_loss, "f_q": None, "reg": None,
-                "prox_penalty": None, "F_total": mean_loss, "stationarity_gap": None,
+                "step": t, "client_id": -1, "f_x": loss_t, "f_q": None, "reg": None,
+                "prox_penalty": None, "F_total": loss_t, "stationarity_gap": None,
                 "w_drift": None, "quant_error": None, "test_acc": acc, "kappa_round": None,
             })
     w_final = ws.mean(axis=0)

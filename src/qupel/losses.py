@@ -5,17 +5,23 @@ constant is its largest curvature entry), l2-regularized binary logistic
 regression, and a one-hidden-layer tanh MLP with a hand-written two-layer
 backward pass (tanh rather than ReLU keeps the gradient Lipschitz). All
 gradients are checked against central finite differences in the test suite.
-The MLP's passes write their row-sized temporaries into a workspace shared
-per array shape (``_mlp_workspace``) instead of allocating them per call.
+``stack_losses`` turns a population's losses into one stack whose passes take
+an (n, dim) array, one parameter vector per row. MLP losses of one shape and row
+count run one batched pass (``_MlpRows``), of which ``MlpLoss`` is the
+one-member case; its temporaries live in a workspace shared per array shape
+(``_mlp_workspace``) instead of being allocated per call.
 
 The module also owns the parameter partition used for layer-wise
 quantization: a ``QuantLayout`` lists the coordinate ranges that are
 quantized (each range carrying its own center vector); everything outside
 those ranges is exempt and passes through the quantizer untouched.
 
-One evaluator, ``eval_F_i_grouped``, computes the per-client objective
+One evaluator, ``objective_rows``, computes each row's objective
 F_i = f(x) + f(Q(x, c)) + lambda R(x, c) + lambda_p/2 ||x - w||^2 part by
-part; lambda_p = 0 gives the centralized objective F_lambda.
+part; lambda_p = 0 gives the centralized objective F_lambda, and
+``eval_F_i_grouped`` is its one-row case. The quantized gradients follow the
+same pattern: ``quant_gradient_x_rows`` and ``quant_gradient_c_rows`` run a
+population, ``loss_quant_gradient_x`` and ``loss_quant_gradient_c`` one vector.
 """
 
 from __future__ import annotations
@@ -26,14 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizer import (
+    CenterStack,
     CenterVector,
     QuantConfig,
+    assign_rows,
     grad_soft_quantize_c,
     grad_soft_quantize_x,
-    hard_grad_c,
-    quantize_assignments,
+    hard_grad_c_rows,
     sigmoid,
     soft_quantize,
+    take_rows,
 )
 
 __all__ = [
@@ -48,6 +56,11 @@ __all__ = [
     "loss_quant_gradient_x",
     "loss_quant_gradient_c",
     "eval_F_i_grouped",
+    "stack_losses",
+    "hard_quantize_rows",
+    "quant_gradient_x_rows",
+    "quant_gradient_c_rows",
+    "objective_rows",
 ]
 
 
@@ -147,21 +160,109 @@ class LogisticLoss(LossModel):
         return LogisticLoss(self.features[indices], self.labels[indices], self.l2, self.class_labels)
 
 
-# Scratch arrays of the MLP passes, one set per (rows, hidden, classes) shape,
-# kept for the life of the process: the clients of a partition and every
-# minibatch of one size share a set. A pass overwrites its set, so the passes
-# are not reentrant (qupel runs in one thread) and no returned value aliases it.
-_MLP_WORKSPACES: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
+# Scratch arrays of the MLP passes, one set per (members, rows, hidden, classes)
+# shape, kept for the life of the process: every pass of a population, and every
+# one-member pass of one row count, shares a set. A pass overwrites its set, so the
+# passes are not reentrant (qupel runs in one thread) and no returned value aliases it.
+_MLP_WORKSPACES: dict[tuple[int, int, int, int], tuple[np.ndarray, ...]] = {}
 
 
-def _mlp_workspace(n: int, n_hid: int, n_out: int) -> tuple[np.ndarray, ...]:
-    """(hidden, backward delta, logits or log-softmax, exp, row indices) for n rows."""
-    ws = _MLP_WORKSPACES.get((n, n_hid, n_out))
+def _mlp_workspace(n: int, rows: int, n_hid: int, n_out: int) -> tuple[np.ndarray, ...]:
+    """(hidden, backward delta, logits or log-softmax, exp, per-row reduction, per-row
+    label entry) for n members of ``rows`` rows each."""
+    ws = _MLP_WORKSPACES.get((n, rows, n_hid, n_out))
     if ws is None:
-        ws = _MLP_WORKSPACES[n, n_hid, n_out] = (
-            np.empty((n, n_hid)), np.empty((n, n_hid)), np.empty((n, n_out)),
-            np.empty((n, n_out)), np.arange(n))
+        ws = _MLP_WORKSPACES[n, rows, n_hid, n_out] = (
+            np.empty((n, rows, n_hid)), np.empty((n, rows, n_hid)), np.empty((n, rows, n_out)),
+            np.empty((n, rows, n_out)), np.empty((n, rows, 1)), np.empty((n, rows)))
     return ws
+
+
+def _mlp_slices(sizes) -> tuple[slice, slice, slice, slice]:
+    """The spans of W1 (inputs x hidden), b1, W2 (hidden x classes) and b2."""
+    n_in, n_hid, n_out = sizes
+    w1 = slice(0, n_in * n_hid)
+    b1 = slice(w1.stop, w1.stop + n_hid)
+    w2 = slice(b1.stop, b1.stop + n_hid * n_out)
+    return w1, b1, w2, slice(w2.stop, w2.stop + n_out)
+
+
+class _MlpRows:
+    """The MLP losses of n members of one shape and row count, as one batched pass.
+
+    ``features`` is (n, rows, inputs) and ``labels`` (n, rows); row i of a parameter
+    stack is member i's vector. Each matmul runs one BLAS call per member, and each
+    reduction runs along one member's own rows, so a member's value and gradient are
+    bitwise those of its own one-member pass.
+    """
+
+    def __init__(self, sizes, features: np.ndarray, labels: np.ndarray, l2: np.ndarray):
+        self.sizes = sizes
+        self.features, self.labels, self.l2 = features, labels, l2
+        n, rows = labels.shape
+        self.dim = _mlp_slices(sizes)[3].stop
+        # flat positions of each row's label entry in an (n, rows, classes) array
+        self._label_at = np.arange(n * rows).reshape(n, rows) * sizes[2] + labels
+
+    def subset(self, batches) -> "_MlpRows":
+        """Member i restricted to its rows ``batches[i]``; every batch has one length."""
+        pick = np.arange(len(batches))[:, None], np.stack(batches)
+        return _MlpRows(self.sizes, self.features[pick], self.labels[pick], self.l2)
+
+    def forward(self, x: np.ndarray, features: np.ndarray):
+        """The workspace of ``features``'s shape, filled with the tanh hidden layer and
+        the raw logits of every member ``x[i]`` on its ``features[i]``."""
+        n_in, n_hid, n_out = self.sizes
+        n, rows = features.shape[:2]
+        w1, b1, w2, b2 = _mlp_slices(self.sizes)
+        ws = _mlp_workspace(n, rows, n_hid, n_out)
+        hidden, _, logits, _, _, _ = ws
+        np.matmul(features, x[:, w1].reshape(n, n_in, n_hid), out=hidden)
+        np.add(hidden, x[:, None, b1], out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, x[:, w2].reshape(n, n_hid, n_out), out=logits)
+        np.add(logits, x[:, None, b2], out=logits)
+        return ws
+
+    def _log_probs(self, x):
+        """``forward`` on the training rows, with the logits turned into their
+        log-softmax in place."""
+        ws = self.forward(x, self.features)
+        _, _, logp, expo, red, _ = ws
+        np.max(logp, axis=2, keepdims=True, out=red)
+        np.subtract(logp, red, out=logp)
+        np.exp(logp, out=expo)
+        np.sum(expo, axis=2, keepdims=True, out=red)
+        np.log(red, out=red)
+        np.subtract(logp, red, out=logp)
+        return ws
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        _, _, logp, _, _, picked = self._log_probs(x)
+        np.take(logp, self._label_at, out=picked)
+        return 0.5 * self.l2 * np.vecdot(x, x) - np.mean(picked, axis=1)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        _, n_hid, n_out = self.sizes
+        n, rows = self.labels.shape
+        w1, b1, w2, b2 = _mlp_slices(self.sizes)
+        hidden, back, logp, delta, _, picked = self._log_probs(x)
+        np.exp(logp, out=delta)  # dce/dlogits = (softmax - one-hot) / rows
+        np.take(delta, self._label_at, out=picked)
+        np.subtract(picked, 1.0, out=picked)
+        np.put(delta, self._label_at, picked)
+        np.divide(delta, rows, out=delta)
+        g = np.empty((n, self.dim))
+        g[:, w2] = np.matmul(hidden.transpose(0, 2, 1), delta).reshape(n, -1)
+        g[:, b2] = delta.sum(axis=1)
+        np.matmul(delta, x[:, w2].reshape(n, n_hid, n_out).transpose(0, 2, 1), out=back)
+        np.multiply(hidden, hidden, out=hidden)  # tanh' = 1 - hidden**2
+        np.subtract(1.0, hidden, out=hidden)
+        back *= hidden
+        g[:, w1] = np.matmul(self.features.transpose(0, 2, 1), back).reshape(n, -1)
+        g[:, b1] = back.sum(axis=1)
+        g += self.l2[:, None] * x
+        return g
 
 
 class MlpLoss(LossModel):
@@ -171,7 +272,8 @@ class MlpLoss(LossModel):
     (inputs x hidden), b1, W2 (hidden x classes) and b2 in that order. Every
     client of a federation has this one shape, so the server can average them.
     ``weight_ranges`` gives the spans of W1 and W2: both weight layers are
-    quantized and the biases stay exempt.
+    quantized and the biases stay exempt. Each pass is the one-member case of
+    the batched pass that a population of these losses runs.
     """
 
     def __init__(self, layer_sizes, features, labels, l2: float = 0.0):
@@ -194,70 +296,64 @@ class MlpLoss(LossModel):
         self.features = z
         self.labels = y
         self.l2 = float(l2)
-        self._w1 = slice(0, n_in * n_hid)
-        self._b1 = slice(self._w1.stop, self._w1.stop + n_hid)
-        self._w2 = slice(self._b1.stop, self._b1.stop + n_hid * n_out)
-        self._b2 = slice(self._w2.stop, self._w2.stop + n_out)
-        self.dim = self._b2.stop
+        self._rows = _MlpRows(sizes, z[None], y[None], np.array([self.l2]))
+        self.dim = self._rows.dim
 
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
 
     def weight_ranges(self) -> list[tuple[int, int]]:
-        return [(self._w1.start, self._w1.stop), (self._w2.start, self._w2.stop)]
-
-    def _forward(self, x, features):
-        """The workspace of ``features``'s row count, filled with the tanh
-        hidden layer and the raw logits of ``features``."""
-        _, n_hid, n_out = self.sizes
-        ws = _mlp_workspace(features.shape[0], n_hid, n_out)
-        hidden, _, logits, _, _ = ws
-        np.matmul(features, x[self._w1].reshape(self.sizes[:2]), out=hidden)
-        np.add(hidden, x[self._b1], out=hidden)
-        np.tanh(hidden, out=hidden)
-        np.matmul(hidden, x[self._w2].reshape(self.sizes[1:]), out=logits)
-        np.add(logits, x[self._b2], out=logits)
-        return ws
-
-    def _log_probs(self, x):
-        """``_forward`` on the training rows, with the logits turned into
-        their log-softmax in place."""
-        ws = self._forward(x, self.features)
-        _, _, logp, expo, _ = ws
-        np.subtract(logp, logp.max(axis=1, keepdims=True), out=logp)
-        np.exp(logp, out=expo)
-        np.subtract(logp, np.log(expo.sum(axis=1, keepdims=True)), out=logp)
-        return ws
+        w1, _, w2, _ = _mlp_slices(self.sizes)
+        return [(w1.start, w1.stop), (w2.start, w2.stop)]
 
     def value(self, x):
-        x = self._check(x)
-        _, _, logp, _, rows = self._log_probs(x)
-        ce = -float(np.mean(logp[rows, self.labels]))
-        return ce + 0.5 * self.l2 * float(x @ x)
+        return float(self._rows.value(self._check(x)[None])[0])
 
     def gradient(self, x):
-        x = self._check(x)
-        hidden, back, logp, delta, rows = self._log_probs(x)
-        np.exp(logp, out=delta)  # dce/dlogits = (softmax - one-hot) / n
-        delta[rows, self.labels] -= 1.0
-        delta /= rows.size
-        g_w2, g_b2 = hidden.T @ delta, delta.sum(axis=0)
-        np.matmul(delta, x[self._w2].reshape(self.sizes[1:]).T, out=back)
-        np.multiply(hidden, hidden, out=hidden)  # tanh' = 1 - hidden**2
-        np.subtract(1.0, hidden, out=hidden)
-        back *= hidden
-        g_w1, g_b1 = self.features.T @ back, back.sum(axis=0)
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2]) + self.l2 * x
+        return self._rows.gradient(self._check(x)[None])[0]
 
     def predict(self, x, features):
         x = self._check(x)
+        features = np.asarray(features, dtype=np.float64)
         # the raw logits, not their log-softmax: the shift can round two to a tie
-        _, _, logits, _, _ = self._forward(x, np.asarray(features, dtype=np.float64))
-        return logits.argmax(axis=1)
+        logits = self._rows.forward(x[None], features[None])[2]
+        return logits[0].argmax(axis=1)
 
     def subset(self, indices):
         return MlpLoss(self.sizes, self.features[indices], self.labels[indices], self.l2)
+
+
+class _MemberRows:
+    """Any losses as a stack: each member's own ``gradient`` and ``value`` on its row."""
+
+    def __init__(self, losses):
+        self.losses = list(losses)
+
+    def subset(self, batches) -> "_MemberRows":
+        return _MemberRows(loss.subset(b) for loss, b in zip(self.losses, batches))
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return np.array([loss.value(row) for loss, row in zip(self.losses, x)])
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return np.array([loss.gradient(row) for loss, row in zip(self.losses, x)])
+
+
+def stack_losses(losses):
+    """The losses of a population as one stack, whose ``gradient`` and ``value`` take an
+    (n, dim) array and answer for every row, and whose ``subset(batches)`` restricts
+    member i to its rows ``batches[i]``. MLP losses of one shape and row count run one
+    batched pass; any other population calls each member."""
+    first = losses[0]
+    if not all(type(loss) is MlpLoss and loss.sizes == first.sizes
+               and loss.n_samples == first.n_samples for loss in losses):
+        return _MemberRows(losses)
+    if len(losses) == 1:
+        return first._rows
+    return _MlpRows(first.sizes, np.stack([loss.features for loss in losses]),
+                    np.stack([loss.labels for loss in losses]),
+                    np.array([loss.l2 for loss in losses]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +407,38 @@ def quantize_grouped(x, centers, layout: QuantLayout, cfg: QuantConfig) -> np.nd
     return out
 
 
+def hard_quantize_rows(x: np.ndarray, centers: list[CenterStack], layout: QuantLayout,
+                       assigns=None):
+    """Nearest-center image of every row of x per group, and the per-group assignments
+    that give it (``assigns``, when given, are those of x)."""
+    if assigns is None:
+        assigns = [assign_rows(x[:, start:stop], c.mids)
+                   for (start, stop), c in zip(layout.groups, centers)]
+    out = x.copy()
+    for (start, stop), c, a in zip(layout.groups, centers, assigns):
+        out[:, start:stop] = take_rows(c.values, a)
+    return out, assigns
+
+
+def _one_row(centers) -> list[CenterStack]:
+    return [CenterStack.of([c]) for c in centers]
+
+
+def _row_vectors(centers: list[CenterStack], n: int) -> list[list[CenterVector]]:
+    """Each row's centers as CenterVectors, for the per-row soft quantizer."""
+    return [[c.row(i) for c in centers] for i in range(n)]
+
+
+def _soft_quantize_rows(x, vectors, layout: QuantLayout, cfg: QuantConfig) -> np.ndarray:
+    """``quantize_grouped`` of every row of x at its own centers ``vectors[i]``."""
+    return np.array([quantize_grouped(row, vs, layout, cfg) for row, vs in zip(x, vectors)])
+
+
 def _hard_assign_grouped(x, centers, layout: QuantLayout):
     """Nearest-center image of x per group, and the assignments that give it."""
-    out = np.array(x, dtype=np.float64)
-    assigns = []
-    for (start, stop), c in zip(layout.groups, centers):
-        assigns.append(quantize_assignments(out[start:stop], c))
-        out[start:stop] = c.values[assigns[-1]]
-    return out, assigns
+    out, assigns = hard_quantize_rows(np.asarray(x, dtype=np.float64)[None], _one_row(centers),
+                                      layout)
+    return out[0], [a[0] for a in assigns]
 
 
 def hard_quantize_grouped(x, centers, layout: QuantLayout) -> np.ndarray:
@@ -327,29 +447,51 @@ def hard_quantize_grouped(x, centers, layout: QuantLayout) -> np.ndarray:
 
 def loss_quant_gradient_x(loss, x, centers, layout, cfg) -> np.ndarray:
     """Chain-rule gradient of x -> f(Qs(x)) (zero on quantized coords in hard mode)."""
-    y = quantize_grouped(x, centers, layout, cfg)
-    gy = loss.gradient(y)
+    x = np.asarray(x, dtype=np.float64)
+    return quant_gradient_x_rows(stack_losses([loss]), x[None], _one_row(centers), layout,
+                                 cfg)[0]
+
+
+def quant_gradient_x_rows(losses, x, centers: list[CenterStack], layout, cfg) -> np.ndarray:
+    """``loss_quant_gradient_x`` of every row of x; soft mode runs the quantizer and
+    its Jacobian per row."""
+    if cfg.hard_limit:
+        gy = losses.gradient(hard_quantize_rows(x, centers, layout)[0])
+        for start, stop in layout.groups:
+            gy[:, start:stop] = 0.0
+        return gy
+    vectors = _row_vectors(centers, len(x))
+    gy = losses.gradient(_soft_quantize_rows(x, vectors, layout, cfg))
     out = gy.copy()  # exempt coordinates see the identity Jacobian
-    for (start, stop), c in zip(layout.groups, centers):
-        if cfg.hard_limit:
-            out[start:stop] = 0.0
-        else:
-            diag = grad_soft_quantize_x(np.asarray(x)[start:stop], c, cfg)
-            out[start:stop] = diag * gy[start:stop]
+    for i, vs in enumerate(vectors):
+        for (start, stop), c in zip(layout.groups, vs):
+            out[i, start:stop] = grad_soft_quantize_x(x[i, start:stop], c, cfg) * gy[i, start:stop]
     return out
 
 
 def loss_quant_gradient_c(loss, x, centers, layout, cfg) -> list[np.ndarray]:
     """Chain-rule gradient of c -> f(Qs(x)) per group (indicator sums in hard mode)."""
     x = np.asarray(x, dtype=np.float64)
+    return [h[0] for h in quant_gradient_c_rows(stack_losses([loss]), x[None],
+                                                 _one_row(centers), layout, cfg)]
+
+
+def quant_gradient_c_rows(losses, x, centers: list[CenterStack], layout, cfg,
+                          assigns=None) -> list[np.ndarray]:
+    """``loss_quant_gradient_c`` of every row of x, per group as (n, m_max) with zero
+    pads; hard mode sums each row's entries in one offset bincount per group."""
     if cfg.hard_limit:
-        y, assigns = _hard_assign_grouped(x, centers, layout)
-        gy = loss.gradient(y)
-        return [hard_grad_c(a, gy[start:stop], c.m)
+        y, assigns = hard_quantize_rows(x, centers, layout, assigns)
+        gy = losses.gradient(y)
+        return [hard_grad_c_rows(a, gy[:, start:stop], c.values.shape[1])
                 for (start, stop), c, a in zip(layout.groups, centers, assigns)]
-    gy = loss.gradient(quantize_grouped(x, centers, layout, cfg))
-    return [grad_soft_quantize_c(x[start:stop], c, cfg) @ gy[start:stop]
-            for (start, stop), c in zip(layout.groups, centers)]
+    vectors = _row_vectors(centers, len(x))
+    gy = losses.gradient(_soft_quantize_rows(x, vectors, layout, cfg))
+    out = [np.zeros(c.values.shape) for c in centers]
+    for i, vs in enumerate(vectors):
+        for (start, stop), c, h in zip(layout.groups, vs, out):
+            h[i, :c.m] = grad_soft_quantize_c(x[i, start:stop], c, cfg) @ gy[i, start:stop]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +517,36 @@ def eval_F_i_grouped(loss, x, centers, layout, w, cfg, lam, lambda_p) -> Objecti
     is hard-quantized once: R and ``quant_error`` read that vector, and so
     does f(Q) in hard mode; soft mode adds one soft pass for f(Q). A
     non-finite x (non-finite ``quant_error``) gets a NaN f(Q) and total.
+    The one-row case of ``objective_rows``.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != x.shape:
         raise ValueError("personalized model and global model differ in dimension")
     centers = layout.check_centers(centers)
-    q = hard_quantize_grouped(x, centers, layout)
-    r = 0.0
+    ev = objective_rows(stack_losses([loss]), x[None], _one_row(centers), layout, w[None],
+                        cfg, lam, lambda_p)
+    return ObjectiveEval(**{part: float(v[0]) for part, v in vars(ev).items()})
+
+
+def objective_rows(losses, x, centers: list[CenterStack], layout, w, cfg, lam,
+                   lambda_p) -> ObjectiveEval:
+    """``eval_F_i_grouped`` of every row of x against its row of w: an ObjectiveEval
+    of (n,) arrays. Every sum runs along one row, as the one-row call's does."""
+    q, _ = hard_quantize_rows(x, centers, layout)
+    dev = np.abs(x - q)
+    r = np.zeros(len(x))
     for start, stop in layout.groups:
-        r += 0.5 * float(np.sum(np.abs(x[start:stop] - q[start:stop])))
-    quant_error = float(np.sum(np.abs(x - q)))
-    f_x = loss.value(x)
-    f_q = (float("nan") if not np.isfinite(quant_error)  # soft_quantize would refuse x
-           else loss.value(q if cfg.hard_limit else quantize_grouped(x, centers, layout, cfg)))
+        r = r + 0.5 * np.sum(dev[:, start:stop], axis=1)
+    quant_error = np.sum(dev, axis=1)
+    f_x = losses.value(x)
+    finite = np.isfinite(quant_error)
+    if not cfg.hard_limit:  # soft_quantize would refuse a non-finite row
+        vectors = _row_vectors(centers, len(x))
+        for i in np.flatnonzero(finite):
+            q[i] = quantize_grouped(x[i], vectors[i], layout, cfg)
+    f_q = np.where(finite, losses.value(q), np.nan)
     reg = lam * r
-    pen = 0.5 * lambda_p * float(np.sum((x - w) ** 2)) if lambda_p != 0.0 else 0.0
+    pen = 0.5 * lambda_p * np.sum((x - w) ** 2, axis=1) if lambda_p != 0.0 else np.zeros(len(x))
     return ObjectiveEval(f_x=f_x, f_q=f_q, reg=reg, prox_penalty=pen,
                          total=f_x + f_q + reg + pen, quant_error=quant_error)

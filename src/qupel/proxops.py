@@ -7,6 +7,10 @@ surrogate around the previous centers, which nudges each center by
 ``lambda * eta / 2`` times the count imbalance of assigned weights strictly
 above versus strictly below it (coordinates exactly on the center count in
 neither set); one signed bincount gives that imbalance.
+
+Both proxes run on a population at once, one row per client: ``prox_x_rows``
+and ``prox_c_rows`` take ``CenterStack`` rows, and ``prox_x`` and ``prox_c``
+are their one-row case.
 """
 
 from __future__ import annotations
@@ -16,13 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import CenterVector, hard_quantize, quantize_assignments
+from .quantizer import (
+    CenterStack,
+    CenterVector,
+    assign_rows,
+    hard_grad_c_rows,
+    hard_quantize,
+    quantize_assignments,
+    take_rows,
+)
 
 __all__ = [
     "ProxParams",
     "regularizer",
     "prox_x",
+    "prox_x_rows",
     "prox_c",
+    "prox_c_rows",
 ]
 
 logger = logging.getLogger(__name__)
@@ -71,23 +85,37 @@ def prox_x(y: np.ndarray, c: CenterVector, p: ProxParams) -> np.ndarray:
     With q the nearest center and t = lambda * eta / 2: subtract t when
     y >= q + t, add t when y <= q - t, and snap to q otherwise.
     """
-    y = np.asarray(y, dtype=np.float64)
-    q = c.values[quantize_assignments(y, c)]
-    t = p.threshold
+    y = np.asarray(y, dtype=np.float64)[None]
+    return prox_x_rows(y, c.values[None], assign_rows(y, c.midpoints()[None]), p.threshold)[0]
+
+
+def prox_x_rows(y: np.ndarray, values: np.ndarray, assign: np.ndarray, t: float) -> np.ndarray:
+    """``prox_x`` of every row: row i moves toward its centers ``values[i]``, at the
+    nearest-center indices ``assign`` of y."""
+    q = take_rows(values, assign)
     return np.where(y >= q + t, y - t, np.where(y <= q - t, y + t, q))
 
 
 def _strictly_increasing(values: np.ndarray, c_max: float) -> np.ndarray:
+    return _strictly_increasing_rows(values[None], np.array([[c_max]]))[0]
+
+
+def _strictly_increasing_rows(values: np.ndarray, c_max: np.ndarray) -> np.ndarray:
+    """Each row, ascending, made strictly increasing: a value at or below its left
+    neighbour moves one ulp above it; a row pushed past its ``c_max`` ends at c_max and
+    spreads down one ulp per collision instead."""
     out = values.copy()
-    for j in range(1, out.size):
-        if out[j] <= out[j - 1]:
-            out[j] = np.nextafter(out[j - 1], np.inf)
-    if out[-1] > c_max:
-        # collided against the upper bound; spread downward instead
-        out[-1] = c_max
-        for j in range(out.size - 2, -1, -1):
-            if out[j] >= out[j + 1]:
-                out[j] = np.nextafter(out[j + 1], -np.inf)
+    if not ((out[:, 1:] <= out[:, :-1]).any() or (out[:, -1:] > c_max).any()):
+        return out
+    for j in range(1, out.shape[1]):
+        tied = out[:, j] <= out[:, j - 1]
+        out[tied, j] = np.nextafter(out[tied, j - 1], np.inf)
+    over = np.flatnonzero(out[:, -1] > c_max[:, 0])
+    if over.size:  # collided against the upper bound
+        out[over, -1] = c_max[over, 0]
+        for j in range(out.shape[1] - 2, -1, -1):
+            tied = over[out[over, j] >= out[over, j + 1]]
+            out[tied, j] = np.nextafter(out[tied, j + 1], -np.inf)
     return out
 
 
@@ -112,15 +140,33 @@ def prox_c(
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != c_prev.values.shape:
         raise ValueError("mu must have one entry per center")
-    assign = quantize_assignments(x_new, c_prev)
     x_new = np.asarray(x_new, dtype=np.float64)
-    at = c_prev.values[assign]
-    # A_j - B_j: +1 per coordinate strictly above its previous center, -1 strictly below
-    imbalance = np.bincount(assign, weights=(x_new > at).astype(np.float64) - (x_new < at),
-                            minlength=c_prev.m)
-    new = np.clip(mu + p.threshold * imbalance, -c_prev.c_max, c_prev.c_max)
-    if (new[1:] < new[:-1]).any():
+    new, crossed = prox_c_rows(mu[None], x_new[None], CenterStack.of([c_prev]),
+                               quantize_assignments(x_new, c_prev)[None], p.threshold)
+    if crossed[0]:
         _warn_crossing()
-        new = np.sort(new, kind="stable")
-    new = _strictly_increasing(new, c_prev.c_max)
-    return CenterVector(new, c_max=c_prev.c_max)
+    return CenterVector(new[0], c_max=c_prev.c_max)
+
+
+def prox_c_rows(mu: np.ndarray, x_new: np.ndarray, c_prev: CenterStack, assign: np.ndarray,
+                t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``prox_c`` of every row: (n, m_max) center values with ``c_prev``'s pads, and
+    which rows crossed, for the caller to log.
+
+    ``assign`` holds the nearest-center indices of ``x_new`` under ``c_prev``; one
+    offset ``bincount`` gives every row's imbalance, and each crossing row is sorted
+    on its own.
+    """
+    at = take_rows(c_prev.values, assign)
+    # A_j - B_j: +1 per coordinate strictly above its previous center, -1 strictly below
+    imbalance = hard_grad_c_rows(assign, (x_new > at).astype(np.float64) - (x_new < at),
+                                 mu.shape[1])
+    new = np.clip(mu + t * imbalance, -c_prev.c_max, c_prev.c_max)
+    crossed = np.zeros(new.shape[0], dtype=bool)
+    for m, rows in c_prev.by_m:
+        block = new[rows, :m]
+        crossed[rows] = cross = (block[:, 1:] < block[:, :-1]).any(axis=1)
+        if cross.any():
+            block[cross] = np.sort(block[cross], axis=1, kind="stable")
+        new[rows, :m] = _strictly_increasing_rows(block, c_prev.c_max[rows])
+    return new, crossed

@@ -15,6 +15,13 @@ trainers check each iterate once per step instead. ``quantize_assignments``
 sends +inf and NaN to the top center and -inf to the bottom one. A
 ``CenterVector`` checks its values and computes its midpoints once, when built.
 
+A population's centers for one parameter group stack as a ``CenterStack``, one
+row per client, padded to the largest m. The stacked operations take one row
+per client and answer for every row in one call: ``assign_rows`` counts the
+midpoints below each coordinate, ``hard_grad_c_rows`` is one offset
+``bincount``. ``quantize_assignments`` and ``hard_grad_c`` are their one-row
+case.
+
 All functions here are pure and thread-safe; none mutate their inputs.
 """
 
@@ -26,15 +33,19 @@ import numpy as np
 
 __all__ = [
     "CenterVector",
+    "CenterStack",
     "QuantConfig",
     "sigmoid",
     "sigmoid_prime",
     "soft_quantize",
     "hard_quantize",
     "quantize_assignments",
+    "assign_rows",
+    "take_rows",
     "grad_soft_quantize_x",
     "grad_soft_quantize_c",
     "hard_grad_c",
+    "hard_grad_c_rows",
 ]
 
 DEFAULT_C_MAX = 10.0
@@ -95,6 +106,46 @@ class CenterVector:
         return self._midpoints
 
 
+class CenterStack:
+    """One parameter group's centers for a population, one row per client, in id order.
+
+    ``values`` is (n, m_max): row i holds client i's m_i centers, then zeros.
+    ``mids`` is (n, m_max - 1): row i's midpoints, then +inf, so ``assign_rows``
+    never picks a pad for a finite coordinate. ``m`` and ``c_max`` are (n, 1)
+    columns, and ``by_m`` lists ``(m, rows)`` per distinct m, the rows as a slice
+    when every row has that m. Pads stay out of every sum, sort and bincount bin.
+    """
+
+    def __init__(self, values: np.ndarray, mids: np.ndarray, m: np.ndarray,
+                 c_max: np.ndarray, by_m: list):
+        self.values, self.mids, self.m, self.c_max, self.by_m = values, mids, m, c_max, by_m
+
+    @classmethod
+    def of(cls, vectors: list["CenterVector"]) -> "CenterStack":
+        if len(vectors) == 1:  # one row has no pads: the vector's own arrays
+            c = vectors[0]
+            return cls(c.values[None], c.midpoints()[None], np.array([[c.m]]),
+                       np.array([[c.c_max]]), [(c.m, slice(None))])
+        m = np.array([[c.m] for c in vectors])
+        values = np.zeros((len(vectors), int(m.max())))
+        for row, c in zip(values, vectors):
+            row[:c.m] = c.values
+        by_m = [(mv, slice(None) if (m == mv).all() else np.flatnonzero(m[:, 0] == mv))
+                for mv in sorted(set(m[:, 0].tolist()))]
+        return cls(values, None, m, np.array([[c.c_max] for c in vectors]),
+                   by_m).with_values(values)
+
+    def with_values(self, values: np.ndarray) -> "CenterStack":
+        """The same clients and m at new center values."""
+        mids = (values[:, 1:] + values[:, :-1]) / 2.0
+        if len(self.by_m) > 1:
+            mids[np.arange(mids.shape[1]) >= self.m - 1] = np.inf
+        return CenterStack(values, mids, self.m, self.c_max, self.by_m)
+
+    def row(self, i: int) -> "CenterVector":
+        return CenterVector(self.values[i, :int(self.m[i, 0])], c_max=float(self.c_max[i, 0]))
+
+
 @dataclass(frozen=True)
 class QuantConfig:
     """Soft-quantizer sharpness P plus the P-to-infinity switch.
@@ -135,10 +186,41 @@ def soft_quantize(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarra
     return v[0] + s @ widths
 
 
+def assign_rows(y: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Nearest-center index of every coordinate of every row: (n, d) against (n, m - 1).
+
+    Row i's midpoints ascend and end in +inf pads. The index is the count of real
+    midpoints strictly below the coordinate, so a coordinate exactly at a midpoint
+    takes the lower cell; +inf takes the top center and -inf the bottom one. NaN
+    counts no midpoint at or above it and takes the last slot, the top center of a
+    row without pads and a pad slot of a padded row.
+    """
+    if len(y) == 1:  # one row has no pads: a binary search counts the same midpoints
+        return mids[0].searchsorted(y[0], side="left")[None]
+    k = mids.shape[1]
+    above = np.zeros(y.shape, dtype=np.uint8 if k < 256 else np.int64)  # midpoints >= y
+    hit = np.empty(y.shape, dtype=bool)
+    for j in range(k):
+        np.less_equal(y, mids[:, j, None], out=hit)
+        above += hit.view(np.uint8)
+    return k - above.astype(np.int64)
+
+
+def take_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[i, index[i, j]]`` for every row i: each row looks up its own centers."""
+    n, width = values.shape
+    if n == 1:
+        return values[0][index]
+    return np.take(values, index + np.arange(0, n * width, width)[:, None])
+
+
 def quantize_assignments(x: np.ndarray, c: CenterVector) -> np.ndarray:
-    """Index of the nearest center per coordinate; midpoint ties take the smaller center."""
-    # side='left' sends a coordinate exactly at a midpoint to the lower cell
-    return c.midpoints().searchsorted(x, side="left").astype(np.int64, copy=False)
+    """Index of the nearest center per coordinate; midpoint ties take the smaller center.
+
+    The one-row case of ``assign_rows``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return assign_rows(x[None], c.midpoints()[None])[0]
 
 
 def hard_quantize(x: np.ndarray, c: CenterVector) -> np.ndarray:
@@ -202,4 +284,14 @@ def hard_grad_c(assignments: np.ndarray, upstream_grad: np.ndarray, m: int) -> n
         raise ValueError("m must be >= 1")
     if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
         raise ValueError("assignment index out of range")
-    return np.bincount(assignments, weights=upstream_grad, minlength=m).astype(np.float64)
+    return hard_grad_c_rows(assignments[None], upstream_grad[None], m)[0]
+
+
+def hard_grad_c_rows(assignments: np.ndarray, upstream: np.ndarray, width: int) -> np.ndarray:
+    """``hard_grad_c`` of every row in one ``bincount``: row i's entries land in bins
+    ``i * width + assignment``, in order, so each bin sums what row i's own call would."""
+    n = assignments.shape[0]
+    offsets = np.arange(0, n * width, width)[:, None]
+    flat = np.bincount((assignments + offsets).ravel(), weights=upstream.ravel(),
+                       minlength=n * width)
+    return flat.reshape(n, width)

@@ -7,6 +7,7 @@ import pytest
 from qupel import federated
 from qupel.centralized import (
     DivergenceError,
+    _quantiles,
     HyperParams,
     LambdaSchedule,
     init_centers_from_weights,
@@ -335,3 +336,21 @@ class TestSafeStepSizes:
         e_coupled, _ = safe_step_sizes(loss, np.zeros(1), [centers(0.0)], cfg=hard_cfg(),
                                        lambda_p=3.0)
         assert e_coupled < e_plain
+
+
+class TestInitCenters:
+    def test_quantiles_equal_numpys_linear_rule(self):
+        # ties, signed zeros and repeated values included; one element is returned as is
+        rng = np.random.default_rng(11)
+        pools = [None, np.array([-0.0, 0.0, 1.0, -1.0, 0.5]), np.round(rng.normal(size=50), 1)]
+        for trial in range(3000):
+            n = int(rng.integers(1, 40))
+            pool = pools[trial % 3]
+            x = rng.normal(size=n) if pool is None else rng.choice(pool, size=n)
+            m = int(rng.integers(1, 17))
+            qs = (np.arange(1, m + 1) - 0.5) / m if trial % 2 else rng.uniform(0.0, 1.0, m)
+            want = np.full(m, x[0]) if n == 1 else np.quantile(x, qs)
+            assert _quantiles(x, qs).tobytes() == want.tobytes(), (x, qs)
+
+    def test_quantiles_of_nan_are_nan(self):
+        assert np.isnan(_quantiles(np.array([1.0, np.nan, 2.0]), np.array([0.25, 0.5]))).all()

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -736,3 +739,18 @@ def test_partition_drawn_once_per_run_and_per_compare_seed(tmp_path, capsys, mon
     cmp_dict.update(modes=["qupel", "local", "fedavg"], seeds=[1, 2])
     assert main(["compare", "--config", write_cfg(tmp_path, "cmp.json", cmp_dict)]) == 0
     assert seeds == built == [3, 1, 2]
+
+
+def test_zero_step_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs 15-20 ms of every run's set-up; np.quantile's np.unique imported it
+    cfg = json.loads((CONFIG_DIR / "qupel.json").read_text())
+    cfg["hyper"].update(steps=0, fine_tune_start=0)
+    (tmp_path / "zero.json").write_text(json.dumps(cfg))
+    script = ("import sys; from qupel.cli import main; "
+              f"code = main(['run', '--config', {str(tmp_path / 'zero.json')!r}, "
+              f"'--out', {str(tmp_path / 'out')!r}]); print(code, 'numpy.ma' in sys.modules)")
+    env = {k: v for k, v in os.environ.items() if k != "QUPEL_SEED"}
+    env["PYTHONPATH"] = str(CONFIG_DIR.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -177,12 +177,13 @@ class TestRunQupel:
 
     def test_w_global_is_the_mean_of_the_last_sync(self, monkeypatch):
         synced = []
+        server_mean = federated._server_mean
 
-        def recording_sync(clients):
-            synced.append([c.w_local.copy() for c in sorted(clients, key=lambda c: c.id)])
-            return sync_round(clients)
+        def recording_mean(w):  # the local copies as rows, in ascending id
+            synced.append(list(w.copy()))
+            return server_mean(w)
 
-        monkeypatch.setattr(federated, "sync_round", recording_sync)
+        monkeypatch.setattr(federated, "_server_mean", recording_mean)
         clients = [make_client(i) for i in (2, 0, 1)]
         fed = run_qupel(clients, self.qupel_hp(lambda_p=1.0, eta3=0.5, steps=12, tau=5))
         assert len(synced) == 3  # steps 0, 5 and 10
@@ -190,18 +191,19 @@ class TestRunQupel:
 
     def test_cadence_records_kappa_and_mean_accuracy(self, monkeypatch):
         stepped, means = [], []
+        step, server_mean = federated._step, federated._server_mean
 
-        def recording_step(cs, hp, t):
-            stepped.append(client_local_step(cs, hp, t))
-            return stepped[-1]
+        def recording_step(rows, *args, **kwargs):  # one stepped client per row, in id order
+            new = step(rows, *args, **kwargs)
+            stepped.extend(replace(cs, x=x) for cs, x in zip(clients, new.x))
+            return new
 
-        def recording_sync(clients):
-            clients, w_mean = sync_round(clients)
-            means.append(w_mean)
-            return clients, w_mean
+        def recording_mean(w):
+            means.append(server_mean(w))
+            return means[-1]
 
-        monkeypatch.setattr(federated, "client_local_step", recording_step)
-        monkeypatch.setattr(federated, "sync_round", recording_sync)
+        monkeypatch.setattr(federated, "_step", recording_step)
+        monkeypatch.setattr(federated, "_server_mean", recording_mean)
         task = build_blob_task(n_classes=4, dim=3, per_class=10, spread=0.6, seed=3)
         clients = build_clients(task, partition_noniid(task.train, 3, 2, 3), m_list=[4, 4, 2],
                                 seed=3, hidden=4)
@@ -231,7 +233,7 @@ class TestRunQupel:
 
     def test_nonfinite_start_refused_naming_the_client(self, monkeypatch):
         steps = []
-        monkeypatch.setattr(federated, "client_local_step", lambda *a, **k: steps.append(a))
+        monkeypatch.setattr(federated, "_step", lambda *a, **k: steps.append(a))
         clients = [make_client(i) for i in range(3)]
         clients[1].x[2] = np.nan
         with pytest.raises(ValueError, match="^client 1: starting x"):

@@ -15,9 +15,15 @@ from qupel.losses import (
     loss_quant_gradient_x,
     quantize_grouped,
 )
-from qupel import losses, quantizer
+from qupel import losses
 from qupel.proxops import regularizer
-from qupel.quantizer import CenterVector, QuantConfig, hard_grad_c, quantize_assignments
+from qupel.quantizer import (
+    CenterVector,
+    QuantConfig,
+    assign_rows,
+    hard_grad_c,
+    quantize_assignments,
+)
 from qupel.diagnostics import finite_diff_check
 from qupel.rng import Rng
 
@@ -407,12 +413,11 @@ class TestObjectiveEvaluator:
         loss, layout, x, cs, w = self.make()
         calls = []
 
-        def counted(xg, c):
-            calls.append(xg.size)
-            return quantize_assignments(xg, c)
+        def counted(y, mids):
+            calls.append(y.size)
+            return assign_rows(y, mids)
 
-        monkeypatch.setattr(quantizer, "quantize_assignments", counted)
-        monkeypatch.setattr(losses, "quantize_assignments", counted)
+        monkeypatch.setattr(losses, "assign_rows", counted)
         eval_F_i_grouped(loss, x, cs, layout, w, cfg, 0.3, 0.7)
         assert calls == [stop - start for start, stop in layout.groups]
 
