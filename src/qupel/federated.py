@@ -29,7 +29,8 @@ client. With lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a
 QuPeL run is bitwise-identical to local-only training: the kernel skips the
 coupling. ``run_fedavg`` keeps its own loop, on its own array of global-model
 copies, takes every client's gradient in one stacked pass and stops under
-``_train``'s divergence rule.
+``_train``'s divergence rule. ``_step`` logs nothing: each ``_train`` run, or
+``client_local_step`` call, logs its own center crossings as one WARNING.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .losses import (
     quant_gradient_x_rows,
     stack_losses,
 )
-from .proxops import _warn_crossing, prox_c_rows, prox_x_rows
+from .proxops import _report_crossings, prox_c_rows, prox_x_rows
 from .quantizer import CenterStack, CenterVector, assign_rows, take_rows
 from .rng import Rng
 
@@ -98,6 +99,7 @@ class _Rows:
     w: np.ndarray  # (n, dim) local copies of the global model
     centers: list[CenterStack]  # one per quantized group
     pinned: list[np.ndarray] | None  # per group, (n, group size) assignments once fine-tuning
+    crossings: np.ndarray | None = None  # (n,) groups whose centers the last _step re-sorted
 
 
 def _stack(clients: list[ClientState]) -> _Rows:
@@ -146,7 +148,7 @@ def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
     rows, or None. Pinned coordinates (fine-tuning) ride their centers instead of taking
     the x-prox, before and after the center step. With lambda_p = 0 the coupling
     lambda_p * (x - w) is skipped and w kept. A row whose gradient iterate is not finite
-    keeps that iterate and its centers and logs no crossing; ``_train`` raises on it.
+    keeps that iterate and its centers and counts no ``crossings``; ``_train`` raises on it.
     """
     gl = losses if batches is None else losses.subset(batches)
     lam_t = hp.lam(t)
@@ -167,7 +169,7 @@ def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
         x_new[:, start:stop] = (prox_x_rows(xg, c.values, assign_rows(xg, c.mids), t_x)
                                 if pins is None else take_rows(c.values, pins[gi]))
 
-    new_centers = centers
+    new_centers, crossings = centers, np.zeros(len(x), dtype=np.int64)
     if hp.eta2 != 0.0:
         assigns = [assign_rows(x_new[:, start:stop], c.mids)
                    for (start, stop), c in zip(layout.groups, centers)]
@@ -179,8 +181,7 @@ def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
                                                           assigns)):
             values, crossed = prox_c_rows(c.values - hp.eta2 * h, x_new[:, start:stop], c, a,
                                           t_c)
-            for _ in np.flatnonzero(crossed & stepped):
-                _warn_crossing()
+            crossings += crossed & stepped
             new_centers.append(c.with_values(values))
             if pins is not None:
                 x_new[:, start:stop] = take_rows(values, pins[gi])
@@ -192,15 +193,15 @@ def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
     w = rows.w
     if hp.lambda_p != 0.0 and hp.eta3 != 0.0:
         w = w + hp.eta3 * hp.lambda_p * (x_new - w)
-    return _Rows(x=x_new, w=w, centers=new_centers, pinned=pins)
+    return _Rows(x=x_new, w=w, centers=new_centers, pinned=pins, crossings=crossings)
 
 
 def client_local_step(cs: ClientState, hp: HyperParams, t: int) -> ClientState:
     """One local update of (x_i, c_i, w_i); advances the data_rng it is handed, a run's copy.
-    The one-row case of ``_step``."""
-    rows = _pin(_stack([cs]), cs.layout, hp, t)
-    new = _step(rows, stack_losses([cs.loss]), cs.layout, hp, t,
-                _draw_batches([cs.loss], hp, [cs.data_rng]))
+    The one-row case of ``_step``; a call that crossed logs one WARNING."""
+    new = _step(_pin(_stack([cs]), cs.layout, hp, t), stack_losses([cs.loss]), cs.layout,
+                hp, t, _draw_batches([cs.loss], hp, [cs.data_rng]))
+    _report_crossings([cs.id], new.crossings)
     return replace(cs, x=new.x[0], centers=[c.row(0) for c in new.centers], w_local=new.w[0],
                    pinned=None if new.pinned is None else [p[0] for p in new.pinned])
 
@@ -289,7 +290,7 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     whole step; (3) at the metrics cadence, the test accuracies and, federated only,
     kappa once; (4) each client's ``metrics.jsonl`` record, a dict built once from the
     step's columns and kept as is in its ``TrainResult.history``, then the server
-    record."""
+    record. The run's center crossings are logged once, at its end or before it diverges."""
     clients = [replace(cs, data_rng=deepcopy(cs.data_rng))  # the run's own streams
                for cs in sorted(clients, key=lambda c: c.id)]
     for cs in clients:
@@ -313,6 +314,7 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     w_global = None
     histories: list[list[dict]] = [[] for _ in clients]
     global_history: list[dict] = []
+    crossings = np.zeros(n, dtype=np.int64)
 
     for t in range(hp.steps):
         sync_dev = None
@@ -323,9 +325,11 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
 
         before = _pin(rows, layout, hp, t)  # the gap measures the step, not the pin
         rows = _step(before, losses, layout, step_hp, t, _draw_batches(client_losses, hp, rngs))
+        crossings += rows.crossings
         ev = objective(rows, t)
         failed = ~np.isfinite(ev.total) | (ev.total > limits)
         if failed.any():
+            _report_crossings(ids, crossings)
             i = int(np.argmax(failed))
             _check_objective(f"client {ids[i]}", t, float(ev.total[i]), f0[i], limits[i],
                              rows.x[i])
@@ -360,11 +364,11 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
                 and (t + 1) % hp.checkpoint_every == 0:
             _write_checkpoint(checkpoint_path, t + 1, rows, rngs[0], hp)
 
+    _report_crossings(ids, crossings)
     x_hard, _ = hard_quantize_rows(rows.x, rows.centers, layout)
     per_client = [TrainResult(x_final=rows.x[i], centers_final=[c.row(i) for c in rows.centers],
                               x_hard=x_hard[i], history=hist) for i, hist in enumerate(histories)]
-    return QupelResult(per_client=per_client, global_history=global_history,
-                       w_global=w_global)
+    return QupelResult(per_client=per_client, global_history=global_history, w_global=w_global)
 
 
 def run_qupel(clients: list[ClientState], hp: HyperParams) -> QupelResult:

@@ -10,7 +10,8 @@ neither set); one signed bincount gives that imbalance.
 
 Both proxes run on a population at once, one row per client: ``prox_x_rows``
 and ``prox_c_rows`` take ``CenterStack`` rows, and ``prox_x`` and ``prox_c``
-are their one-row case.
+are their one-row case. The module keeps no state: ``prox_c_rows`` returns which
+rows crossed, and its caller logs their total once through ``_report_crossings``.
 """
 
 from __future__ import annotations
@@ -40,19 +41,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_crossing_logged = False
-
-
-def _warn_crossing():
-    # first crossing at WARNING, the rest at DEBUG to avoid flooding long runs
-    global _crossing_logged
-    if _crossing_logged:
-        logger.debug("center crossing: prox_c output required re-sorting")
-    else:
-        logger.warning("center crossing: prox_c output required re-sorting")
-        _crossing_logged = True
-
 
 @dataclass(frozen=True)
 class ProxParams:
@@ -134,8 +122,8 @@ def prox_c(
     ``(lambda/2) * (B_j - A_j)``, so component j moves by
     ``+lambda*eta/2 * (A_j - B_j)``: toward the median of its assigned
     weights. The result is clipped to the compact set ``[-c_max, c_max]``;
-    a center below its left neighbour (a crossing) is logged as a warning,
-    not an error, and fixed by one stable sort.
+    a center below its left neighbour (a crossing) is fixed by one stable
+    sort, and a call that crossed logs one warning, not an error.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != c_prev.values.shape:
@@ -144,14 +132,14 @@ def prox_c(
     new, crossed = prox_c_rows(mu[None], x_new[None], CenterStack.of([c_prev]),
                                quantize_assignments(x_new, c_prev)[None], p.threshold)
     if crossed[0]:
-        _warn_crossing()
+        logger.warning("center crossing: prox_c output required re-sorting")
     return CenterVector(new[0], c_max=c_prev.c_max)
 
 
 def prox_c_rows(mu: np.ndarray, x_new: np.ndarray, c_prev: CenterStack, assign: np.ndarray,
                 t: float) -> tuple[np.ndarray, np.ndarray]:
     """``prox_c`` of every row: (n, m_max) center values with ``c_prev``'s pads, and
-    which rows crossed, for the caller to log.
+    which rows crossed, for the caller to count and report; it logs nothing.
 
     ``assign`` holds the nearest-center indices of ``x_new`` under ``c_prev``; one
     offset ``bincount`` gives every row's imbalance, and each crossing row is sorted
@@ -170,3 +158,10 @@ def prox_c_rows(mu: np.ndarray, x_new: np.ndarray, c_prev: CenterStack, assign: 
             block[cross] = np.sort(block[cross], axis=1, kind="stable")
         new[rows, :m] = _strictly_increasing_rows(block, c_prev.c_max[rows])
     return new, crossed
+
+
+def _report_crossings(ids, crossings: np.ndarray) -> None:
+    """One WARNING with the total of the per-row ``crossings`` and the rows' ``ids``, if any."""
+    if crossings.any():
+        logger.warning("center crossings: %d, on clients %s (prox_c output required re-sorting)",
+                       int(crossings.sum()), [ids[i] for i in np.flatnonzero(crossings)])

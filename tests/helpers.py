@@ -2,6 +2,8 @@
 by the test modules."""
 
 import json
+import logging
+import re
 from copy import deepcopy
 from dataclasses import replace
 
@@ -48,6 +50,18 @@ def clustered_quadratic(seed, m, d=10):
     x0 = a + rng.uniform(-0.1, 0.1, d)
     c0 = CenterVector(np.sort(clusters + rng.uniform(-0.05, 0.05, m)), c_max=3.0)
     return QuadraticLoss(a, h), x0, c0
+
+
+def crossing_reports(records):
+    """``(total, client ids)`` of each WARNING about center crossings among log records;
+    None for a crossing WARNING that gives no total."""
+    reports = []
+    for r in records:
+        message = r.getMessage()
+        if r.levelno == logging.WARNING and "center crossing" in message:
+            match = re.match(r"center crossings: (\d+), on clients \[([\d, ]*)\]", message)
+            reports.append(match and (int(match[1]), [int(i) for i in match[2].split(",")]))
+    return reports
 
 
 def _arrays(result):

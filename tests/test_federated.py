@@ -1,3 +1,4 @@
+import logging
 import warnings
 from dataclasses import replace
 
@@ -27,7 +28,13 @@ from qupel.losses import QuadraticLoss
 from qupel.quantizer import CenterVector
 from qupel.rng import Rng
 
-from helpers import centers, hard_cfg, results_identical
+from helpers import (
+    centers,
+    clustered_quadratic,
+    crossing_reports,
+    hard_cfg,
+    results_identical,
+)
 
 
 def make_client(cid, seed=None, d=4, m=2, target_shift=0.0):
@@ -276,6 +283,66 @@ class TestRunLocalOnly:
             run_local_only(clients[:1], hp)
         with pytest.raises(DivergenceError, match="^client 2 objective diverged at step 3:"):
             run_local_only(clients, hp)
+
+
+class TestCenterCrossingReports:
+    """Each run logs its own center crossings once: the total and the clients that crossed.
+
+    A large constant lambda with eta2 = 0.5 pushes the centers of ``clustered_quadratic(1,
+    4)`` past each other 24 times in 50 hard steps."""
+
+    @staticmethod
+    def crossing_hp(**changes):
+        return HyperParams(eta1=0.1, eta2=0.5, steps=50, quant_cfg=hard_cfg(),
+                           lambda_schedule=LambdaSchedule.constant(5.0), **changes)
+
+    @staticmethod
+    def crossing_client(cid, seed=1):
+        loss, x0, c0 = clustered_quadratic(seed, 4)
+        return ClientState(id=cid, x=x0, centers=[c0], w_local=x0.copy(), loss=loss)
+
+    def test_every_run_in_one_process_reports_its_own(self, caplog):
+        loss, x0, c0 = clustered_quadratic(1, 4)
+        reports = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                run_centralized(loss, x0, [c0], self.crossing_hp())
+            reports.append(crossing_reports(caplog.records))
+        assert reports == [[(24, [0])], [(24, [0])]]
+
+    def test_a_diverging_run_reports_before_it_raises(self, caplog):
+        loss, x0, c0 = clustered_quadratic(1, 4)
+        with caplog.at_level(logging.WARNING), \
+                pytest.raises(DivergenceError, match="^client 0 objective diverged at step 7:"):
+            run_centralized(loss, x0, [c0], self.crossing_hp(divergence_factor=30.0))
+        assert crossing_reports(caplog.records) == [(2, [0])]
+
+    def test_local_only_reports_the_sum_and_every_client(self, caplog):
+        clients = [self.crossing_client(5, seed=1), self.crossing_client(3, seed=2)]
+        solo = []
+        for cs in clients:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                run_local_only([cs], self.crossing_hp())
+            [(count, ids)] = crossing_reports(caplog.records)
+            assert count > 0 and ids == [cs.id]
+            solo.append(count)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            run_local_only(clients, self.crossing_hp())
+        assert crossing_reports(caplog.records) == [(sum(solo), [3, 5])]
+
+    def test_client_local_step_reports_each_call(self, caplog):
+        cs, hp = self.crossing_client(7), self.crossing_hp()
+        per_call = []
+        for t in range(hp.steps):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                cs = client_local_step(cs, hp, t)
+            per_call.append(crossing_reports(caplog.records))
+        assert all(reports in ([], [(1, [7])]) for reports in per_call)
+        assert sum(len(reports) for reports in per_call) == 24  # the run's total
 
 
 class TestRunFedavg:

@@ -129,11 +129,8 @@ class TestProxC:
                      ProxParams(eta=1.0, lam=2.0))
         assert out.values[0] <= 3.0
 
-    def test_center_crossing_warns_and_sorts(self, caplog, monkeypatch):
-        import qupel.proxops as proxops_mod
-
-        # the warning is emitted once per process
-        monkeypatch.setattr(proxops_mod, "_crossing_logged", False)
+    def test_center_crossing_warns_and_sorts(self, caplog):
+        # every call that crosses warns: no state outlives a call
         with caplog.at_level(logging.WARNING, logger="qupel.proxops"):
             out = prox_c(np.array([1.0, 0.0]), np.array([5.0]), centers(0.0, 1.0),
                          ProxParams(eta=1.0, lam=0.0))

@@ -26,7 +26,7 @@ from qupel.losses import QuadraticLoss
 from qupel.quantizer import QuantConfig
 from qupel.rng import Rng
 
-from helpers import centers, hard_cfg, reference_train, results_identical
+from helpers import centers, crossing_reports, hard_cfg, reference_train, results_identical
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,16 +103,20 @@ def test_zero_steps():
 
 
 def test_center_crossings_logged_once_per_crossing_row(caplog):
-    # a large center step sends centers past their neighbours on most rows
+    # a large center step sends centers past their neighbours on most rows: the total
+    # that _train reports once counts every (step, row, group) whose centers crossed, as
+    # the reference's one warning per crossing prox_c call does
     hp = hyper(eta2=3.0, lambda_schedule=LambdaSchedule.constant(0.5), steps=6)
     clients = mlp_clients([8, 4, 8, 4])
     counts = []
-    for run in (lambda: federated._train(clients, hp, federated=True),
-                lambda: reference_train(clients, hp, federated=True)):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="qupel.proxops"):
-            run()
-        counts.append(sum("center crossing" in r.getMessage() for r in caplog.records))
+    with caplog.at_level(logging.WARNING):
+        federated._train(clients, hp, federated=True)
+    [(total, _)] = crossing_reports(caplog.records)
+    counts.append(total)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        reference_train(clients, hp, federated=True)
+    counts.append(sum("center crossing" in r.getMessage() for r in caplog.records))
     assert counts[0] > 0 and counts[0] == counts[1]
 
 
