@@ -173,8 +173,7 @@ def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
     if hp.eta2 != 0.0:
         assigns = [assign_rows(x_new[:, start:stop], c.mids)
                    for (start, stop), c in zip(layout.groups, centers)]
-        h_list = quant_gradient_c_rows(gl, x_new, centers, layout, cfg,
-                                       assigns if cfg.hard_limit else None)
+        h_list = quant_gradient_c_rows(gl, x_new, centers, layout, cfg, assigns)
         t_c = lam_t * hp.eta2 / 2.0
         new_centers = []
         for gi, ((start, stop), c, h, a) in enumerate(zip(layout.groups, centers, h_list,

@@ -19,9 +19,9 @@ those ranges is exempt and passes through the quantizer untouched.
 One evaluator, ``objective_rows``, computes each row's objective
 F_i = f(x) + f(Q(x, c)) + lambda R(x, c) + lambda_p/2 ||x - w||^2 part by
 part; lambda_p = 0 gives the centralized objective F_lambda, and
-``eval_F_i_grouped`` is its one-row case. The quantized gradients follow the
-same pattern: ``quant_gradient_x_rows`` and ``quant_gradient_c_rows`` run a
-population, ``loss_quant_gradient_x`` and ``loss_quant_gradient_c`` one vector.
+``eval_F_i_grouped`` is its one-row case. The quantizer and its gradients follow
+suit, soft or hard: ``quantize_rows`` and ``quant_gradient_{x,c}_rows`` run a
+population, one call per group, ``quantize_grouped`` and ``loss_quant_gradient_{x,c}`` one vector.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from .quantizer import (
     CenterStack,
     CenterVector,
     QuantConfig,
+    _check_input,
     assign_rows,
-    grad_soft_quantize_c,
-    grad_soft_quantize_x,
     hard_grad_c_rows,
     sigmoid,
-    soft_quantize,
+    soft_grad_c_rows,
+    soft_grad_x_rows,
+    soft_quantize_rows,
     take_rows,
 )
 
@@ -57,6 +58,7 @@ __all__ = [
     "loss_quant_gradient_c",
     "eval_F_i_grouped",
     "stack_losses",
+    "quantize_rows",
     "hard_quantize_rows",
     "quant_gradient_x_rows",
     "quant_gradient_c_rows",
@@ -398,12 +400,22 @@ class QuantLayout:
 
 
 def quantize_grouped(x, centers, layout: QuantLayout, cfg: QuantConfig) -> np.ndarray:
-    """Apply the (soft or hard) quantizer per group; exempt coordinates pass through."""
+    """Apply the (soft or hard) quantizer per group; exempt coordinates pass through.
+    The one-row case of ``quantize_rows``; soft mode refuses a non-finite quantized x."""
+    x = np.asarray(x, dtype=np.float64)
+    if not cfg.hard_limit:
+        for start, stop in layout.groups:
+            _check_input(x[start:stop])
+    return quantize_rows(x[None], _one_row(centers), layout, cfg)[0]
+
+
+def quantize_rows(x: np.ndarray, centers: list[CenterStack], layout, cfg) -> np.ndarray:
+    """``quantize_grouped`` of every row of x at its own centers, one call per group."""
     if cfg.hard_limit:
-        return hard_quantize_grouped(x, centers, layout)
-    out = np.array(x, dtype=np.float64)
+        return hard_quantize_rows(x, centers, layout)[0]
+    out = x.copy()
     for (start, stop), c in zip(layout.groups, centers):
-        out[start:stop] = soft_quantize(out[start:stop], c, cfg)
+        out[:, start:stop] = soft_quantize_rows(x[:, start:stop], c, cfg.sharpness)
     return out
 
 
@@ -424,49 +436,25 @@ def _one_row(centers) -> list[CenterStack]:
     return [CenterStack.of([c]) for c in centers]
 
 
-def _row_vectors(centers: list[CenterStack], n: int) -> list[list[CenterVector]]:
-    """Each row's centers as CenterVectors, for the per-row soft quantizer."""
-    return [[c.row(i) for c in centers] for i in range(n)]
-
-
-def _soft_quantize_rows(x, vectors, layout: QuantLayout, cfg: QuantConfig) -> np.ndarray:
-    """``quantize_grouped`` of every row of x at its own centers ``vectors[i]``."""
-    return np.array([quantize_grouped(row, vs, layout, cfg) for row, vs in zip(x, vectors)])
-
-
-def _hard_assign_grouped(x, centers, layout: QuantLayout):
-    """Nearest-center image of x per group, and the assignments that give it."""
-    out, assigns = hard_quantize_rows(np.asarray(x, dtype=np.float64)[None], _one_row(centers),
-                                      layout)
-    return out[0], [a[0] for a in assigns]
-
-
 def hard_quantize_grouped(x, centers, layout: QuantLayout) -> np.ndarray:
-    return _hard_assign_grouped(x, centers, layout)[0]
+    return quantize_grouped(x, centers, layout, QuantConfig(hard_limit=True))
 
 
 def loss_quant_gradient_x(loss, x, centers, layout, cfg) -> np.ndarray:
     """Chain-rule gradient of x -> f(Qs(x)) (zero on quantized coords in hard mode)."""
-    x = np.asarray(x, dtype=np.float64)
-    return quant_gradient_x_rows(stack_losses([loss]), x[None], _one_row(centers), layout,
-                                 cfg)[0]
+    x = np.asarray(x, dtype=np.float64)[None]
+    return quant_gradient_x_rows(stack_losses([loss]), x, _one_row(centers), layout, cfg)[0]
 
 
 def quant_gradient_x_rows(losses, x, centers: list[CenterStack], layout, cfg) -> np.ndarray:
-    """``loss_quant_gradient_x`` of every row of x; soft mode runs the quantizer and
-    its Jacobian per row."""
-    if cfg.hard_limit:
-        gy = losses.gradient(hard_quantize_rows(x, centers, layout)[0])
-        for start, stop in layout.groups:
+    """``loss_quant_gradient_x`` of every row of x, one Jacobian call per group."""
+    gy = losses.gradient(quantize_rows(x, centers, layout, cfg))
+    for (start, stop), c in zip(layout.groups, centers):  # exempt: the identity Jacobian
+        if cfg.hard_limit:
             gy[:, start:stop] = 0.0
-        return gy
-    vectors = _row_vectors(centers, len(x))
-    gy = losses.gradient(_soft_quantize_rows(x, vectors, layout, cfg))
-    out = gy.copy()  # exempt coordinates see the identity Jacobian
-    for i, vs in enumerate(vectors):
-        for (start, stop), c in zip(layout.groups, vs):
-            out[i, start:stop] = grad_soft_quantize_x(x[i, start:stop], c, cfg) * gy[i, start:stop]
-    return out
+        else:
+            gy[:, start:stop] *= soft_grad_x_rows(x[:, start:stop], c, cfg.sharpness)
+    return gy
 
 
 def loss_quant_gradient_c(loss, x, centers, layout, cfg) -> list[np.ndarray]:
@@ -479,19 +467,15 @@ def loss_quant_gradient_c(loss, x, centers, layout, cfg) -> list[np.ndarray]:
 def quant_gradient_c_rows(losses, x, centers: list[CenterStack], layout, cfg,
                           assigns=None) -> list[np.ndarray]:
     """``loss_quant_gradient_c`` of every row of x, per group as (n, m_max) with zero
-    pads; hard mode sums each row's entries in one offset bincount per group."""
+    pads, one call per group; hard mode sums each row's entries in one offset bincount."""
     if cfg.hard_limit:
         y, assigns = hard_quantize_rows(x, centers, layout, assigns)
         gy = losses.gradient(y)
         return [hard_grad_c_rows(a, gy[:, start:stop], c.values.shape[1])
                 for (start, stop), c, a in zip(layout.groups, centers, assigns)]
-    vectors = _row_vectors(centers, len(x))
-    gy = losses.gradient(_soft_quantize_rows(x, vectors, layout, cfg))
-    out = [np.zeros(c.values.shape) for c in centers]
-    for i, vs in enumerate(vectors):
-        for (start, stop), c, h in zip(layout.groups, vs, out):
-            h[i, :c.m] = grad_soft_quantize_c(x[i, start:stop], c, cfg) @ gy[i, start:stop]
-    return out
+    gy = losses.gradient(quantize_rows(x, centers, layout, cfg))
+    return [soft_grad_c_rows(x[:, start:stop], c, cfg.sharpness, gy[:, start:stop])
+            for (start, stop), c in zip(layout.groups, centers)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +525,8 @@ def objective_rows(losses, x, centers: list[CenterStack], layout, w, cfg, lam,
     quant_error = np.sum(dev, axis=1)
     f_x = losses.value(x)
     finite = np.isfinite(quant_error)
-    if not cfg.hard_limit:  # soft_quantize would refuse a non-finite row
-        vectors = _row_vectors(centers, len(x))
-        for i in np.flatnonzero(finite):
-            q[i] = quantize_grouped(x[i], vectors[i], layout, cfg)
+    if not cfg.hard_limit:  # a non-finite row is soft-quantized at 0, its f(Q) dropped
+        q = quantize_rows(np.where(finite[:, None], x, 0.0), centers, layout, cfg)
     f_q = np.where(finite, losses.value(q), np.nan)
     reg = lam * r
     pen = 0.5 * lambda_p * np.sum((x - w) ** 2, axis=1) if lambda_p != 0.0 else np.zeros(len(x))

@@ -16,11 +16,11 @@ sends +inf and NaN to the top center and -inf to the bottom one. A
 ``CenterVector`` checks its values and computes its midpoints once, when built.
 
 A population's centers for one parameter group stack as a ``CenterStack``, one
-row per client, padded to the largest m. The stacked operations take one row
-per client and answer for every row in one call: ``assign_rows`` counts the
-midpoints below each coordinate, ``hard_grad_c_rows`` is one offset
-``bincount``. ``quantize_assignments`` and ``hard_grad_c`` are their one-row
-case.
+row per client, padded to the largest m. The stacked operations answer for every
+row in one call: ``assign_rows`` counts the midpoints below each coordinate,
+``hard_grad_c_rows`` is one offset ``bincount``, and ``soft_quantize_rows``,
+``soft_grad_x_rows`` and ``soft_grad_c_rows`` run one batched product per ``by_m``
+block. The one-vector functions are their one-row case.
 
 All functions here are pure and thread-safe; none mutate their inputs.
 """
@@ -36,14 +36,16 @@ __all__ = [
     "CenterStack",
     "QuantConfig",
     "sigmoid",
-    "sigmoid_prime",
     "soft_quantize",
+    "soft_quantize_rows",
     "hard_quantize",
     "quantize_assignments",
     "assign_rows",
     "take_rows",
     "grad_soft_quantize_x",
     "grad_soft_quantize_c",
+    "soft_grad_x_rows",
+    "soft_grad_c_rows",
     "hard_grad_c",
     "hard_grad_c_rows",
 ]
@@ -60,11 +62,6 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def sigmoid_prime(t: np.ndarray) -> np.ndarray:
-    s = sigmoid(t)
-    return s * (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -172,18 +169,59 @@ def _check_input(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _soft_blocks(y: np.ndarray, c: CenterStack, sharpness: float):
+    """Each ``by_m`` block of y's rows: ``(rows, values, widths, s)``, with values (r, m),
+    widths (r, m - 1, 1) and s = sigmoid(P * (y - mid)) (r, d, m - 1), free of pads."""
+    for m, rows in c.by_m:
+        values = c.values[rows, :m]
+        s = sigmoid(sharpness * (y[rows, :, None] - c.mids[rows, None, :m - 1]))
+        yield rows, values, np.diff(values, axis=1)[:, :, None], s
+
+
+def _soft_jac_c(s: np.ndarray, widths: np.ndarray, sharpness: float) -> np.ndarray:
+    """A block's (r, m, d) center Jacobians from its sigmoids; see ``grad_soft_quantize_c``."""
+    s = s.transpose(0, 2, 1)
+    jac = np.zeros((s.shape[0], s.shape[1] + 1, s.shape[2]))
+    jac[:, 0, :] = 1.0          # sigma(+inf) term for the lowest center
+    jac[:, 1:, :] += s          # midpoint shared with the center below
+    jac[:, :-1, :] -= s         # midpoint shared with the center above
+    width_term = (sharpness / 2.0) * widths * (s * (1.0 - s))
+    jac[:, :-1, :] -= width_term
+    jac[:, 1:, :] -= width_term
+    return jac
+
+
+def soft_quantize_rows(y: np.ndarray, c: CenterStack, sharpness: float) -> np.ndarray:
+    """``soft_quantize`` of every row of y (n, d) at its own centers; no input check."""
+    out = np.empty(y.shape)
+    for rows, v, widths, s in _soft_blocks(y, c, sharpness):
+        out[rows] = v if v.shape[1] == 1 else v[:, :1] + np.matmul(s, widths)[:, :, 0]
+    return out
+
+
+def soft_grad_x_rows(y: np.ndarray, c: CenterStack, sharpness: float) -> np.ndarray:
+    """``grad_soft_quantize_x`` of every row of y (n, d) at its own centers."""
+    out = np.empty(y.shape)
+    for rows, _, widths, s in _soft_blocks(y, c, sharpness):
+        out[rows] = sharpness * np.matmul(s * (1.0 - s), widths)[:, :, 0]
+    return out
+
+
+def soft_grad_c_rows(y: np.ndarray, c: CenterStack, sharpness: float, upstream) -> np.ndarray:
+    """Row i's center Jacobian at y[i] times ``upstream[i]``, every row: (n, m_max), 0 pads."""
+    out = np.zeros(c.values.shape)
+    for rows, values, widths, s in _soft_blocks(y, c, sharpness):
+        jac = _soft_jac_c(s, widths, sharpness)
+        out[rows, :values.shape[1]] = np.matmul(jac, upstream[rows][:, :, None])[:, :, 0]
+    return out
+
+
 def soft_quantize(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarray:
-    """Differentiable sigmoid-staircase quantization of each coordinate."""
+    """Differentiable sigmoid-staircase quantization of each coordinate, the one-row
+    case of ``soft_quantize_rows``."""
     if cfg.hard_limit:
         raise ValueError("soft_quantize requires hard_limit=False")
-    x = _check_input(x)
-    v = c.values
-    if c.m == 1:
-        return np.full_like(x, v[0])
-    mids = c.midpoints()
-    widths = np.diff(v)
-    s = sigmoid(cfg.sharpness * (x[:, None] - mids[None, :]))
-    return v[0] + s @ widths
+    return soft_quantize_rows(_check_input(x)[None], CenterStack.of([c]), cfg.sharpness)[0]
 
 
 def assign_rows(y: np.ndarray, mids: np.ndarray) -> np.ndarray:
@@ -215,10 +253,8 @@ def take_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def quantize_assignments(x: np.ndarray, c: CenterVector) -> np.ndarray:
-    """Index of the nearest center per coordinate; midpoint ties take the smaller center.
-
-    The one-row case of ``assign_rows``.
-    """
+    """Index of the nearest center per coordinate, midpoint ties to the smaller center;
+    the one-row case of ``assign_rows``."""
     x = np.asarray(x, dtype=np.float64)
     return assign_rows(x[None], c.midpoints()[None])[0]
 
@@ -236,11 +272,7 @@ def grad_soft_quantize_x(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np
     if cfg.hard_limit:
         raise ValueError("grad_soft_quantize_x requires hard_limit=False")
     x = np.asarray(x, dtype=np.float64)
-    v = c.values
-    mids = c.midpoints()
-    widths = np.diff(v)
-    sp = sigmoid_prime(cfg.sharpness * (x[:, None] - mids[None, :]))
-    return cfg.sharpness * (sp @ widths)
+    return soft_grad_x_rows(x[None], CenterStack.of([c]), cfg.sharpness)[0]
 
 
 def grad_soft_quantize_c(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarray:
@@ -256,22 +288,8 @@ def grad_soft_quantize_c(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np
     if cfg.hard_limit:
         raise ValueError("grad_soft_quantize_c requires hard_limit=False")
     x = np.asarray(x, dtype=np.float64)
-    v = c.values
-    m, d = c.m, x.size
-    P = cfg.sharpness
-    mids = c.midpoints()
-    widths = np.diff(v)
-    arg = P * (x[None, :] - mids[:, None])  # (m-1, d)
-    s = sigmoid(arg)
-    sp = s * (1.0 - s)
-    jac = np.zeros((m, d))
-    jac[0, :] = 1.0          # sigma(+inf) term for the lowest center
-    jac[1:, :] += s          # midpoint shared with the center below
-    jac[:-1, :] -= s         # midpoint shared with the center above
-    width_term = (P / 2.0) * widths[:, None] * sp
-    jac[:-1, :] -= width_term
-    jac[1:, :] -= width_term
-    return jac
+    [(_, _, widths, s)] = _soft_blocks(x[None], CenterStack.of([c]), cfg.sharpness)
+    return _soft_jac_c(s, widths, cfg.sharpness)[0]
 
 
 def hard_grad_c(assignments: np.ndarray, upstream_grad: np.ndarray, m: int) -> np.ndarray:

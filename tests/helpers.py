@@ -20,14 +20,15 @@ from qupel.federated import (
 )
 from qupel.losses import (
     QuadraticLoss,
-    _hard_assign_grouped,
+    _one_row,
     eval_F_i_grouped,
     hard_quantize_grouped,
+    hard_quantize_rows,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
 )
 from qupel.proxops import ProxParams, prox_c, prox_x
-from qupel.quantizer import CenterVector, QuantConfig
+from qupel.quantizer import CenterVector, QuantConfig, sigmoid
 from qupel.rng import Rng
 
 
@@ -79,6 +80,78 @@ def results_identical(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the soft quantizer one row and one group at a time, kept as the oracle of the stacked one
+
+
+def soft_quantize_row(x, c, cfg):
+    """The sigmoid staircase of one finite vector: ``qupel.quantizer.soft_quantize``."""
+    v = c.values
+    if c.m == 1:
+        return np.full_like(x, v[0])
+    s = sigmoid(cfg.sharpness * (x[:, None] - c.midpoints()[None, :]))
+    return v[0] + s @ np.diff(v)
+
+
+def grad_soft_quantize_x_row(x, c, cfg):
+    """The diagonal of the soft quantizer's x-Jacobian at one vector."""
+    s = sigmoid(cfg.sharpness * (x[:, None] - c.midpoints()[None, :]))
+    return cfg.sharpness * ((s * (1.0 - s)) @ np.diff(c.values))
+
+
+def grad_soft_quantize_c_row(x, c, cfg):
+    """The (m, d) Jacobian of the soft quantizer in the centers at one vector."""
+    m, d, P = c.m, x.size, cfg.sharpness
+    s = sigmoid(P * (x[None, :] - c.midpoints()[:, None]))
+    sp = s * (1.0 - s)
+    jac = np.zeros((m, d))
+    jac[0, :] = 1.0
+    jac[1:, :] += s
+    jac[:-1, :] -= s
+    width_term = (P / 2.0) * np.diff(c.values)[:, None] * sp
+    jac[:-1, :] -= width_term
+    jac[1:, :] -= width_term
+    return jac
+
+
+def soft_quantize_grouped_row(x, centers, layout, cfg):
+    """``soft_quantize_row`` of each group of x; exempt coordinates pass through."""
+    out = np.array(x, dtype=np.float64)
+    for (start, stop), c in zip(layout.groups, centers):
+        out[start:stop] = soft_quantize_row(out[start:stop], c, cfg)
+    return out
+
+
+def reference_quant_gradient_x(loss, x, centers, layout, cfg):
+    """``loss_quant_gradient_x``, through the per-row formulas in soft mode."""
+    if cfg.hard_limit:
+        return loss_quant_gradient_x(loss, x, centers, layout, cfg)
+    gy = loss.gradient(soft_quantize_grouped_row(x, centers, layout, cfg))
+    out = gy.copy()  # exempt coordinates see the identity Jacobian
+    for (start, stop), c in zip(layout.groups, centers):
+        out[start:stop] = grad_soft_quantize_x_row(x[start:stop], c, cfg) * gy[start:stop]
+    return out
+
+
+def reference_quant_gradient_c(loss, x, centers, layout, cfg):
+    """``loss_quant_gradient_c``, through the per-row formulas in soft mode."""
+    if cfg.hard_limit:
+        return loss_quant_gradient_c(loss, x, centers, layout, cfg)
+    gy = loss.gradient(soft_quantize_grouped_row(x, centers, layout, cfg))
+    return [grad_soft_quantize_c_row(x[start:stop], c, cfg) @ gy[start:stop]
+            for (start, stop), c in zip(layout.groups, centers)]
+
+
+def reference_objective(loss, x, centers, layout, w, cfg, lam, lambda_p):
+    """``eval_F_i_grouped``, with f(Q) from the per-row formulas in soft mode."""
+    ev = eval_F_i_grouped(loss, x, centers, layout, w, hard_cfg(), lam, lambda_p)
+    if cfg.hard_limit:
+        return ev
+    f_q = (loss.value(soft_quantize_grouped_row(x, centers, layout, cfg))
+           if np.isfinite(ev.quant_error) else np.nan)
+    return replace(ev, f_q=f_q, total=ev.f_x + f_q + ev.reg + ev.prox_penalty)
+
+
+# ---------------------------------------------------------------------------
 # the per-client trainer: one client after another, the oracle of the stacked loop
 
 
@@ -86,8 +159,8 @@ def _reference_pin(cs, hp, t):
     """At ``fine_tune_start``, snap the quantized coordinates onto their centers and pin them."""
     if cs.pinned is not None or t != hp.ft_start() or not cs.layout.groups:
         return cs
-    x, pinned = _hard_assign_grouped(cs.x, cs.centers, cs.layout)
-    return replace(cs, x=x, pinned=pinned)
+    x, pinned = hard_quantize_rows(cs.x[None], _one_row(cs.centers), cs.layout)
+    return replace(cs, x=x[0], pinned=[a[0] for a in pinned])
 
 
 def _reference_grad_loss(loss, hp, rng):
@@ -108,7 +181,7 @@ def reference_step(x, centers, pinned, loss, layout, hp, t, rng, coupling=None):
     cfg = hp.quant_cfg
     pins = [None] * len(layout.groups) if pinned is None else pinned
 
-    g = gl.gradient(x) + loss_quant_gradient_x(gl, x, centers, layout, cfg)
+    g = gl.gradient(x) + reference_quant_gradient_x(gl, x, centers, layout, cfg)
     if coupling is not None:
         g = g + coupling
     x_new = x - hp.eta1 * g
@@ -120,7 +193,7 @@ def reference_step(x, centers, pinned, loss, layout, hp, t, rng, coupling=None):
 
     if hp.eta2 == 0.0:
         return x_new, list(centers)
-    h_list = loss_quant_gradient_c(gl, x_new, centers, layout, cfg)
+    h_list = reference_quant_gradient_c(gl, x_new, centers, layout, cfg)
     pc = ProxParams(eta=hp.eta2, lam=lam_t)
     centers_new = []
     for (start, stop), c, h, assign in zip(layout.groups, centers, h_list, pins):
@@ -147,14 +220,15 @@ def reference_local_step(cs, hp, t):
 @np.errstate(over="ignore", invalid="ignore")
 def reference_train(clients, hp, *, federated):
     """``federated._train`` as a loop over clients, each through the one-client calls:
-    ``reference_local_step``, ``sync_round``, ``eval_F_i_grouped``, ``stationarity_gap``
-    and ``estimate_diversity``. Returns ``(per_client, global_history, w_global)``."""
+    ``reference_local_step``, ``sync_round``, ``reference_objective``, ``stationarity_gap``
+    and ``estimate_diversity``; soft mode runs the per-row formulas above. Returns
+    ``(per_client, global_history, w_global)``."""
     clients = [replace(cs, data_rng=deepcopy(cs.data_rng))
                for cs in sorted(clients, key=lambda c: c.id)]
     step_hp = hp if federated else replace(hp, lambda_p=0.0)
     w_global = None
-    f0 = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
-                           hp.lam(0), step_hp.lambda_p).total for cs in clients]
+    f0 = [reference_objective(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local, hp.quant_cfg,
+                              hp.lam(0), step_hp.lambda_p).total for cs in clients]
     limits = [_divergence_limit(hp, f, f"client {cs.id}") for cs, f in zip(clients, f0)]
     histories = [[] for _ in clients]
     global_history = []
@@ -165,8 +239,8 @@ def reference_train(clients, hp, *, federated):
             sync_dev = max(float(np.max(np.abs(c.w_local - w_global))) for c in clients)
         before = [_reference_pin(cs, hp, t) for cs in clients]
         clients = [reference_local_step(cs, step_hp, t) for cs in before]
-        evs = [eval_F_i_grouped(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local,
-                                hp.quant_cfg, hp.lam(t), step_hp.lambda_p) for cs in clients]
+        evs = [reference_objective(cs.loss, cs.x, cs.centers, cs.layout, cs.w_local,
+                                   hp.quant_cfg, hp.lam(t), step_hp.lambda_p) for cs in clients]
         for cs, ev, f, limit in zip(clients, evs, f0, limits):
             _check_objective(f"client {cs.id}", t, ev.total, f, limit, cs.x)
         at_cadence = _at_cadence(hp, t)

@@ -13,21 +13,33 @@ from qupel.losses import (
     hard_quantize_grouped,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
+    objective_rows,
     quantize_grouped,
+    stack_losses,
 )
 from qupel import losses
 from qupel.proxops import regularizer
 from qupel.quantizer import (
+    CenterStack,
     CenterVector,
     QuantConfig,
     assign_rows,
     hard_grad_c,
     quantize_assignments,
+    soft_quantize,
+    soft_grad_c_rows,
+    soft_grad_x_rows,
+    soft_quantize_rows,
 )
 from qupel.diagnostics import finite_diff_check
 from qupel.rng import Rng
 
-from helpers import centers
+from helpers import (
+    centers,
+    grad_soft_quantize_c_row,
+    grad_soft_quantize_x_row,
+    soft_quantize_row,
+)
 
 
 class TestQuadratic:
@@ -430,3 +442,56 @@ class TestObjectiveEvaluator:
         for (start, stop), c, g in zip(layout.groups, cs, got):
             want = hard_grad_c(quantize_assignments(x[start:stop], c), gy[start:stop], c.m)
             assert np.array_equal(g, want)
+
+
+class TestStackedSoftQuantizer:
+    """The soft quantizer of a padded ``CenterStack`` against the per-row formulas in
+    ``tests/helpers.py``, bit for bit; m = 1 and padded by_m blocks included."""
+
+    CFG = QuantConfig(sharpness=8.0)
+
+    def make(self):
+        rng = Rng(21)
+        vectors = [CenterVector(np.sort(rng.uniform(-1.5, 1.5, m)), c_max=3.0)
+                   for m in (8, 1, 4, 2, 8, 4, 1)]
+        return rng.uniform(-2, 2, 7 * 9).reshape(7, 9), rng.normal(7 * 9).reshape(7, 9), vectors
+
+    def test_rows_match_the_per_row_formulas(self):
+        y, up, vectors = self.make()
+        stack, P = CenterStack.of(vectors), self.CFG.sharpness
+        q, gx, gc = (soft_quantize_rows(y, stack, P), soft_grad_x_rows(y, stack, P),
+                     soft_grad_c_rows(y, stack, P, up))
+        for i, c in enumerate(vectors):
+            assert q[i].tobytes() == soft_quantize_row(y[i], c, self.CFG).tobytes()
+            assert gx[i].tobytes() == grad_soft_quantize_x_row(y[i], c, self.CFG).tobytes()
+            want = grad_soft_quantize_c_row(y[i], c, self.CFG) @ up[i]
+            assert gc[i, :c.m].tobytes() == want.tobytes()
+            assert not gc[i, c.m:].any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("quantize", [
+        lambda x, cs, layout, cfg: soft_quantize(x, cs[0], cfg), quantize_grouped,
+    ], ids=["soft_quantize", "quantize_grouped"])
+    def test_refuses_a_nonfinite_quantized_coordinate(self, quantize, bad):
+        x = np.array([0.2, bad, -0.4])
+        with pytest.raises(ValueError, match="^non-finite values in input vector$"):
+            quantize(x, [centers(-0.5, 0.5)], QuantLayout.full(3), self.CFG)
+
+    def test_exempt_coordinates_pass_through_unchecked(self):
+        x = np.array([0.2, -0.4, np.nan])
+        q = quantize_grouped(x, [centers(-0.5, 0.5)], QuantLayout(3, ((0, 2),)), self.CFG)
+        assert np.isnan(q[2]) and np.isfinite(q[:2]).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_objective_of_a_nonfinite_row_is_nan_without_warning(self, bad):
+        # pyproject turns RuntimeWarnings into errors: the non-finite row must raise none
+        loss = QuadraticLoss([0.1, -0.3, 0.6], [1.0, 2.0, 0.5])
+        layout, cs = QuantLayout.full(3), [centers(-0.5, 0.0, 0.5)]
+        x = np.array([[0.2, -0.4, 0.3], [0.2, bad, 0.3]])
+        ev = objective_rows(stack_losses([loss, loss]), x,
+                            [CenterStack.of([cs[0], cs[0]])], layout, x, self.CFG, 0.1, 0.0)
+        assert np.isnan(ev.f_q[1]) and np.isnan(ev.total[1])
+        one = eval_F_i_grouped(loss, x[0], cs, layout, x[0], self.CFG, 0.1, 0.0)
+        assert ev.f_q[0] == one.f_q and ev.total[0] == one.total
+        single = eval_F_i_grouped(loss, x[1], cs, layout, x[1], self.CFG, 0.1, 0.0)
+        assert np.isnan(single.f_q) and np.isnan(single.total)

@@ -21,11 +21,17 @@ def test_standard_cases_cover_every_config_variant_and_workload():
     cases = load_tool().standard_cases()
     assert list(cases) == [
         "centralized_mlp", "centralized_quadratic", "compare", "fedavg", "local", "qupel",
-        "qupel-batch8", "centralized_mlp-checkpoint50", "perfbench-qupel-10c",
-        "perfbench-qupel-100c-mixed", "perfbench-centralized-mlp-wide"]
+        "qupel-batch8", "centralized_mlp-checkpoint50", "qupel-soft", "qupel-soft-mixed",
+        "perfbench-qupel-10c", "perfbench-qupel-100c-mixed", "perfbench-centralized-mlp-wide"]
     assert {name for name, (command, _) in cases.items() if command == "compare"} == {"compare"}
     assert cases["qupel-batch8"][1]["hyper"]["batch_size"] == 8
     assert cases["centralized_mlp-checkpoint50"][1]["hyper"]["checkpoint_every"] == 50
+    for name in ("qupel-soft", "qupel-soft-mixed"):
+        assert cases[name][1]["quantization"]["hard_limit"] is False
+        assert cases[name][1]["quantization"]["sharpness"] == 8.0
+    mixed = cases["qupel-soft-mixed"][1]
+    assert mixed["quantization"]["m_list"] == [8, 1, 4, 2, 8, 4, 1, 2, 8, 4]
+    assert "m" not in mixed["quantization"] and mixed["hyper"]["batch_size"] == 8
     assert cases["perfbench-qupel-10c"][1]["seed"] == 4
 
 

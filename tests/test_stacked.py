@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qupel import federated
+from qupel import federated, quantizer
 from qupel.centralized import DivergenceError, HyperParams, LambdaSchedule
 from qupel.data import partition_noniid
 from qupel.experiments import build_blob_task, build_clients
 from qupel.federated import ClientState
 from qupel.losses import QuadraticLoss
-from qupel.quantizer import QuantConfig
+from qupel.quantizer import QuantConfig, sigmoid
 from qupel.rng import Rng
 
 from helpers import centers, crossing_reports, hard_cfg, reference_train, results_identical
@@ -71,18 +71,41 @@ def test_matches_reference_at_each_population_size(n, fed):
     assert_matches_reference(mlp_clients([4] * n), hyper(), fed)
 
 
-@pytest.mark.parametrize("fed", [True, False], ids=["federated", "local"])
-def test_interleaved_precisions(fed):
-    # rows of m = 1 and m = 2 sit between m = 8 rows: every pad stays out of every result
+SOFT = QuantConfig(sharpness=4.0, hard_limit=False)
+
+
+@pytest.mark.parametrize("fed, cfg", [(True, hard_cfg()), (False, hard_cfg()), (True, SOFT),
+                                      (False, SOFT)],
+                         ids=["federated", "local", "soft-federated", "soft-local"])
+def test_interleaved_precisions(fed, cfg):
+    # rows of m = 1 and m = 2 sit between m = 8 rows: every pad stays out of every result,
+    # and in soft mode every by_m block but the m = 8 one takes its rows by index
     clients = mlp_clients([8, 2, 4, 8, 1, 4, 2])
-    assert_matches_reference(clients, hyper(fine_tune_start=10), fed)
+    assert_matches_reference(clients, hyper(fine_tune_start=10, quant_cfg=cfg), fed)
+
+
+def test_soft_step_quantizes_each_group_once_whatever_the_population(monkeypatch):
+    # one soft _train step (f0, the step's x and center gradients, its objective) evaluates
+    # the same number of sigmoids for 2 clients as for 7: no pass loops over the rows
+    counts = []
+    for n in (2, 7):
+        calls = []
+
+        def counted(t):
+            calls.append(t.shape[0])
+            return sigmoid(t)
+
+        monkeypatch.setattr(quantizer, "sigmoid", counted)
+        federated._train(mlp_clients([4] * n), hyper(steps=1, quant_cfg=SOFT), federated=True)
+        assert set(calls) == {n}
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("changes", [
     {"batch_size": 5}, {"fine_tune_start": 6}, {"fine_tune_start": 0}, {"eta2": 0.0},
     {"lambda_p": 0.0}, {"eta3": 0.0, "tau": 1},
-    {"quant_cfg": QuantConfig(sharpness=4.0, hard_limit=False)},
-    {"quant_cfg": QuantConfig(sharpness=4.0, hard_limit=False), "fine_tune_start": 8},
+    {"quant_cfg": SOFT}, {"quant_cfg": SOFT, "fine_tune_start": 8},
 ], ids=["minibatch", "fine-tune", "fine-tune-at-start", "frozen-centers", "uncoupled",
         "w-frozen", "soft", "soft-fine-tune"])
 def test_matches_reference_per_option(changes):
@@ -188,12 +211,17 @@ def _dynamic_arch() -> bool:
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64") or not _dynamic_arch(),
                     reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
-@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
-def test_stacked_and_reference_digests_agree_under_each_blas_kernel(core, tmp_path):
+@pytest.mark.parametrize("core, soft", [("Haswell", False), ("Sandybridge", False),
+                                        ("Haswell", True), ("Sandybridge", True)],
+                         ids=["Haswell", "Sandybridge", "Haswell-soft", "Sandybridge-soft"])
+def test_stacked_and_reference_digests_agree_under_each_blas_kernel(core, soft, tmp_path):
     """``configs/qupel.json``, cut to 120 steps with fine-tuning from step 96, run under a
-    forced OpenBLAS kernel: the stacked and the per-client trainers give equal digests."""
+    forced OpenBLAS kernel: the stacked and the per-client trainers give equal digests. In
+    soft mode (sharpness 8) the stacked batched products meet the per-row ones."""
     cfg = json.loads((ROOT / "configs" / "qupel.json").read_text())
     cfg["hyper"].update(steps=120, fine_tune_start=96)
+    if soft:
+        cfg["quantization"].update(hard_limit=False, sharpness=8.0)
     (tmp_path / "qupel.json").write_text(json.dumps(cfg))
     env = dict(os.environ, OPENBLAS_CORETYPE=core,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))

@@ -13,7 +13,9 @@ commits, run the script in each checkout and ``diff`` the two printouts.
 
 The cases are the shipped ``configs/*.json`` (``compare.json`` under ``compare``,
 the rest under ``run``), ``qupel.json`` with minibatches of 8,
-``centralized_mlp.json`` with a checkpoint every 50 steps, and every perfbench
+``centralized_mlp.json`` with a checkpoint every 50 steps, ``qupel.json`` in soft
+mode at sharpness 8 (``qupel-soft``) and again with m = 8, 1, 4, 2, 8, 4, 1, 2, 8, 4
+per client and minibatches of 8 (``qupel-soft-mixed``), and every perfbench
 workload at config seed 4 and its own step count.
 """
 
@@ -52,6 +54,12 @@ def standard_cases() -> dict[str, tuple[str, dict]]:
     cases["qupel-batch8"] = ("run", _with_hyper(configs["qupel"], batch_size=8))
     cases["centralized_mlp-checkpoint50"] = ("run", _with_hyper(configs["centralized_mlp"],
                                                                 checkpoint_every=50))
+    soft = dict(configs["qupel"], quantization=dict(configs["qupel"]["quantization"],
+                                                     hard_limit=False, sharpness=8.0))
+    cases["qupel-soft"] = ("run", soft)
+    mixed = {k: v for k, v in soft["quantization"].items() if k != "m"}  # m_list replaces m
+    cases["qupel-soft-mixed"] = ("run", _with_hyper(dict(soft, quantization=dict(
+        mixed, m_list=[8, 1, 4, 2, 8, 4, 1, 2, 8, 4])), batch_size=8))
     bench = _perfbench()
     for name, workload in bench.WORKLOADS.items():
         cases[f"perfbench-{name}"] = ("run", bench.make_config(workload, 4, workload.steps))
