@@ -6,10 +6,13 @@ regression, and a one-hidden-layer tanh MLP with a hand-written two-layer
 backward pass (tanh rather than ReLU keeps the gradient Lipschitz). All
 gradients are checked against central finite differences in the test suite.
 ``stack_losses`` turns a population's losses into one stack whose passes take
-an (n, dim) array, one parameter vector per row. MLP losses of one shape and row
-count run one batched pass (``_MlpRows``), of which ``MlpLoss`` is the
-one-member case; its temporaries live in a workspace shared per array shape
-(``_mlp_workspace``) instead of being allocated per call.
+an (n, dim) array, one parameter vector per row: ``value``, ``gradient`` and
+``value_and_grad``, which gives the pair of the first two, bit for bit, from one
+forward pass. MLP losses of one shape and row count run one batched pass
+(``_MlpRows``), of which ``MlpLoss`` is the one-member case; its temporaries live
+in a workspace shared per array shape (``_mlp_workspace``) instead of being
+allocated per call, and its log-softmax reduces over the classes along long
+rows of a classes-first plane.
 
 The module also owns the parameter partition used for layer-wise
 quantization: a ``QuantLayout`` lists the coordinate ranges that are
@@ -19,9 +22,11 @@ those ranges is exempt and passes through the quantizer untouched.
 One evaluator, ``objective_rows``, computes each row's objective
 F_i = f(x) + f(Q(x, c)) + lambda R(x, c) + lambda_p/2 ||x - w||^2 part by
 part; lambda_p = 0 gives the centralized objective F_lambda, and
-``eval_F_i_grouped`` is its one-row case. The quantizer and its gradients follow
-suit, soft or hard: ``quantize_rows`` and ``quant_gradient_{x,c}_rows`` run a
-population, one call per group, ``quantize_grouped`` and ``loss_quant_gradient_{x,c}`` one vector.
+``eval_F_i_grouped`` is its one-row case. On request it also returns the loss
+gradients at x and at Q(x, c), where the trainer's next step takes its own. The
+quantizer and its gradients follow suit, soft or hard: ``quantize_rows`` and
+``quant_gradient_{x,c}_rows`` run a population, one call per group,
+``quantize_grouped`` and ``loss_quant_gradient_{x,c}`` one vector.
 """
 
 from __future__ import annotations
@@ -170,13 +175,16 @@ _MLP_WORKSPACES: dict[tuple[int, int, int, int], tuple[np.ndarray, ...]] = {}
 
 
 def _mlp_workspace(n: int, rows: int, n_hid: int, n_out: int) -> tuple[np.ndarray, ...]:
-    """(hidden, backward delta, logits or log-softmax, exp, per-row reduction, per-row
-    label entry) for n members of ``rows`` rows each."""
+    """(hidden, backward delta, logits, log-softmax, per-row reduction, per-row label
+    entry) for n members of ``rows`` rows each. The logits are (n, rows, classes), the
+    matmul's layout, and the log-softmax a classes-first (classes, n * rows) plane. A
+    pass reuses each once it is spent: the logits' memory for the exp plane, the
+    log-softmax's for the (n, rows, classes) softmax delta."""
     ws = _MLP_WORKSPACES.get((n, rows, n_hid, n_out))
     if ws is None:
         ws = _MLP_WORKSPACES[n, rows, n_hid, n_out] = (
             np.empty((n, rows, n_hid)), np.empty((n, rows, n_hid)), np.empty((n, rows, n_out)),
-            np.empty((n, rows, n_out)), np.empty((n, rows, 1)), np.empty((n, rows)))
+            np.empty((n_out, n * rows)), np.empty(n * rows), np.empty((n, rows)))
     return ws
 
 
@@ -189,13 +197,42 @@ def _mlp_slices(sizes) -> tuple[slice, slice, slice, slice]:
     return w1, b1, w2, slice(w2.stop, w2.stop + n_out)
 
 
+def _pairwise_sum(e: np.ndarray) -> np.ndarray:
+    """The column sums of a (k, N) plane of positive entries, each bitwise numpy's sum
+    of that column as one contiguous row (``np.sum(e.T, axis=1)``): numpy's pairwise
+    rule, run down the k rows of e, which it overwrites. Returns the row holding them."""
+    k = len(e)
+    if k < 8:  # in order
+        for i in range(1, k):
+            e[0] += e[i]
+        return e[0]
+    if k <= 128:  # eight partial sums, combined as a tree, then the rest in order
+        stop = k - k % 8
+        for i in range(8, stop, 8):
+            e[:8] += e[i:i + 8]
+        e[0:8:2] += e[1:8:2]
+        e[0:8:4] += e[2:8:4]
+        e[0] += e[4]
+        for i in range(stop, k):
+            e[0] += e[i]
+        return e[0]
+    half = k // 2
+    half -= half % 8
+    total = _pairwise_sum(e[:half])
+    total += _pairwise_sum(e[half:])
+    return total
+
+
 class _MlpRows:
     """The MLP losses of n members of one shape and row count, as one batched pass.
 
     ``features`` is (n, rows, inputs) and ``labels`` (n, rows); row i of a parameter
-    stack is member i's vector. Each matmul runs one BLAS call per member, and each
-    reduction runs along one member's own rows, so a member's value and gradient are
-    bitwise those of its own one-member pass.
+    stack is member i's vector. Each matmul runs one BLAS call per member on its own
+    (rows, classes) operands, and each sum over a member's rows runs along them, so a
+    member's value and gradient are bitwise those of its own one-member pass. The
+    log-softmax runs classes first, on a (classes, n * rows) plane, so that its max and
+    sum over the classes are a few operations on long rows; the sum follows numpy's
+    pairwise order (``_pairwise_sum``), so each row's value is that of ``np.sum``.
     """
 
     def __init__(self, sizes, features: np.ndarray, labels: np.ndarray, l2: np.ndarray):
@@ -203,8 +240,8 @@ class _MlpRows:
         self.features, self.labels, self.l2 = features, labels, l2
         n, rows = labels.shape
         self.dim = _mlp_slices(sizes)[3].stop
-        # flat positions of each row's label entry in an (n, rows, classes) array
-        self._label_at = np.arange(n * rows).reshape(n, rows) * sizes[2] + labels
+        # flat positions of each row's label entry in the (classes, n * rows) plane
+        self._label_at = labels * (n * rows) + np.arange(n * rows).reshape(n, rows)
 
     def subset(self, batches) -> "_MlpRows":
         """Member i restricted to its rows ``batches[i]``; every batch has one length."""
@@ -214,46 +251,67 @@ class _MlpRows:
     def forward(self, x: np.ndarray, features: np.ndarray):
         """The workspace of ``features``'s shape, filled with the tanh hidden layer and
         the raw logits of every member ``x[i]`` on its ``features[i]``."""
+        ws = self._scores(x, features)
+        logits = ws[2]
+        np.add(logits, x[:, None, _mlp_slices(self.sizes)[3]], out=logits)
+        return ws
+
+    def _scores(self, x, features):
+        """``forward`` without the output bias."""
         n_in, n_hid, n_out = self.sizes
         n, rows = features.shape[:2]
-        w1, b1, w2, b2 = _mlp_slices(self.sizes)
+        w1, b1, w2, _ = _mlp_slices(self.sizes)
         ws = _mlp_workspace(n, rows, n_hid, n_out)
-        hidden, _, logits, _, _, _ = ws
+        hidden, _, scores, _, _, _ = ws
         np.matmul(features, x[:, w1].reshape(n, n_in, n_hid), out=hidden)
         np.add(hidden, x[:, None, b1], out=hidden)
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, x[:, w2].reshape(n, n_hid, n_out), out=logits)
-        np.add(logits, x[:, None, b2], out=logits)
+        np.matmul(hidden, x[:, w2].reshape(n, n_hid, n_out), out=scores)
         return ws
 
     def _log_probs(self, x):
-        """``forward`` on the training rows, with the logits turned into their
-        log-softmax in place."""
-        ws = self.forward(x, self.features)
-        _, _, logp, expo, red, _ = ws
-        np.max(logp, axis=2, keepdims=True, out=red)
+        """The workspace of the training rows, its plane holding the log-softmax."""
+        ws = self._scores(x, self.features)
+        _, _, scores, logp, red, _ = ws
+        n, rows, n_out = scores.shape
+        b2 = x[:, _mlp_slices(self.sizes)[3]]
+        np.add(scores.transpose(2, 0, 1), b2.T[:, :, None], out=logp.reshape(n_out, n, rows))
+        np.maximum.reduce(logp, axis=0, out=red)
         np.subtract(logp, red, out=logp)
+        expo = scores.reshape(n_out, n * rows)  # the logits are spent
         np.exp(logp, out=expo)
-        np.sum(expo, axis=2, keepdims=True, out=red)
-        np.log(red, out=red)
+        np.log(_pairwise_sum(expo), out=red)
         np.subtract(logp, red, out=logp)
         return ws
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        _, _, logp, _, _, picked = self._log_probs(x)
+        return self._value(x, self._log_probs(x))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._backward(x, self._log_probs(x))
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(value(x), gradient(x))`` from one forward pass."""
+        ws = self._log_probs(x)
+        return self._value(x, ws), self._backward(x, ws)
+
+    def _value(self, x, ws):
+        _, _, _, logp, _, picked = ws
         np.take(logp, self._label_at, out=picked)
         return 0.5 * self.l2 * np.vecdot(x, x) - np.mean(picked, axis=1)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def _backward(self, x, ws):
         _, n_hid, n_out = self.sizes
         n, rows = self.labels.shape
         w1, b1, w2, b2 = _mlp_slices(self.sizes)
-        hidden, back, logp, delta, _, picked = self._log_probs(x)
-        np.exp(logp, out=delta)  # dce/dlogits = (softmax - one-hot) / rows
-        np.take(delta, self._label_at, out=picked)
+        hidden, back, scores, logp, _, picked = ws
+        soft = scores.reshape(n_out, n * rows)
+        np.exp(logp, out=soft)  # dce/dlogits = (softmax - one-hot) / rows
+        np.take(soft, self._label_at, out=picked)
         np.subtract(picked, 1.0, out=picked)
-        np.put(delta, self._label_at, picked)
-        np.divide(delta, rows, out=delta)
+        np.put(soft, self._label_at, picked)
+        delta = logp.reshape(n, rows, n_out)  # the log-softmax is spent
+        np.divide(soft.reshape(n_out, n, rows).transpose(1, 2, 0), rows, out=delta)
         g = np.empty((n, self.dim))
         g[:, w2] = np.matmul(hidden.transpose(0, 2, 1), delta).reshape(n, -1)
         g[:, b2] = delta.sum(axis=1)
@@ -340,6 +398,9 @@ class _MemberRows:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.array([loss.gradient(row) for loss, row in zip(self.losses, x)])
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.value(x), self.gradient(x)
 
 
 def stack_losses(losses):
@@ -446,9 +507,12 @@ def loss_quant_gradient_x(loss, x, centers, layout, cfg) -> np.ndarray:
     return quant_gradient_x_rows(stack_losses([loss]), x, _one_row(centers), layout, cfg)[0]
 
 
-def quant_gradient_x_rows(losses, x, centers: list[CenterStack], layout, cfg) -> np.ndarray:
-    """``loss_quant_gradient_x`` of every row of x, one Jacobian call per group."""
-    gy = losses.gradient(quantize_rows(x, centers, layout, cfg))
+def quant_gradient_x_rows(losses, x, centers: list[CenterStack], layout, cfg,
+                          gy=None) -> np.ndarray:
+    """``loss_quant_gradient_x`` of every row of x, one Jacobian call per group. ``gy``,
+    when given, is the loss gradient at ``quantize_rows(x, ...)``, and is scaled in place."""
+    if gy is None:
+        gy = losses.gradient(quantize_rows(x, centers, layout, cfg))
     for (start, stop), c in zip(layout.groups, centers):  # exempt: the identity Jacobian
         if cfg.hard_limit:
             gy[:, start:stop] = 0.0
@@ -513,22 +577,33 @@ def eval_F_i_grouped(loss, x, centers, layout, w, cfg, lam, lambda_p) -> Objecti
     return ObjectiveEval(**{part: float(v[0]) for part, v in vars(ev).items()})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite row gives NaN parts, no warning
 def objective_rows(losses, x, centers: list[CenterStack], layout, w, cfg, lam,
-                   lambda_p) -> ObjectiveEval:
+                   lambda_p, grads=False):
     """``eval_F_i_grouped`` of every row of x against its row of w: an ObjectiveEval
-    of (n,) arrays. Every sum runs along one row, as the one-row call's does."""
+    of (n,) arrays. Every sum runs along one row, as the one-row call's does.
+
+    With ``grads`` it returns ``(ev, (g_x, g_q))``: both loss passes run as
+    ``value_and_grad``, and g_x and g_q are the loss gradients at x and at
+    ``quantize_rows(x, ...)``, the points where the next step's x-gradient is taken
+    (a finite row's soft image is that of x, so its g_q is exact)."""
     q, _ = hard_quantize_rows(x, centers, layout)
     dev = np.abs(x - q)
     r = np.zeros(len(x))
     for start, stop in layout.groups:
         r = r + 0.5 * np.sum(dev[:, start:stop], axis=1)
     quant_error = np.sum(dev, axis=1)
-    f_x = losses.value(x)
+    del dev  # freed before the loss passes, which hold up to three (n, dim) arrays
+    pen = 0.5 * lambda_p * np.sum((x - w) ** 2, axis=1) if lambda_p != 0.0 else np.zeros(len(x))
     finite = np.isfinite(quant_error)
     if not cfg.hard_limit:  # a non-finite row is soft-quantized at 0, its f(Q) dropped
         q = quantize_rows(np.where(finite[:, None], x, 0.0), centers, layout, cfg)
-    f_q = np.where(finite, losses.value(q), np.nan)
+    if grads:
+        (f_x, g_x), (f_q, g_q) = losses.value_and_grad(x), losses.value_and_grad(q)
+    else:
+        f_x, f_q = losses.value(x), losses.value(q)
+    f_q = np.where(finite, f_q, np.nan)
     reg = lam * r
-    pen = 0.5 * lambda_p * np.sum((x - w) ** 2, axis=1) if lambda_p != 0.0 else np.zeros(len(x))
-    return ObjectiveEval(f_x=f_x, f_q=f_q, reg=reg, prox_penalty=pen,
-                         total=f_x + f_q + reg + pen, quant_error=quant_error)
+    ev = ObjectiveEval(f_x=f_x, f_q=f_q, reg=reg, prox_penalty=pen,
+                       total=f_x + f_q + reg + pen, quant_error=quant_error)
+    return (ev, (g_x, g_q)) if grads else ev

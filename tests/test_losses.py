@@ -98,6 +98,9 @@ class TestLogistic:
         assert set(pred) <= {0, 1}
 
 
+CLASS_COUNTS = [1, 2, 7, 8, 9, 10, 12, 15, 16, 17, 28, 128, 129]
+
+
 class TestMlp:
     def make(self, rng, n=20, d=3, hidden=4, classes=2):
         z = rng.normal(n * d).reshape(n, d)
@@ -185,6 +188,16 @@ class TestMlp:
             self.assert_matches_reference(loss, x, loss.features)
             self.assert_matches_reference(loss, x, rng.normal(7 * d).reshape(7, d))
 
+    @pytest.mark.parametrize("classes", CLASS_COUNTS)
+    def test_bitwise_equal_to_reference_at_every_class_count(self, classes):
+        # the classes-first max and pairwise sum against the rows-first numpy reductions
+        rng = Rng(classes)
+        n = 3 * classes + 2
+        loss = MlpLoss([4, 5, classes], rng.normal(n * 4).reshape(n, 4) * 3.0,
+                       np.array([i % classes for i in range(n)], dtype=np.int64), 0.02)
+        x = rng.uniform(-2.0, 2.0, loss.dim)
+        self.assert_matches_reference(loss, x, loss.features)
+
     def test_instances_of_one_shape_interleave(self):
         rng = Rng(13)
         first, second = self.make(rng), self.make(rng)
@@ -236,6 +249,78 @@ class TestMlp:
         z = Rng(12).normal(40).reshape(5, 8)
         with pytest.raises(ValueError, match="one hidden layer"):
             MlpLoss(sizes, z, np.zeros(5, dtype=np.int64))
+
+
+class TestClassesFirstReductions:
+    """The log-softmax's reductions over a (classes, N) plane equal numpy's per-row
+    reductions over an (N, classes) array, bit for bit."""
+
+    @pytest.mark.parametrize("k", CLASS_COUNTS + [200, 300])
+    def test_pairwise_sum_equals_np_sum(self, k):
+        rng = Rng(k)
+        rows = np.exp(rng.normal(37 * k).reshape(37, k) * 6.0)  # 37 positive rows of k
+        want = np.sum(rows, axis=1)
+        plane = np.ascontiguousarray(rows.T)
+        assert losses._pairwise_sum(plane).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", CLASS_COUNTS)
+    def test_maximum_reduce_equals_np_max(self, k):
+        rows = Rng(k).normal(37 * k).reshape(37, k)
+        plane = np.ascontiguousarray(rows.T)
+        assert np.maximum.reduce(plane, axis=0).tobytes() == np.max(rows, axis=1).tobytes()
+
+
+class TestValueAndGrad:
+    """``value_and_grad`` of a loss stack is ``(value(x), gradient(x))``, bit for bit."""
+
+    @staticmethod
+    def assert_pair(stack, x):
+        want_v, want_g = stack.value(x), stack.gradient(x)
+        got_v, got_g = stack.value_and_grad(x)
+        assert got_v.tobytes() == want_v.tobytes() and got_g.tobytes() == want_g.tobytes()
+
+    @staticmethod
+    def mlps(n, rng, rows=12):
+        return [MlpLoss([3, 5, 4], rng.normal(rows * 3).reshape(rows, 3),
+                        np.array([(i + j) % 4 for j in range(rows)], dtype=np.int64), 0.01 * i)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_mlp_rows(self, n):
+        rng = Rng(30 + n)
+        stack = stack_losses(self.mlps(n, rng))
+        assert type(stack) is losses._MlpRows
+        for _ in range(2):  # the second round runs on a warm workspace
+            self.assert_pair(stack, rng.uniform(-1.5, 1.5, n * stack.dim).reshape(n, -1))
+
+    def test_mlp_subset(self):
+        rng = Rng(33)
+        stack = stack_losses(self.mlps(3, rng)).subset([np.array([0, 2, 5, 11])] * 3)
+        self.assert_pair(stack, rng.uniform(-1.5, 1.5, 3 * stack.dim).reshape(3, -1))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_member_rows(self, kind):
+        rng = Rng(34)
+        if kind == "quadratic":
+            members = [QuadraticLoss(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))
+                       for _ in range(3)]
+        else:
+            members = [LogisticLoss(rng.normal(24).reshape(6, 4),
+                                    np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0]), 0.05)
+                       for _ in range(3)]
+        stack = stack_losses(members)
+        assert type(stack) is losses._MemberRows
+        self.assert_pair(stack, rng.uniform(-1, 1, 12).reshape(3, 4))
+
+    def test_gradient_does_not_alias_the_workspace(self):
+        rng = Rng(35)
+        stack = stack_losses(self.mlps(3, rng))
+        x1, x2 = (rng.uniform(-1, 1, 3 * stack.dim).reshape(3, -1) for _ in range(2))
+        v1, g1 = stack.value_and_grad(x1)
+        v_bytes, g_bytes = v1.tobytes(), g1.tobytes()
+        stack.value_and_grad(x2)
+        stack.gradient(x2)
+        assert v1.tobytes() == v_bytes and g1.tobytes() == g_bytes
 
 
 _SHAPES = "^targets and curvature must be 1-d vectors of equal length$"
@@ -419,6 +504,17 @@ class TestObjectiveEvaluator:
         assert ev.quant_error == float(np.sum(np.abs(x - hard_quantize_grouped(x, cs, layout))))
         assert ev.prox_penalty == 0.5 * lam_p * float(np.sum((x - w) ** 2))
         assert ev.total == ev.f_x + ev.f_q + ev.reg + ev.prox_penalty
+
+    @pytest.mark.parametrize("coord", [0, 13], ids=["weight", "bias"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "minus-inf"])
+    @pytest.mark.parametrize("cfg", CFGS, ids=["hard", "soft"])
+    def test_infinite_coordinate_gives_nan_without_warning(self, cfg, bad, coord):
+        # pyproject turns RuntimeWarnings into errors: inf - inf in the log-softmax and
+        # inf * 0 in the loss must not raise, and the total is the documented NaN
+        loss, layout, x, cs, w = self.make()
+        x[coord] = bad
+        ev = eval_F_i_grouped(loss, x, cs, layout, w, cfg, 0.3, 0.7)
+        assert np.isnan(ev.f_x) and np.isnan(ev.total)
 
     @pytest.mark.parametrize("cfg", CFGS, ids=["hard", "soft"])
     def test_quantizes_each_group_once(self, cfg, monkeypatch):

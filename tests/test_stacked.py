@@ -11,13 +11,14 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qupel import federated, quantizer
+from qupel import federated, losses, quantizer
 from qupel.centralized import DivergenceError, HyperParams, LambdaSchedule
 from qupel.data import partition_noniid
 from qupel.experiments import build_blob_task, build_clients
@@ -119,6 +120,74 @@ def test_l2_and_minibatches_in_local_mode():
 @pytest.mark.parametrize("fed", [True, False], ids=["federated", "local"])
 def test_quadratic_clients_call_each_member(fed):
     assert_matches_reference(quadratic_clients(5), hyper(steps=30, fine_tune_start=20), fed)
+
+
+def _work_per_step(monkeypatch, hp):
+    """The MLP stack's passes and the ``assign_rows`` calls of a hard run on 3 clients, as
+    one Counter for f0 and then one per step: its pin, its step and its objective."""
+    events = []
+
+    def counted(name):
+        original = getattr(losses._MlpRows, name)
+
+        def call(self, x):
+            events.append(name)
+            return original(self, x)
+        return call
+
+    for name in ("gradient", "value", "value_and_grad"):
+        monkeypatch.setattr(losses._MlpRows, name, counted(name))
+
+    def assign(y, mids):
+        events.append("assign")
+        return quantizer.assign_rows(y, mids)
+
+    monkeypatch.setattr(losses, "assign_rows", assign)
+    monkeypatch.setattr(federated, "assign_rows", assign)
+    pin = federated._pin
+
+    def step_starts(*args):
+        events.append("|")
+        return pin(*args)
+
+    monkeypatch.setattr(federated, "_pin", step_starts)
+    federated._train(mlp_clients([4, 8, 4]), hp, federated=True)
+    return [Counter(part.split()) for part in " ".join(events).split("|")]
+
+
+def _counts(gradient=0, value_and_grad=0, value=0, assign=0):
+    return Counter(gradient=gradient, value_and_grad=value_and_grad, value=value, assign=assign)
+
+
+@pytest.mark.parametrize("changes, want", [
+    # each step after the first takes its x-gradients from the objective's passes at
+    # the point it ends on: 3 gradient passes, no value pass and 6 assignments; the last
+    # step's objective feeds no step, and the run's x_hard adds 2 assignments
+    ({}, [_counts(value=2, assign=2), _counts(3, 2, 0, 8)] + [_counts(1, 2, 0, 6)] * 4
+     + [_counts(1, 0, 2, 8)]),
+    # minibatch steps take their gradients on other rows: 3 passes, 2 values, 8 assignments
+    ({"batch_size": 5}, [_counts(value=2, assign=2)] + [_counts(3, 0, 2, 8)] * 5
+     + [_counts(3, 0, 2, 10)]),
+    # the pin at step 3 snaps x (2 assignments) and drops the carry; pinned rows skip
+    # the x-prox's assignments from then on
+    ({"fine_tune_start": 3}, [_counts(value=2, assign=2), _counts(3, 2, 0, 8), _counts(1, 2, 0, 6),
+                              _counts(1, 0, 2, 6), _counts(3, 2, 0, 8), _counts(1, 2, 0, 4),
+                              _counts(1, 0, 2, 6)]),
+], ids=["full-batch", "minibatch", "pin"])
+def test_loss_passes_and_assignments_per_step(changes, want, monkeypatch):
+    got = _work_per_step(monkeypatch, hyper(steps=6, **changes))
+    assert [+c for c in got] == [+c for c in want]
+
+
+def test_workspaces_hold_no_more_than_six_planes(monkeypatch):
+    # the run's MLP workspaces hold the hidden layer and its delta, two (rows, classes)
+    # planes and two per-row vectors, plus at most one more (rows, classes) plane per key
+    monkeypatch.setattr(losses, "_MLP_WORKSPACES", {})
+    federated._train(mlp_clients([4, 8, 4]), hyper(steps=6), federated=True)
+    assert losses._MLP_WORKSPACES
+    for (n, rows, n_hid, n_out), ws in losses._MLP_WORKSPACES.items():
+        today = 8 * n * rows * (2 * n_hid + 2 * n_out + 2)
+        assert sum(a.nbytes for a in ws) <= today + 8 * n * rows * n_out
 
 
 def test_zero_steps():
