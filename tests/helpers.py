@@ -1,8 +1,9 @@
-"""Builders, the bitwise result comparison and the per-client reference trainer shared
-by the test modules."""
+"""Builders, the bitwise result comparison, the per-client reference trainer and the
+scalar draw loops shared by the test modules."""
 
 import json
 import logging
+import math
 import re
 from copy import deepcopy
 from dataclasses import replace
@@ -270,3 +271,24 @@ def reference_train(clients, hp, *, federated):
                               x_hard=hard_quantize_grouped(cs.x, cs.centers, cs.layout),
                               history=hist) for cs, hist in zip(clients, histories)]
     return per_client, global_history, w_global
+
+
+# ---------------------------------------------------------------------------
+# Rng's draw loops one value at a time, kept as the oracle of its lane-parallel path
+
+
+def reference_uniform(rng, low, high, size):
+    vals = [low + (high - low) * rng.random() for _ in range(size)]
+    return np.array(vals, dtype=np.float64)
+
+
+def reference_normal(rng, size):
+    out = np.empty(size, dtype=np.float64)
+    for i in range(0, size, 2):
+        u1 = 1.0 - rng.random()  # (0, 1], keeps log finite
+        u2 = rng.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        out[i] = r * math.cos(2.0 * math.pi * u2)
+        if i + 1 < size:
+            out[i + 1] = r * math.sin(2.0 * math.pi * u2)
+    return out
