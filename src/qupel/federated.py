@@ -19,13 +19,13 @@ client in id order (``_Rows``): x and w as (n, dim), each group's centers as a
 step kernel ``_step`` (the x prox step, the center prox step and the w
 update), then the objective, the stationarity gap, the server mean and kappa
 over rows, and each client's record is built from those columns. In full-batch
-mode the objective's loss passes also give the gradients at x and at Q(x, c),
-and the next step takes its x-gradient from them instead of running those two
-passes again. The
-per-client functions are the one-row case of that code: ``client_local_step``
-runs ``_step`` on one client, ``sync_round`` and ``estimate_diversity`` run
-the server mean and kappa on a list of clients. What a run is configured by
-and returns (``HyperParams``, ``TrainResult``) lives in ``qupel.centralized``.
+mode a step that pins nothing takes its x-gradient from the objective at the
+point it starts from, f0 included: that objective's loss passes give it, so the
+step does not run them again. The per-client functions are the one-row case of
+that code: ``client_local_step`` runs ``_step`` on one client, ``sync_round``
+and ``estimate_diversity`` run the server mean and kappa on a list of clients.
+What a run is configured by and returns (``HyperParams``, ``TrainResult``) lives
+in ``qupel.centralized``.
 The server runs only under ``run_qupel``; ``run_local_only`` is the loop
 without it, at lambda_p = 0, and ``run_centralized`` is that loop on one
 client. With lambda_p = 0 the w exchange cannot influence (x_i, c_i), so a
@@ -146,14 +146,6 @@ def _draw_batches(losses, hp: HyperParams, rngs) -> list[np.ndarray] | None:
     return batches
 
 
-def _smooth_gradient(losses, x, centers, layout, cfg, g_x=None, g_q=None) -> np.ndarray:
-    """The gradient of f(x) + f(Qs(x, c)) in x. ``g_x`` and ``g_q``, when given, are the
-    loss gradients at x and at Qs(x, c), which this call spends: g_x becomes the result."""
-    g = losses.gradient(x) if g_x is None else g_x
-    g += quant_gradient_x_rows(losses, x, centers, layout, cfg, g_q)
-    return g
-
-
 def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
           batches=None, carried=None) -> _Rows:
     """Alg. lines 2-5 for every client at once: a gradient step on f(x) + f(Qs(x)) in x
@@ -161,11 +153,13 @@ def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
     the surrogate center prox; then the w update.
 
     ``losses`` is the population's loss stack and ``batches`` each client's minibatch
-    rows, or None. ``carried``, when given, is the full-batch ``_smooth_gradient`` at x
-    that the last objective took from its own passes; the step spends it in place of
-    those two passes and the assignments of the second, bit for bit. Pinned coordinates
-    (fine-tuning) ride their centers instead of taking the x-prox, before and after the
-    center step. With lambda_p = 0 the coupling lambda_p * (x - w) is skipped and w kept.
+    rows, or None. ``carried``, when given, is the gradient of f(x) + f(Qs(x)) in x that
+    ``objective_rows(..., grads=True)`` took at x from its own passes, and the step adds
+    the coupling to it in place. Without it (pin steps, minibatch steps,
+    ``client_local_step``) the step runs those two passes itself, to the same bits.
+    Pinned coordinates (fine-tuning) ride their centers instead of taking the x-prox,
+    before and after the center step. With lambda_p = 0 the coupling lambda_p * (x - w)
+    is skipped and w kept.
     A row whose gradient iterate is not finite keeps that iterate and its centers and
     counts no ``crossings``; ``_train`` raises on it.
     """
@@ -174,7 +168,10 @@ def _step(rows: _Rows, losses, layout: QuantLayout, hp: HyperParams, t: int,
     cfg = hp.quant_cfg
     x, centers, pins = rows.x, rows.centers, rows.pinned
 
-    g = _smooth_gradient(gl, x, centers, layout, cfg) if carried is None else carried
+    g = carried
+    if g is None:
+        g = gl.gradient(x)
+        g += quant_gradient_x_rows(gl, x, centers, layout, cfg)
     if hp.lambda_p != 0.0:
         g += hp.lambda_p * (x - rows.w)
     x_new = x - hp.eta1 * g
@@ -300,10 +297,10 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     coupling and w update, ``w_drift``, ``kappa_round`` and ``global_history``.
     Without it every client steps at lambda_p = 0, so ``_step`` skips the coupling and
     keeps w. The starting x and w_local and each client's divergence threshold are
-    checked once here; each step checks every objective. The run carries the
-    end-of-step gradients: the objective after step t runs its passes as
-    ``value_and_grad`` when step t+1 runs full-batch and pins nothing, and hands the
-    ``_smooth_gradient`` they give to that step's ``_step``. ``f0`` stays value-only.
+    checked once here; each step checks every objective. One carry rule: a full-batch
+    step that pins nothing takes its x-gradient from the objective at the point it
+    starts from, f0 for step 0 and the objective after step t for step t+1, which then
+    runs its passes as ``value_and_grad`` (``objective_rows(..., grads=True)``).
 
     The clients, which must share one layout, are stacked once as rows in id order.
     Each step runs four phases: (1) the sync, federated only; (2) pin and step every
@@ -326,23 +323,22 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
     layout, losses, rows = clients[0].layout, stack_losses(client_losses), _stack(clients)
     n = len(clients)
 
-    def objective(rows, t, carry=False):
-        """The step-t objective and, with ``carry``, the next step's ``_smooth_gradient``
-        from the same loss passes (else None)."""
+    def objective(rows, t, starts):
+        """The step-t objective of ``rows`` and, if step ``starts`` takes its x-gradient
+        there (full-batch, pinning nothing), that gradient from the same passes (else None)."""
+        carry = hp.batch_size is None and starts < hp.steps \
+            and not _pins_at(rows, layout, hp, starts)
         ev = objective_rows(losses, rows.x, rows.centers, layout, rows.w, hp.quant_cfg,
                             hp.lam(t), step_hp.lambda_p, carry)
-        if not carry:
-            return ev, None
-        ev, (g_x, g_q) = ev
-        return ev, _smooth_gradient(losses, rows.x, rows.centers, layout, hp.quant_cfg, g_x, g_q)
+        return ev if carry else (ev, None)
 
-    f0 = objective(rows, 0)[0].total.tolist()
+    ev0, carried = objective(rows, 0, 0)
+    f0 = ev0.total.tolist()
     limits = np.array([_divergence_limit(hp, f, f"client {i}") for i, f in zip(ids, f0)])
     w_global = None
     histories: list[list[dict]] = [[] for _ in clients]
     global_history: list[dict] = []
     crossings = np.zeros(n, dtype=np.int64)
-    carried = None
 
     for t in range(hp.steps):
         sync_dev = None
@@ -356,10 +352,7 @@ def _train(clients: list[ClientState], hp: HyperParams, *, federated: bool,
         # the step spends the carry; dropping it keeps the objective's peak memory as it was
         rows, carried = _step(before, losses, layout, step_hp, t, batches, carried), None
         crossings += rows.crossings
-        # the next step takes its x-gradient where f is evaluated now, unless it pins new
-        # rows, draws a minibatch or does not run
-        ev, carried = objective(rows, t, hp.batch_size is None and t + 1 < hp.steps
-                                and not _pins_at(rows, layout, hp, t + 1))
+        ev, carried = objective(rows, t, t + 1)
         failed = ~np.isfinite(ev.total) | (ev.total > limits)
         if failed.any():
             _report_crossings(ids, crossings)

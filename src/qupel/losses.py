@@ -22,11 +22,12 @@ those ranges is exempt and passes through the quantizer untouched.
 One evaluator, ``objective_rows``, computes each row's objective
 F_i = f(x) + f(Q(x, c)) + lambda R(x, c) + lambda_p/2 ||x - w||^2 part by
 part; lambda_p = 0 gives the centralized objective F_lambda, and
-``eval_F_i_grouped`` is its one-row case. On request it also returns the loss
-gradients at x and at Q(x, c), where the trainer's next step takes its own. The
-quantizer and its gradients follow suit, soft or hard: ``quantize_rows`` and
-``quant_gradient_{x,c}_rows`` run a population, one call per group,
-``quantize_grouped`` and ``loss_quant_gradient_{x,c}`` one vector.
+``eval_F_i_grouped`` is its one-row case. On request it also returns the gradient
+of f(x) + f(Q(x, c)) in x from the same passes, the x-gradient of the trainer's
+full-batch step that starts at x. The quantizer and its gradients follow suit,
+soft or hard: ``quantize_rows`` and ``quant_gradient_{x,c}_rows`` run a
+population, one call per group, ``quantize_grouped`` and
+``loss_quant_gradient_{x,c}`` one vector.
 """
 
 from __future__ import annotations
@@ -583,10 +584,11 @@ def objective_rows(losses, x, centers: list[CenterStack], layout, w, cfg, lam,
     """``eval_F_i_grouped`` of every row of x against its row of w: an ObjectiveEval
     of (n,) arrays. Every sum runs along one row, as the one-row call's does.
 
-    With ``grads`` it returns ``(ev, (g_x, g_q))``: both loss passes run as
-    ``value_and_grad``, and g_x and g_q are the loss gradients at x and at
-    ``quantize_rows(x, ...)``, the points where the next step's x-gradient is taken
-    (a finite row's soft image is that of x, so its g_q is exact)."""
+    With ``grads`` it returns ``(ev, g)``: both loss passes run as ``value_and_grad``,
+    and g is the gradient of f(x) + f(Q(x, c)) in x, the loss gradient at x plus
+    ``quant_gradient_x_rows`` on the one at ``quantize_rows(x, ...)`` (a finite row's
+    soft image is that of x, so its g is exact). A full-batch step starting at x takes
+    its x-gradient from it."""
     q, _ = hard_quantize_rows(x, centers, layout)
     dev = np.abs(x - q)
     r = np.zeros(len(x))
@@ -599,11 +601,12 @@ def objective_rows(losses, x, centers: list[CenterStack], layout, w, cfg, lam,
     if not cfg.hard_limit:  # a non-finite row is soft-quantized at 0, its f(Q) dropped
         q = quantize_rows(np.where(finite[:, None], x, 0.0), centers, layout, cfg)
     if grads:
-        (f_x, g_x), (f_q, g_q) = losses.value_and_grad(x), losses.value_and_grad(q)
+        (f_x, g), (f_q, g_q) = losses.value_and_grad(x), losses.value_and_grad(q)
+        g += quant_gradient_x_rows(losses, x, centers, layout, cfg, g_q)
     else:
         f_x, f_q = losses.value(x), losses.value(q)
     f_q = np.where(finite, f_q, np.nan)
     reg = lam * r
     ev = ObjectiveEval(f_x=f_x, f_q=f_q, reg=reg, prox_penalty=pen,
                        total=f_x + f_q + reg + pen, quant_error=quant_error)
-    return (ev, (g_x, g_q)) if grads else ev
+    return (ev, g) if grads else ev

@@ -56,12 +56,8 @@ DEFAULT_C_MAX = 10.0
 def sigmoid(t: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (no overflow at large |t|)."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))  # exp(-t) where t >= 0, exp(t) below: never above 1
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from qupel.losses import (
     loss_quant_gradient_x,
 )
 from qupel.proxops import ProxParams, prox_c, prox_x
-from qupel.quantizer import CenterVector, QuantConfig, sigmoid
+from qupel.quantizer import CenterVector, QuantConfig
 from qupel.rng import Rng
 
 
@@ -84,25 +84,36 @@ def results_identical(a, b) -> bool:
 # the soft quantizer one row and one group at a time, kept as the oracle of the stacked one
 
 
+def reference_sigmoid(t):
+    """The logistic function by boolean masks, kept as the oracle of ``quantizer.sigmoid``."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def soft_quantize_row(x, c, cfg):
     """The sigmoid staircase of one finite vector: ``qupel.quantizer.soft_quantize``."""
     v = c.values
     if c.m == 1:
         return np.full_like(x, v[0])
-    s = sigmoid(cfg.sharpness * (x[:, None] - c.midpoints()[None, :]))
+    s = reference_sigmoid(cfg.sharpness * (x[:, None] - c.midpoints()[None, :]))
     return v[0] + s @ np.diff(v)
 
 
 def grad_soft_quantize_x_row(x, c, cfg):
     """The diagonal of the soft quantizer's x-Jacobian at one vector."""
-    s = sigmoid(cfg.sharpness * (x[:, None] - c.midpoints()[None, :]))
+    s = reference_sigmoid(cfg.sharpness * (x[:, None] - c.midpoints()[None, :]))
     return cfg.sharpness * ((s * (1.0 - s)) @ np.diff(c.values))
 
 
 def grad_soft_quantize_c_row(x, c, cfg):
     """The (m, d) Jacobian of the soft quantizer in the centers at one vector."""
     m, d, P = c.m, x.size, cfg.sharpness
-    s = sigmoid(P * (x[None, :] - c.midpoints()[:, None]))
+    s = reference_sigmoid(P * (x[None, :] - c.midpoints()[:, None]))
     sp = s * (1.0 - s)
     jac = np.zeros((m, d))
     jac[0, :] = 1.0

@@ -505,6 +505,25 @@ class TestObjectiveEvaluator:
         assert ev.prox_penalty == 0.5 * lam_p * float(np.sum((x - w) ** 2))
         assert ev.total == ev.f_x + ev.f_q + ev.reg + ev.prox_penalty
 
+    @pytest.mark.parametrize("cfg", CFGS, ids=["hard", "soft"])
+    def test_grads_give_the_x_gradient_of_each_row(self, cfg):
+        # with grads, objective_rows also returns each row's gradient of
+        # f(x) + f(Q(x, c)) in x, as the one-row gradient and quantizer gradient add it
+        loss, layout, x, cs, w = self.make()
+        rng = Rng(19)
+        members = [loss, MlpLoss([3, 4, 2], rng.normal(30).reshape(10, 3),
+                                 np.array([1, 0, 0] * 3 + [1], dtype=np.int64), 0.05)]
+        xs, ws = np.stack([x, -0.5 * x]), np.stack([w, w])
+        stacks = [CenterStack.of([c, c]) for c in cs]
+        ev, g = objective_rows(stack_losses(members), xs, stacks, layout, ws, cfg, 0.3, 0.7,
+                               grads=True)
+        plain = objective_rows(stack_losses(members), xs, stacks, layout, ws, cfg, 0.3, 0.7)
+        assert all(getattr(ev, k).tobytes() == v.tobytes() for k, v in vars(plain).items())
+        for member, row, got in zip(members, xs, g):
+            want = member.gradient(row)
+            want += loss_quant_gradient_x(member, row, cs, layout, cfg)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("coord", [0, 13], ids=["weight", "bias"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "minus-inf"])
     @pytest.mark.parametrize("cfg", CFGS, ids=["hard", "soft"])

@@ -21,10 +21,12 @@ def test_standard_cases_cover_every_config_variant_and_workload():
     cases = load_tool().standard_cases()
     assert list(cases) == [
         "centralized_mlp", "centralized_quadratic", "compare", "fedavg", "local", "qupel",
-        "qupel-batch8", "centralized_mlp-checkpoint50", "qupel-soft", "qupel-soft-mixed",
-        "perfbench-qupel-10c", "perfbench-qupel-100c-mixed", "perfbench-centralized-mlp-wide"]
+        "qupel-batch8", "qupel-ft0", "centralized_mlp-checkpoint50", "qupel-soft",
+        "qupel-soft-mixed", "perfbench-qupel-10c", "perfbench-qupel-100c-mixed",
+        "perfbench-centralized-mlp-wide"]
     assert {name for name, (command, _) in cases.items() if command == "compare"} == {"compare"}
     assert cases["qupel-batch8"][1]["hyper"]["batch_size"] == 8
+    assert cases["qupel-ft0"][1]["hyper"]["fine_tune_start"] == 0
     assert cases["centralized_mlp-checkpoint50"][1]["hyper"]["checkpoint_every"] == 50
     for name in ("qupel-soft", "qupel-soft-mixed"):
         assert cases[name][1]["quantization"]["hard_limit"] is False

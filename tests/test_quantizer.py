@@ -9,9 +9,12 @@ from qupel.quantizer import (
     hard_grad_c,
     hard_quantize,
     quantize_assignments,
+    sigmoid,
     soft_quantize,
 )
 from qupel.rng import Rng
+
+from helpers import reference_sigmoid
 
 
 def fd_jacobian_x(x, c, cfg, h=1e-6):
@@ -63,6 +66,39 @@ class TestCenterVector:
 
     def test_bits(self):
         assert CenterVector(np.array([-1.0, -0.5, 0.5, 1.0])).bits == 2.0
+
+
+class TestSigmoid:
+    # the masked oracle and the np.where form take exp of the same argument per element
+    TINY = np.finfo(np.float64).smallest_subnormal
+    EDGES = [0.0, -0.0, np.inf, -np.inf, TINY, -TINY, np.finfo(np.float64).tiny, 1e-300,
+             -1e-300, 1.0, -1.0, 36.0, -36.0, 37.0, -37.0, 709.0, -709.0, 709.79, -709.79,
+             745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e300, -1e300,
+             np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+    @staticmethod
+    def assert_bitwise(t):
+        got, want = sigmoid(t), reference_sigmoid(t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_edge_values(self):
+        self.assert_bitwise(np.array(self.EDGES))
+        for t in self.EDGES:  # one at a time, and as a 0-d input
+            self.assert_bitwise(np.array([t]))
+            self.assert_bitwise(np.float64(t))
+
+    def test_random_values_at_every_scale(self):
+        rng = np.random.default_rng(29)
+        n = 10**6
+        t = rng.standard_normal(n) * 10.0 ** rng.uniform(-320, 3, n)
+        t[: n // 10] = rng.uniform(-800, 800, n // 10)
+        self.assert_bitwise(t)
+        self.assert_bitwise(t.reshape(100, 100, 100))  # a stacked (rows, d, m - 1) block
+
+    def test_nan_gives_nan(self):
+        out = sigmoid(np.array([np.nan, -np.nan, 0.0]))
+        assert np.isnan(out[:2]).all() and out[2] == 0.5
 
 
 class TestSoftQuantize:

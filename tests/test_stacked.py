@@ -107,9 +107,13 @@ def test_soft_step_quantizes_each_group_once_whatever_the_population(monkeypatch
     {"batch_size": 5}, {"fine_tune_start": 6}, {"fine_tune_start": 0}, {"eta2": 0.0},
     {"lambda_p": 0.0}, {"eta3": 0.0, "tau": 1},
     {"quant_cfg": SOFT}, {"quant_cfg": SOFT, "fine_tune_start": 8},
+    {"quant_cfg": SOFT, "fine_tune_start": 0}, {"steps": 1}, {"quant_cfg": SOFT, "steps": 1},
 ], ids=["minibatch", "fine-tune", "fine-tune-at-start", "frozen-centers", "uncoupled",
-        "w-frozen", "soft", "soft-fine-tune"])
+        "w-frozen", "soft", "soft-fine-tune", "soft-fine-tune-at-start", "one-step",
+        "soft-one-step"])
 def test_matches_reference_per_option(changes):
+    # the reference computes every step from scratch: a gradient carried into a step that
+    # pins, or past the last step, would show here
     assert_matches_reference(mlp_clients([8, 4, 4, 2]), hyper(**changes))
 
 
@@ -160,22 +164,27 @@ def _counts(gradient=0, value_and_grad=0, value=0, assign=0):
 
 
 @pytest.mark.parametrize("changes, want", [
-    # each step after the first takes its x-gradients from the objective's passes at
-    # the point it ends on: 3 gradient passes, no value pass and 6 assignments; the last
-    # step's objective feeds no step, and the run's x_hard adds 2 assignments
-    ({}, [_counts(value=2, assign=2), _counts(3, 2, 0, 8)] + [_counts(1, 2, 0, 6)] * 4
+    # every full-batch step that pins nothing takes its x-gradient from the objective at
+    # the point it starts from, f0 included: 1 gradient pass (the center step's), no
+    # value pass and 6 assignments; the last objective feeds no step, and the run's
+    # x_hard adds 2 assignments
+    ({}, [_counts(value_and_grad=2, assign=2)] + [_counts(1, 2, 0, 6)] * 5
      + [_counts(1, 0, 2, 8)]),
     # minibatch steps take their gradients on other rows: 3 passes, 2 values, 8 assignments
     ({"batch_size": 5}, [_counts(value=2, assign=2)] + [_counts(3, 0, 2, 8)] * 5
      + [_counts(3, 0, 2, 10)]),
-    # the pin at step 3 snaps x (2 assignments) and drops the carry; pinned rows skip
-    # the x-prox's assignments from then on
-    ({"fine_tune_start": 3}, [_counts(value=2, assign=2), _counts(3, 2, 0, 8), _counts(1, 2, 0, 6),
-                              _counts(1, 0, 2, 6), _counts(3, 2, 0, 8), _counts(1, 2, 0, 4),
-                              _counts(1, 0, 2, 6)]),
-], ids=["full-batch", "minibatch", "pin"])
+    # the pin at step 3 snaps x (2 assignments), so the objective before it carries
+    # nothing; pinned rows skip the x-prox's assignments from then on
+    ({"fine_tune_start": 3}, [_counts(value_and_grad=2, assign=2)] + [_counts(1, 2, 0, 6)] * 2
+     + [_counts(1, 0, 2, 6), _counts(3, 2, 0, 8), _counts(1, 2, 0, 4), _counts(1, 0, 2, 6)]),
+    # a pin at step 0 leaves f0 value-only
+    ({"fine_tune_start": 0}, [_counts(value=2, assign=2), _counts(3, 2, 0, 8)]
+     + [_counts(1, 2, 0, 4)] * 4 + [_counts(1, 0, 2, 6)]),
+    # one step: f0 carries into it, and its objective is the last
+    ({"steps": 1}, [_counts(value_and_grad=2, assign=2), _counts(1, 0, 2, 8)]),
+], ids=["full-batch", "minibatch", "pin", "pin-at-start", "one-step"])
 def test_loss_passes_and_assignments_per_step(changes, want, monkeypatch):
-    got = _work_per_step(monkeypatch, hyper(steps=6, **changes))
+    got = _work_per_step(monkeypatch, hyper(**{"steps": 6, **changes}))
     assert [+c for c in got] == [+c for c in want]
 
 

@@ -12,7 +12,8 @@ line per output file, case by case and sorted by file within each. To compare tw
 commits, run the script in each checkout and ``diff`` the two printouts.
 
 The cases are the shipped ``configs/*.json`` (``compare.json`` under ``compare``,
-the rest under ``run``), ``qupel.json`` with minibatches of 8,
+the rest under ``run``), ``qupel.json`` with minibatches of 8 and with
+fine-tuning from step 0 (``qupel-ft0``, whose first step pins),
 ``centralized_mlp.json`` with a checkpoint every 50 steps, ``qupel.json`` in soft
 mode at sharpness 8 (``qupel-soft``) and again with m = 8, 1, 4, 2, 8, 4, 1, 2, 8, 4
 per client and minibatches of 8 (``qupel-soft-mixed``), and every perfbench
@@ -52,6 +53,7 @@ def standard_cases() -> dict[str, tuple[str, dict]]:
     cases = {name: ("compare" if name == "compare" else "run", cfg)
              for name, cfg in configs.items()}
     cases["qupel-batch8"] = ("run", _with_hyper(configs["qupel"], batch_size=8))
+    cases["qupel-ft0"] = ("run", _with_hyper(configs["qupel"], fine_tune_start=0))
     cases["centralized_mlp-checkpoint50"] = ("run", _with_hyper(configs["centralized_mlp"],
                                                                 checkpoint_every=50))
     soft = dict(configs["qupel"], quantization=dict(configs["qupel"]["quantization"],
