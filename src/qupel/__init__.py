@@ -6,7 +6,7 @@ across simulated clients with per-client precision, plus FedAvg / local-only
 baselines and convergence diagnostics.
 """
 
-from .quantizer import CenterVector, QuantConfig, hard_quantize, soft_quantize
+from .quantizer import CenterVector, QuantConfig, hard_quantize
 from .proxops import ProxParams, prox_c, prox_x, regularizer
 from .losses import (
     LogisticLoss,

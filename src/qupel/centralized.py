@@ -31,9 +31,11 @@ import numpy as np
 
 from .losses import (
     QuantLayout,
-    hard_quantize_grouped,
-    loss_quant_gradient_c,
-    loss_quant_gradient_x,
+    _one_row,
+    hard_quantize_rows,
+    quant_gradient_c_rows,
+    quant_gradient_x_rows,
+    stack_losses,
 )
 from .proxops import _strictly_increasing
 from .quantizer import CenterStack, CenterVector, QuantConfig
@@ -164,8 +166,8 @@ def stationarity_gap(x_prev, x_next, c_prev, c_next, hp: HyperParams) -> float:
     lists. The one-row case of ``stationarity_gap_rows``."""
     x_prev = np.asarray(x_prev, dtype=np.float64)[None]
     x_next = np.asarray(x_next, dtype=np.float64)[None]
-    return float(stationarity_gap_rows(x_prev, x_next, [CenterStack.of([c]) for c in c_prev],
-                                       [CenterStack.of([c]) for c in c_next], hp)[0])
+    return float(stationarity_gap_rows(x_prev, x_next, _one_row(c_prev), _one_row(c_next),
+                                       hp)[0])
 
 
 def stationarity_gap_rows(x_prev, x_next, c_prev: list[CenterStack],
@@ -236,19 +238,23 @@ def safe_step_sizes(loss, x0, centers0, *, cfg: QuantConfig,
     """
     if layout is None:
         layout = QuantLayout.full(loss.dim)
-    centers = layout.check_centers(centers0)
+    centers = layout.check_centers(centers0, loss.dim)
     rng = Rng(314)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = 1e-5
+    losses, stacks = stack_losses([loss]), _one_row(centers)
 
     def grad_x(x):
-        return loss.gradient(x) + loss_quant_gradient_x(loss, x, centers, layout, cfg)
+        return loss.gradient(x) + quant_gradient_x_rows(losses, x[None], stacks, layout, cfg)[0]
 
-    def grad_c_flat(cvals_list):
-        cvs = [CenterVector(np.sort(v), c_max=c.c_max) for v, c in zip(cvals_list, centers)]
-        return loss_quant_gradient_c(loss, x0, cvs, layout, cfg)
+    def grad_c(gi, v):
+        """Group gi's center gradient at x0 with its centers at ``sort(v)``, the others kept;
+        a probe may step past ``c_max``, so the centers stay a bare stack."""
+        probe = list(stacks)
+        probe[gi] = stacks[gi].with_values(np.sort(v)[None])
+        return quant_gradient_c_rows(losses, x0[None], probe, layout, cfg)[gi][0]
 
-    probes = [x0, hard_quantize_grouped(x0, centers, layout)]
+    probes = [x0, hard_quantize_rows(x0[None], stacks, layout)[0][0]]
     probes += [x0 + 0.3 * rng.normal(x0.size) for _ in range(2)]
     if not cfg.hard_limit:
         for (start, stop), c in zip(layout.groups, centers):
@@ -267,13 +273,8 @@ def safe_step_sizes(loss, x0, centers0, *, cfg: QuantConfig,
 
     lc = 0.0
     for gi, c in enumerate(centers):
-        def hvp_c(v, gi=gi):
-            vals = [c2.values.copy() for c2 in centers]
-            up = [w.copy() for w in vals]
-            dn = [w.copy() for w in vals]
-            up[gi] = up[gi] + eps * v
-            dn[gi] = dn[gi] - eps * v
-            return (grad_c_flat(up)[gi] - grad_c_flat(dn)[gi]) / (2 * eps)
+        def hvp_c(v, gi=gi, c=c):
+            return (grad_c(gi, c.values + eps * v) - grad_c(gi, c.values - eps * v)) / (2 * eps)
         lc = max(lc, _power_iteration(hvp_c, c.m, rng))
     lc = safety * lc
     eta2 = 1.0 / (2.0 * max(lc, 1e-9))

@@ -21,12 +21,13 @@ from .losses import (
     MlpLoss,
     QuadraticLoss,
     QuantLayout,
-    loss_quant_gradient_c,
-    loss_quant_gradient_x,
-    quantize_grouped,
+    quant_gradient_c_rows,
+    quant_gradient_x_rows,
+    quantize_rows,
+    stack_losses,
 )
 from .proxops import ProxParams, prox_x
-from .quantizer import CenterVector, QuantConfig, hard_quantize
+from .quantizer import CenterStack, CenterVector, QuantConfig, hard_quantize
 from .rng import Rng
 
 __all__ = [
@@ -168,8 +169,9 @@ def run_gradient_suite(
 
     Each instance draws a loss (quadratic / logistic / MLP), a parameter
     point, centers and a sharpness, then verifies the plain loss gradient and
-    the two chain-rule gradients through the soft quantizer. ``broken``
-    injects a wrong-sign gradient to confirm the detector trips.
+    the two chain-rule gradients through the soft quantizer, the row functions
+    the trainer runs, on one row. ``broken`` injects a wrong-sign gradient to
+    confirm the detector trips.
     """
     rng = Rng(seed)
     started = time.perf_counter()
@@ -183,34 +185,28 @@ def run_gradient_suite(
         c = _random_centers(rng, m)
         cfg = QuantConfig(sharpness=0.5 + 15.0 * rng.random())
         layout = QuantLayout.full(loss.dim)
-        centers = [c]
+        losses, stack = stack_losses([loss]), CenterStack.of([c])
+
+        def f_q(p, cs):
+            return loss.value(quantize_rows(p[None], [cs], layout, cfg)[0])
+
+        def at(cv):  # the centers at the values cv, re-sorted
+            return stack.with_values(np.sort(cv)[None])
 
         sign = -1.0 if broken else 1.0
         checks = [
-            (loss.value, lambda p: sign * loss.gradient(p)),
-            (
-                lambda p: loss.value(quantize_grouped(p, centers, layout, cfg)),
-                lambda p: sign * loss_quant_gradient_x(loss, p, centers, layout, cfg),
-            ),
+            ("x", x, loss.value, lambda p: sign * loss.gradient(p)),
+            ("x", x, lambda p: f_q(p, stack),
+             lambda p: sign * quant_gradient_x_rows(losses, p[None], [stack], layout, cfg)[0]),
+            ("c", c.values.copy(), lambda cv: f_q(x, at(cv)),
+             lambda cv: sign * quant_gradient_c_rows(losses, x[None], [at(cv)], layout,
+                                                     cfg)[0][0]),
         ]
-        for fn, gfn in checks:
-            rep = finite_diff_check(fn, gfn, x, tol=tol)
+        for side, point, fn, gfn in checks:
+            rep = finite_diff_check(fn, gfn, point, tol=tol)
             if rep.max_rel_err > worst:
                 worst = rep.max_rel_err
-                detail = f"instance {i}, x-side coord {rep.worst_coord}"
-
-        def fn_c(cv, x=x, loss=loss, cfg=cfg, layout=layout, c=c):
-            cand = CenterVector(np.sort(cv), c_max=c.c_max)
-            return loss.value(quantize_grouped(x, [cand], layout, cfg))
-
-        def gfn_c(cv, x=x, loss=loss, cfg=cfg, layout=layout, c=c):
-            cand = CenterVector(np.sort(cv), c_max=c.c_max)
-            return sign * loss_quant_gradient_c(loss, x, [cand], layout, cfg)[0]
-
-        rep = finite_diff_check(fn_c, gfn_c, c.values.copy(), tol=tol)
-        if rep.max_rel_err > worst:
-            worst = rep.max_rel_err
-            detail = f"instance {i}, c-side coord {rep.worst_coord}"
+                detail = f"instance {i}, {side}-side coord {rep.worst_coord}"
     elapsed = time.perf_counter() - started
     return SuiteReport(n_instances, worst, elapsed, passed=worst < tol, detail=detail)
 

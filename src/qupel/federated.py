@@ -89,7 +89,7 @@ class ClientState:
         self.w_local = np.asarray(self.w_local, dtype=np.float64)
         if self.layout is None:
             self.layout = QuantLayout.full(self.loss.dim)
-        self.centers = self.layout.check_centers(self.centers)
+        self.centers = self.layout.check_centers(self.centers, self.loss.dim)
         if self.x.shape != (self.loss.dim,) or self.w_local.shape != self.x.shape:
             raise ValueError("client model and global copy must share the loss dimension")
 

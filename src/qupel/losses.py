@@ -26,8 +26,11 @@ part; lambda_p = 0 gives the centralized objective F_lambda, and
 of f(x) + f(Q(x, c)) in x from the same passes, the x-gradient of the trainer's
 full-batch step that starts at x. The quantizer and its gradients follow suit,
 soft or hard: ``quantize_rows`` and ``quant_gradient_{x,c}_rows`` run a
-population, one call per group, ``quantize_grouped`` and
-``loss_quant_gradient_{x,c}`` one vector.
+population, one call per group, and ``loss_quant_gradient_{x,c}`` one vector.
+Other one-vector callers run the row functions on ``x[None]`` and
+``_one_row(centers)``. Nothing in qupel calls ``eval_F_i_grouped`` or
+``loss_quant_gradient_{x,c}``; they stay because the benchmark's span table
+times them by name.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ import numpy as np
 from .quantizer import (
     CenterStack,
     CenterVector,
-    QuantConfig,
-    _check_input,
     assign_rows,
     hard_grad_c_rows,
     sigmoid,
@@ -58,8 +59,6 @@ __all__ = [
     "MlpLoss",
     "QuantLayout",
     "ObjectiveEval",
-    "quantize_grouped",
-    "hard_quantize_grouped",
     "loss_quant_gradient_x",
     "loss_quant_gradient_c",
     "eval_F_i_grouped",
@@ -453,26 +452,20 @@ class QuantLayout:
     def for_mlp(cls, loss: MlpLoss) -> "QuantLayout":
         return cls(loss.dim, tuple(loss.weight_ranges()))
 
-    def check_centers(self, centers) -> list[CenterVector]:
-        """``centers`` as a list, which must hold one CenterVector per group."""
+    def check_centers(self, centers, dim: int) -> list[CenterVector]:
+        """``centers`` as a list, which must hold one CenterVector per group, for a loss of
+        ``dim`` parameters, which must be the layout's ``dim``."""
+        if dim != self.dim:
+            raise ValueError(f"layout is for {self.dim} parameters, the loss has {dim}")
         if isinstance(centers, CenterVector) or len(centers) != len(self.groups):
             raise ValueError(f"centers are a list of CenterVectors, one per quantized group: "
                              f"need {len(self.groups)}")
         return list(centers)
 
 
-def quantize_grouped(x, centers, layout: QuantLayout, cfg: QuantConfig) -> np.ndarray:
-    """Apply the (soft or hard) quantizer per group; exempt coordinates pass through.
-    The one-row case of ``quantize_rows``; soft mode refuses a non-finite quantized x."""
-    x = np.asarray(x, dtype=np.float64)
-    if not cfg.hard_limit:
-        for start, stop in layout.groups:
-            _check_input(x[start:stop])
-    return quantize_rows(x[None], _one_row(centers), layout, cfg)[0]
-
-
 def quantize_rows(x: np.ndarray, centers: list[CenterStack], layout, cfg) -> np.ndarray:
-    """``quantize_grouped`` of every row of x at its own centers, one call per group."""
+    """The (soft or hard) quantizer of every row of x at its own centers, one call per
+    group; exempt coordinates pass through. No input check."""
     if cfg.hard_limit:
         return hard_quantize_rows(x, centers, layout)[0]
     out = x.copy()
@@ -495,11 +488,8 @@ def hard_quantize_rows(x: np.ndarray, centers: list[CenterStack], layout: QuantL
 
 
 def _one_row(centers) -> list[CenterStack]:
+    """One client's centers, a CenterVector per group, as one-row stacks."""
     return [CenterStack.of([c]) for c in centers]
-
-
-def hard_quantize_grouped(x, centers, layout: QuantLayout) -> np.ndarray:
-    return quantize_grouped(x, centers, layout, QuantConfig(hard_limit=True))
 
 
 def loss_quant_gradient_x(loss, x, centers, layout, cfg) -> np.ndarray:
@@ -572,7 +562,7 @@ def eval_F_i_grouped(loss, x, centers, layout, w, cfg, lam, lambda_p) -> Objecti
     w = np.asarray(w, dtype=np.float64)
     if w.shape != x.shape:
         raise ValueError("personalized model and global model differ in dimension")
-    centers = layout.check_centers(centers)
+    centers = layout.check_centers(centers, loss.dim)
     ev = objective_rows(stack_losses([loss]), x[None], _one_row(centers), layout, w[None],
                         cfg, lam, lambda_p)
     return ObjectiveEval(**{part: float(v[0]) for part, v in vars(ev).items()})

@@ -10,17 +10,19 @@ P it approaches the nearest-center (hard) quantizer. The hard quantizer maps
 each coordinate to its nearest center, breaking exact midpoint ties toward
 the smaller center so results are deterministic.
 
-Only ``soft_quantize`` and ``hard_quantize`` check that x is finite; the
-trainers check each iterate once per step instead. ``quantize_assignments``
-sends +inf and NaN to the top center and -inf to the bottom one. A
-``CenterVector`` checks its values and computes its midpoints once, when built.
+Only ``hard_quantize`` checks that x is finite; the trainers check each iterate
+once per step instead. ``quantize_assignments`` sends +inf and NaN to the top
+center and -inf to the bottom one. A ``CenterVector`` checks its values and
+computes its midpoints once, when built.
 
 A population's centers for one parameter group stack as a ``CenterStack``, one
 row per client, padded to the largest m. The stacked operations answer for every
 row in one call: ``assign_rows`` counts the midpoints below each coordinate,
 ``hard_grad_c_rows`` is one offset ``bincount``, and ``soft_quantize_rows``,
 ``soft_grad_x_rows`` and ``soft_grad_c_rows`` run one batched product per ``by_m``
-block. The one-vector functions are their one-row case.
+block. ``hard_quantize`` and ``quantize_assignments`` are the one-vector case of
+``assign_rows``: the one-row proxes in ``qupel.proxops`` call them, and the
+benchmark's span table times ``quantize_assignments`` by name.
 
 All functions here are pure and thread-safe; none mutate their inputs.
 """
@@ -36,17 +38,13 @@ __all__ = [
     "CenterStack",
     "QuantConfig",
     "sigmoid",
-    "soft_quantize",
     "soft_quantize_rows",
     "hard_quantize",
     "quantize_assignments",
     "assign_rows",
     "take_rows",
-    "grad_soft_quantize_x",
-    "grad_soft_quantize_c",
     "soft_grad_x_rows",
     "soft_grad_c_rows",
-    "hard_grad_c",
     "hard_grad_c_rows",
 ]
 
@@ -175,7 +173,14 @@ def _soft_blocks(y: np.ndarray, c: CenterStack, sharpness: float):
 
 
 def _soft_jac_c(s: np.ndarray, widths: np.ndarray, sharpness: float) -> np.ndarray:
-    """A block's (r, m, d) center Jacobians from its sigmoids; see ``grad_soft_quantize_c``."""
+    """A block's (r, m, d) center Jacobians from its sigmoids.
+
+    Entry (j, i) collects the sigmoid of the midpoint shared with the center
+    below, minus the sigmoid of the midpoint shared with the center above,
+    minus the two midpoint-width corrections. Boundary rows use the natural
+    conventions sigmoid(+inf) = 1 below c_1 and sigmoid(-inf) = 0 above c_m.
+    For m = 1 the quantizer is identically c_1, so the Jacobian is a row of ones.
+    """
     s = s.transpose(0, 2, 1)
     jac = np.zeros((s.shape[0], s.shape[1] + 1, s.shape[2]))
     jac[:, 0, :] = 1.0          # sigma(+inf) term for the lowest center
@@ -188,7 +193,7 @@ def _soft_jac_c(s: np.ndarray, widths: np.ndarray, sharpness: float) -> np.ndarr
 
 
 def soft_quantize_rows(y: np.ndarray, c: CenterStack, sharpness: float) -> np.ndarray:
-    """``soft_quantize`` of every row of y (n, d) at its own centers; no input check."""
+    """The sigmoid staircase of every row of y (n, d) at its own centers; no input check."""
     out = np.empty(y.shape)
     for rows, v, widths, s in _soft_blocks(y, c, sharpness):
         out[rows] = v if v.shape[1] == 1 else v[:, :1] + np.matmul(s, widths)[:, :, 0]
@@ -196,7 +201,9 @@ def soft_quantize_rows(y: np.ndarray, c: CenterStack, sharpness: float) -> np.nd
 
 
 def soft_grad_x_rows(y: np.ndarray, c: CenterStack, sharpness: float) -> np.ndarray:
-    """``grad_soft_quantize_x`` of every row of y (n, d) at its own centers."""
+    """The diagonal of the soft quantizer's x-Jacobian, every row of y (n, d) at its own
+    centers: ``P * sum_j (c_j - c_{j-1}) * sigmoid'(P * (y_i - mid_j))``, which is
+    nonnegative and bounded by ``P * (c_m - c_1) / 4``."""
     out = np.empty(y.shape)
     for rows, _, widths, s in _soft_blocks(y, c, sharpness):
         out[rows] = sharpness * np.matmul(s * (1.0 - s), widths)[:, :, 0]
@@ -210,14 +217,6 @@ def soft_grad_c_rows(y: np.ndarray, c: CenterStack, sharpness: float, upstream) 
         jac = _soft_jac_c(s, widths, sharpness)
         out[rows, :values.shape[1]] = np.matmul(jac, upstream[rows][:, :, None])[:, :, 0]
     return out
-
-
-def soft_quantize(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarray:
-    """Differentiable sigmoid-staircase quantization of each coordinate, the one-row
-    case of ``soft_quantize_rows``."""
-    if cfg.hard_limit:
-        raise ValueError("soft_quantize requires hard_limit=False")
-    return soft_quantize_rows(_check_input(x)[None], CenterStack.of([c]), cfg.sharpness)[0]
 
 
 def assign_rows(y: np.ndarray, mids: np.ndarray) -> np.ndarray:
@@ -259,51 +258,10 @@ def hard_quantize(x: np.ndarray, c: CenterVector) -> np.ndarray:
     return c.values[quantize_assignments(_check_input(x), c)]
 
 
-def grad_soft_quantize_x(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarray:
-    """Diagonal of the soft-quantizer Jacobian w.r.t. x.
-
-    Entry i equals ``P * sum_j (c_j - c_{j-1}) * sigmoid'(P * (x_i - mid_j))``,
-    which is nonnegative and bounded by ``P * (c_m - c_1) / 4``.
-    """
-    if cfg.hard_limit:
-        raise ValueError("grad_soft_quantize_x requires hard_limit=False")
-    x = np.asarray(x, dtype=np.float64)
-    return soft_grad_x_rows(x[None], CenterStack.of([c]), cfg.sharpness)[0]
-
-
-def grad_soft_quantize_c(x: np.ndarray, c: CenterVector, cfg: QuantConfig) -> np.ndarray:
-    """Jacobian of the soft quantizer w.r.t. the centers, shape (m, d).
-
-    Entry (j, i) collects the sigmoid of the midpoint shared with the center
-    below, minus the sigmoid of the midpoint shared with the center above,
-    minus the two midpoint-width corrections. Boundary rows use the natural
-    conventions sigmoid(+inf) = 1 below c_1 and sigmoid(-inf) = 0 above c_m.
-    For m = 1 the quantizer is identically c_1, so the Jacobian is a row of
-    ones.
-    """
-    if cfg.hard_limit:
-        raise ValueError("grad_soft_quantize_c requires hard_limit=False")
-    x = np.asarray(x, dtype=np.float64)
-    [(_, _, widths, s)] = _soft_blocks(x[None], CenterStack.of([c]), cfg.sharpness)
-    return _soft_jac_c(s, widths, cfg.sharpness)[0]
-
-
-def hard_grad_c(assignments: np.ndarray, upstream_grad: np.ndarray, m: int) -> np.ndarray:
-    """P-to-infinity center gradient: sum upstream entries per assigned center."""
-    assignments = np.asarray(assignments, dtype=np.int64)
-    upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
-    if assignments.shape != upstream_grad.shape:
-        raise ValueError("assignments and upstream gradient differ in length")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
-        raise ValueError("assignment index out of range")
-    return hard_grad_c_rows(assignments[None], upstream_grad[None], m)[0]
-
-
 def hard_grad_c_rows(assignments: np.ndarray, upstream: np.ndarray, width: int) -> np.ndarray:
-    """``hard_grad_c`` of every row in one ``bincount``: row i's entries land in bins
-    ``i * width + assignment``, in order, so each bin sums what row i's own call would."""
+    """The P-to-infinity center gradient of every row, in one ``bincount``: row i's
+    upstream entries land in bins ``i * width + assignment``, in order, so bin
+    ``i * width + j`` sums row i's entries assigned to center j."""
     n = assignments.shape[0]
     offsets = np.arange(0, n * width, width)[:, None]
     flat = np.bincount((assignments + offsets).ravel(), weights=upstream.ravel(),

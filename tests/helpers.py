@@ -16,6 +16,7 @@ from qupel.federated import (
     _at_cadence,
     _check_objective,
     _divergence_limit,
+    _train,
     estimate_diversity,
     sync_round,
 )
@@ -23,13 +24,12 @@ from qupel.losses import (
     QuadraticLoss,
     _one_row,
     eval_F_i_grouped,
-    hard_quantize_grouped,
     hard_quantize_rows,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
 )
 from qupel.proxops import ProxParams, prox_c, prox_x
-from qupel.quantizer import CenterVector, QuantConfig
+from qupel.quantizer import CenterVector, QuantConfig, hard_quantize
 from qupel.rng import Rng
 
 
@@ -96,7 +96,7 @@ def reference_sigmoid(t):
 
 
 def soft_quantize_row(x, c, cfg):
-    """The sigmoid staircase of one finite vector: ``qupel.quantizer.soft_quantize``."""
+    """The sigmoid staircase of one finite vector."""
     v = c.values
     if c.m == 1:
         return np.full_like(x, v[0])
@@ -216,6 +216,14 @@ def reference_step(x, centers, pinned, loss, layout, hp, t, rng, coupling=None):
     return x_new, centers_new
 
 
+def reference_hard_quantize(x, centers, layout):
+    """Each group of x at its nearest centers; exempt coordinates pass through."""
+    out = x.copy()
+    for (start, stop), c in zip(layout.groups, centers):
+        out[start:stop] = hard_quantize(x[start:stop], c)
+    return out
+
+
 def reference_local_step(cs, hp, t):
     """One local update of (x_i, c_i, w_i), one client on its own."""
     cs = _reference_pin(cs, hp, t)
@@ -279,9 +287,25 @@ def reference_train(clients, hp, *, federated):
                 record["mean_test_acc"] = float(np.mean(known)) if known else None
             global_history.append(record)
     per_client = [TrainResult(x_final=cs.x, centers_final=cs.centers,
-                              x_hard=hard_quantize_grouped(cs.x, cs.centers, cs.layout),
+                              x_hard=reference_hard_quantize(cs.x, cs.centers, cs.layout),
                               history=hist) for cs, hist in zip(clients, histories)]
     return per_client, global_history, w_global
+
+
+def assert_matches_reference(clients, hp, fed=True):
+    """``federated._train`` and ``reference_train`` agree bit for bit: every per-client
+    result, the server history and the last synced global model."""
+    assert_result_matches_reference(_train(clients, hp, federated=fed), clients, hp, fed)
+
+
+def assert_result_matches_reference(got, clients, hp, fed):
+    """``assert_matches_reference`` on ``got``, a ``_train`` result the caller holds."""
+    per_client, global_history, w_global = reference_train(clients, hp, federated=fed)
+    assert len(got.per_client) == len(per_client)
+    assert all(results_identical(a, b) for a, b in zip(got.per_client, per_client))
+    assert json.dumps(got.global_history) == json.dumps(global_history)
+    assert (got.w_global is None and w_global is None
+            or got.w_global.tobytes() == w_global.tobytes())
 
 
 # ---------------------------------------------------------------------------

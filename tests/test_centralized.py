@@ -133,6 +133,36 @@ def test_lone_center_vector_is_refused(call):
         call(QuadraticLoss([0.1, 0.9], [1.0, 1.0]), centers(0.0, 1.0))
 
 
+@pytest.mark.parametrize("groups", [((3, 5),), ((0, 5),)],
+                         ids=["past-the-loss", "across-the-loss"])
+@pytest.mark.parametrize("call", [
+    lambda loss, layout: ClientState(id=0, x=np.zeros(2), centers=[centers(0.0, 1.0)],
+                                     w_local=np.zeros(2), loss=loss, layout=layout),
+    lambda loss, layout: run_centralized(loss, np.zeros(2), [centers(0.0, 1.0)],
+                                         HyperParams(eta1=0.1, eta2=0.1, steps=1),
+                                         layout=layout),
+    lambda loss, layout: safe_step_sizes(loss, np.zeros(2), [centers(0.0, 1.0)],
+                                         cfg=hard_cfg(), layout=layout),
+    lambda loss, layout: eval_F_i_grouped(loss, np.zeros(2), [centers(0.0, 1.0)], layout,
+                                          np.zeros(2), hard_cfg(), 0.0, 0.0),
+], ids=["ClientState", "run_centralized", "safe_step_sizes", "eval_F_i_grouped"])
+def test_layout_of_another_dimension_is_refused(call, groups):
+    # a 5-parameter layout on a 2-parameter loss once ran, quantizing nothing or a clip
+    with pytest.raises(ValueError, match="^layout is for 5 parameters, the loss has 2$"):
+        call(QuadraticLoss([0.1, 0.9], [1.0, 1.0]), QuantLayout(5, groups))
+
+
+@pytest.mark.parametrize("cfg", [hard_cfg(), QuantConfig(sharpness=4.0)], ids=["hard", "soft"])
+def test_safe_step_sizes_take_centers_on_the_c_max_bound(cfg):
+    # prox_c_rows clips trained centers onto +-c_max, and the center probes step past it
+    loss = QuadraticLoss([0.1, 2.9], [1.0, 1.0])
+    e1, e2 = safe_step_sizes(loss, np.array([0.1, 2.9]), [centers(0.0, 3.0, c_max=3.0)],
+                             cfg=cfg)
+    assert 0.0 < e1 < np.inf and 0.0 < e2 < np.inf
+    if cfg.hard_limit:  # unit curvature, one coordinate per center: Lx = Lc = 1, times 2
+        assert e1 == pytest.approx(0.25) and e2 == pytest.approx(0.25)
+
+
 class TestCentralizedStep:
     def test_reduces_to_gradient_descent(self):
         # lambda = 0 and hard limit: prox is identity and the chain term vanishes

@@ -9,12 +9,13 @@ from qupel.losses import (
     MlpLoss,
     QuadraticLoss,
     QuantLayout,
+    _one_row,
     eval_F_i_grouped,
-    hard_quantize_grouped,
+    hard_quantize_rows,
     loss_quant_gradient_c,
     loss_quant_gradient_x,
     objective_rows,
-    quantize_grouped,
+    quantize_rows,
     stack_losses,
 )
 from qupel import losses
@@ -24,9 +25,8 @@ from qupel.quantizer import (
     CenterVector,
     QuantConfig,
     assign_rows,
-    hard_grad_c,
+    hard_grad_c_rows,
     quantize_assignments,
-    soft_quantize,
     soft_grad_c_rows,
     soft_grad_x_rows,
     soft_quantize_rows,
@@ -40,6 +40,15 @@ from helpers import (
     grad_soft_quantize_x_row,
     soft_quantize_row,
 )
+
+
+def quantize_one(x, cs, layout, cfg):
+    """``quantize_rows`` of one vector."""
+    return quantize_rows(np.asarray(x, dtype=float)[None], _one_row(cs), layout, cfg)[0]
+
+
+def hard_quantize_one(x, cs, layout):
+    return hard_quantize_rows(np.asarray(x, dtype=float)[None], _one_row(cs), layout)[0][0]
 
 
 class TestQuadratic:
@@ -423,7 +432,7 @@ class TestChainRuleGradients:
         cfg = QuantConfig(sharpness=5.0)
         x = rng.uniform(-1.5, 1.5, 6)
         rep = finite_diff_check(
-            lambda p: loss.value(quantize_grouped(p, cs, layout, cfg)),
+            lambda p: loss.value(quantize_one(p, cs, layout, cfg)),
             lambda p: loss_quant_gradient_x(loss, p, cs, layout, cfg),
             x, tol=1e-5,
         )
@@ -438,7 +447,7 @@ class TestChainRuleGradients:
         x = rng.uniform(-1.5, 1.5, 6)
 
         def fn(cv):
-            return loss.value(quantize_grouped(x, [CenterVector(np.sort(cv))], layout, cfg))
+            return loss.value(quantize_one(x, [CenterVector(np.sort(cv))], layout, cfg))
 
         def gfn(cv):
             return loss_quant_gradient_c(loss, x, [CenterVector(np.sort(cv))], layout, cfg)[0]
@@ -462,7 +471,7 @@ class TestChainRuleGradients:
         cs = [centers(-0.5, 0.5)]
         cfg = QuantConfig(sharpness=3.0)
         x = rng.uniform(-1, 1, 4)
-        q = quantize_grouped(x, cs, layout, cfg)
+        q = quantize_one(x, cs, layout, cfg)
         assert np.array_equal(q[2:], x[2:])
 
     def test_grouped_layout_validation(self):
@@ -499,9 +508,9 @@ class TestObjectiveEvaluator:
         for (start, stop), c in zip(layout.groups, cs):
             r += regularizer(x[start:stop], c)
         assert ev.f_x == loss.value(x)
-        assert ev.f_q == loss.value(quantize_grouped(x, cs, layout, cfg))
+        assert ev.f_q == loss.value(quantize_one(x, cs, layout, cfg))
         assert ev.reg == lam * r
-        assert ev.quant_error == float(np.sum(np.abs(x - hard_quantize_grouped(x, cs, layout))))
+        assert ev.quant_error == float(np.sum(np.abs(x - hard_quantize_one(x, cs, layout))))
         assert ev.prox_penalty == 0.5 * lam_p * float(np.sum((x - w) ** 2))
         assert ev.total == ev.f_x + ev.f_q + ev.reg + ev.prox_penalty
 
@@ -552,10 +561,11 @@ class TestObjectiveEvaluator:
         loss, layout, x, cs, _ = self.make()
         cfg = QuantConfig(hard_limit=True)
         got = loss_quant_gradient_c(loss, x, cs, layout, cfg)
-        gy = loss.gradient(quantize_grouped(x, cs, layout, cfg))
+        gy = loss.gradient(quantize_one(x, cs, layout, cfg))
         assert len(got) == len(cs)
         for (start, stop), c, g in zip(layout.groups, cs, got):
-            want = hard_grad_c(quantize_assignments(x[start:stop], c), gy[start:stop], c.m)
+            want = hard_grad_c_rows(quantize_assignments(x[start:stop], c)[None],
+                                    gy[None, start:stop], c.m)[0]
             assert np.array_equal(g, want)
 
 
@@ -583,18 +593,9 @@ class TestStackedSoftQuantizer:
             assert gc[i, :c.m].tobytes() == want.tobytes()
             assert not gc[i, c.m:].any()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
-    @pytest.mark.parametrize("quantize", [
-        lambda x, cs, layout, cfg: soft_quantize(x, cs[0], cfg), quantize_grouped,
-    ], ids=["soft_quantize", "quantize_grouped"])
-    def test_refuses_a_nonfinite_quantized_coordinate(self, quantize, bad):
-        x = np.array([0.2, bad, -0.4])
-        with pytest.raises(ValueError, match="^non-finite values in input vector$"):
-            quantize(x, [centers(-0.5, 0.5)], QuantLayout.full(3), self.CFG)
-
     def test_exempt_coordinates_pass_through_unchecked(self):
         x = np.array([0.2, -0.4, np.nan])
-        q = quantize_grouped(x, [centers(-0.5, 0.5)], QuantLayout(3, ((0, 2),)), self.CFG)
+        q = quantize_one(x, [centers(-0.5, 0.5)], QuantLayout(3, ((0, 2),)), self.CFG)
         assert np.isnan(q[2]) and np.isfinite(q[:2]).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

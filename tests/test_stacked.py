@@ -27,7 +27,7 @@ from qupel.losses import QuadraticLoss
 from qupel.quantizer import QuantConfig, sigmoid
 from qupel.rng import Rng
 
-from helpers import centers, crossing_reports, hard_cfg, reference_train, results_identical
+from helpers import assert_matches_reference, centers, crossing_reports, hard_cfg, reference_train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,16 +54,6 @@ def hyper(**changes):
                      quant_cfg=hard_cfg(), lambda_schedule=LambdaSchedule.linear(5e-3, cap=0.05),
                      metrics_every=4)
     return replace(hp, **changes)
-
-
-def assert_matches_reference(clients, hp, fed=True):
-    got = federated._train(clients, hp, federated=fed)
-    per_client, global_history, w_global = reference_train(clients, hp, federated=fed)
-    assert len(got.per_client) == len(per_client)
-    assert all(results_identical(a, b) for a, b in zip(got.per_client, per_client))
-    assert json.dumps(got.global_history) == json.dumps(global_history)
-    assert (got.w_global is None and w_global is None
-            or got.w_global.tobytes() == w_global.tobytes())
 
 
 @pytest.mark.parametrize("fed", [True, False], ids=["federated", "local"])
