@@ -3,9 +3,10 @@
 Runs are driven by a JSON config (experiments carry too many knobs for
 flags); the command line only selects the config path, output directory and
 log level. Every run writes a manifest that fully reconstructs it: re-running
-the manifest reproduces the metrics bitwise. Each reader asks only for the keys
-that its modes use (``compare``: the union of its modes) and refuses any other
-key, so neither a misspelt key nor one that the mode ignores passes unnoticed.
+the manifest reproduces the metrics bitwise, on the same BLAS build and kernel.
+Each reader asks only for the keys that its modes use (``compare``: the union of
+its modes) and refuses any other key, so neither a misspelt key nor one that the
+mode ignores passes unnoticed.
 
 ``_population`` builds a federated config's clients once, for ``run`` and, per seed,
 ``read_compare_config``; every ``run_mode`` of a command runs on them unchanged.
@@ -354,8 +355,9 @@ def _population(cfg: dict, seed: int, modes: set, default_kind=None):
         partition = partition_noniid(task.train, n, k, part_seed)
     except PartitionError as exc:
         raise ConfigError("partition", str(exc)) from None
+    tested = set(task.test.labels.tolist())
     for i, classes in enumerate(partition.assigned_classes):  # each client is scored on these
-        if not np.isin(classes, task.test.labels).any():
+        if tested.isdisjoint(classes.tolist()):
             names = task.train.label_values or range(task.train.n_classes)
             raise ConfigError("dataset.test", f"no sample of client {i}'s labels "
                               f"{[names[c] for c in classes]}")

@@ -21,7 +21,6 @@ __all__ = [
     "PartitionError",
     "make_blobs",
     "partition_noniid",
-    "filter_test_indices",
     "load_csv",
     "export_partition_json",
 ]
@@ -156,14 +155,6 @@ def partition_noniid(ds: Dataset, n_clients: int, k: int, seed: int) -> Partitio
     return Partition(client_indices=client_indices,
                      assigned_classes=tuple(np.asarray(a, dtype=np.int64) for a in assigned),
                      classes_per_client=k, seed=seed)
-
-
-def filter_test_indices(test: Dataset, partition: Partition) -> tuple:
-    """Per-client test indices: the global test samples of the assigned classes."""
-    out = []
-    for classes in partition.assigned_classes:
-        out.append(np.flatnonzero(np.isin(test.labels, classes)))
-    return tuple(out)
 
 
 def export_partition_json(partition: Partition, path) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .centralized import HyperParams, init_centers_from_weights, init_weights
-from .data import Dataset, Partition, filter_test_indices, make_blobs
+from .data import Dataset, Partition, make_blobs
 from .diagnostics import evaluate_accuracy
 from .federated import ClientState, run_fedavg, run_local_only, run_qupel
 from .losses import LogisticLoss, MlpLoss, QuantLayout
@@ -99,21 +99,24 @@ def build_clients(
     All clients share one seeded initialization of the personalized model;
     each client's centers start at the per-group quantiles of that vector,
     computed once per distinct m and shared by the clients of that m.
-    The per-client test set is the global test split filtered to the
-    client's assigned classes. Each client draws minibatches from its own
-    child stream ``data_rng``, keyed by its id.
+    A client's test set is the global test split's samples of its assigned
+    classes, in their global order; it is built once per distinct class set
+    and shared by every client that holds that set. Each client draws
+    minibatches from its own child stream ``data_rng``, keyed by its id.
     """
     if len(m_list) != partition.n_clients:
         raise ValueError("m_list must have one entry per client")
-    test_idx = filter_test_indices(task.test, partition)
+    class_sets = [tuple(classes.tolist()) for classes in partition.assigned_classes]
+    tests = {key: task.test.take(np.flatnonzero(np.isin(task.test.labels, key)))
+             for key in set(class_sets)}
     streams = Rng(seed).spawn(2)
     losses = [_make_loss(model, task.train.take(idx), task.train.n_classes, hidden, l2)
               for idx in partition.client_indices]
     x0 = init_weights(losses[0].dim, Rng(seed).spawn(1))
     starts = {m: make_client(0, losses[0], x0, m, c_max=c_max) for m in set(m_list)}
     return [replace(starts[m], id=i, x=x0.copy(), w_local=x0.copy(), loss=loss,
-                    test=task.test.take(test_idx[i]), data_rng=streams.spawn(i))
-            for i, (loss, m) in enumerate(zip(losses, m_list))]
+                    test=tests[key], data_rng=streams.spawn(i))
+            for i, (loss, m, key) in enumerate(zip(losses, m_list, class_sets))]
 
 
 def summarize_clients(results, clients) -> list[dict]:

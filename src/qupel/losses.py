@@ -558,7 +558,7 @@ def eval_F_i_grouped(loss, x, centers, layout, w, cfg, lam, lambda_p) -> Objecti
     non-finite x (non-finite ``quant_error``) gets a NaN f(Q) and total.
     The one-row case of ``objective_rows``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = loss._check(x)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != x.shape:
         raise ValueError("personalized model and global model differ in dimension")

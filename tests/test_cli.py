@@ -199,6 +199,16 @@ class TestRunCommand:
         assert err == "error: invalid config: dataset.test: no sample of client 0's labels [9]\n"
         assert not (tmp_path / "out").exists()
 
+    def test_csv_test_coverage_names_the_first_uncovered_client(self, tmp_path, capsys):
+        # partition seed 13 gives clients 0, 1, 2 the labels 3, 7, 9; the test file holds only 3
+        cfg_dict = federated_cfg("local", str(tmp_path / "out"))
+        cfg_dict["dataset"] = self.csv_cfg(tmp_path, (3,))["dataset"]
+        cfg_dict["partition"] = {"clients": 3, "classes_per_client": 1, "seed": 13}
+        assert main(["run", "--config", write_cfg(tmp_path, "c.json", cfg_dict)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: invalid config: dataset.test: no sample of client 1's labels [7]\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["train", "test"])
     def test_csv_path_must_be_a_string(self, tmp_path, capsys, field):
         cfg_dict = self.csv_cfg(tmp_path, (3, 9))

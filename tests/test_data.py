@@ -4,7 +4,6 @@ import pytest
 from qupel.data import (
     Dataset,
     export_partition_json,
-    filter_test_indices,
     load_csv,
     make_blobs,
     partition_noniid,
@@ -89,13 +88,6 @@ class TestPartitionNonIid:
         ds = Dataset(feats, labels)
         with pytest.raises(ValueError, match="class"):
             partition_noniid(ds, n_clients=8, k=2, seed=0)
-
-    def test_filter_test_indices(self):
-        train, test = make_blobs(6, 3, 30, 0.4, seed=4)
-        part = partition_noniid(train, 3, 2, seed=8)
-        per_client = filter_test_indices(test, part)
-        for idx, classes in zip(per_client, part.assigned_classes):
-            assert set(test.labels[idx].tolist()) <= set(int(c) for c in classes)
 
     def test_heterogeneity_dial(self):
         # smaller k gives smaller average pairwise label-set overlap, on average

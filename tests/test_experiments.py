@@ -14,7 +14,7 @@ from qupel.centralized import (
     run_centralized,
 )
 from qupel.cli import main
-from qupel.data import partition_noniid
+from qupel.data import Dataset, partition_noniid
 from qupel.experiments import (
     avg_quantized_accuracy,
     build_blob_task,
@@ -97,10 +97,49 @@ class TestBuildClients:
 
     def test_client_tests_filtered_to_assigned_classes(self):
         task = build_blob_task(n_classes=6, dim=3, per_class=30, spread=0.5, seed=4)
-        clients = build_clients(task, partition_noniid(task.train, 4, 2, 4),
-                                m_list=[4] * 4, seed=4, model="mlp", hidden=6)
-        for c in clients:
+        part = partition_noniid(task.train, 4, 2, 4)
+        clients = build_clients(task, part, m_list=[4] * 4, seed=4, model="mlp", hidden=6)
+        for c, classes in zip(clients, part.assigned_classes):
             assert len(set(c.test.labels.tolist())) <= 2
+            assert set(c.test.labels.tolist()) <= set(int(k) for k in classes)
+
+    def test_clients_with_one_class_set_share_one_test_split(self):
+        # 300 clients holding 4 of 10 classes: at most C(10, 4) = 210 splits, one per set
+        task = build_blob_task(n_classes=10, dim=2, per_class=1500, spread=0.4, seed=4)
+        part = partition_noniid(task.train, 300, 4, seed=4)
+        clients = build_clients(task, part, m_list=[4] * 300, seed=4, model="mlp", hidden=3)
+        by_set = {}
+        for c, classes in zip(clients, part.assigned_classes):
+            by_set.setdefault(tuple(classes.tolist()), []).append(c.test)
+        assert len(by_set) < 300
+        for tests in by_set.values():
+            assert all(t is tests[0] for t in tests)
+        assert len({id(tests[0]) for tests in by_set.values()}) == len(by_set) <= 210
+
+    @staticmethod
+    def uneven_task():
+        """A CSV-style task: labels out of order, uneven class sizes, original label values."""
+        rng = Rng(9)
+        train_labels = np.array([2, 0, 1, 2, 2, 0, 1, 2, 0, 2, 1, 2, 0, 2, 1, 2, 0, 1, 2, 2])
+        test_labels = np.array([1, 2, 2, 0, 2, 1, 2, 2, 0, 2, 2])
+        return experiments.BlobTask(
+            train=Dataset(rng.normal(40).reshape(20, 2), train_labels, label_values=(3, 7, 9)),
+            test=Dataset(rng.normal(22).reshape(11, 2), test_labels, label_values=(3, 7, 9)))
+
+    @pytest.mark.parametrize("kind", ["blobs", "csv"])
+    def test_each_test_split_is_the_per_client_filter(self, kind):
+        if kind == "blobs":
+            task = build_blob_task(n_classes=6, dim=3, per_class=60, spread=0.4, seed=5)
+            part, m_list = partition_noniid(task.train, 12, 3, seed=5), [4] * 12
+        else:
+            task = self.uneven_task()
+            part, m_list = partition_noniid(task.train, 4, 2, seed=1), [2] * 4
+        clients = build_clients(task, part, m_list=m_list, seed=5, model="mlp", hidden=3)
+        for c, classes in zip(clients, part.assigned_classes):
+            want = task.test.take(np.flatnonzero(np.isin(task.test.labels, classes)))
+            assert c.test.features.tobytes() == want.features.tobytes()
+            assert c.test.labels.tobytes() == want.labels.tobytes()
+            assert c.test.label_values == task.test.label_values
 
 
 class TestIidSanity:

@@ -408,6 +408,19 @@ class TestComposedObjectives:
             eval_F_i_grouped(loss, np.array([0.5]), [centers(0.0)], QuantLayout.full(1),
                              np.array([0.5, 0.5]), QuantConfig(hard_limit=True), 0.0, 1.0)
 
+    @pytest.mark.parametrize("n", [25, 29])
+    def test_F_i_refuses_a_vector_of_the_wrong_length(self, n):
+        rng = Rng(18)
+        loss = MlpLoss([3, 4, 2], rng.normal(15).reshape(5, 3), np.array([0, 1, 0, 1, 1]))
+        layout = QuantLayout.for_mlp(loss)
+        cs = [centers(-0.5, 0.5) for _ in layout.groups]
+        cfg = QuantConfig(hard_limit=True)
+        assert loss.dim == 26
+        assert np.isfinite(eval_F_i_grouped(loss, np.zeros(26), cs, layout, np.zeros(26),
+                                            cfg, 0.1, 1.0).total)
+        with pytest.raises(ValueError, match="dim 26"):
+            eval_F_i_grouped(loss, np.zeros(n), cs, layout, np.zeros(n), cfg, 0.1, 1.0)
+
     def test_penalty_gradient_wrt_w(self):
         rng = Rng(14)
         loss = QuadraticLoss(rng.uniform(-1, 1, 4), rng.uniform(0.5, 2, 4))

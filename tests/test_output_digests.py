@@ -23,7 +23,7 @@ def test_standard_cases_cover_every_config_variant_and_workload():
         "centralized_mlp", "centralized_quadratic", "compare", "fedavg", "local", "qupel",
         "qupel-batch8", "qupel-ft0", "centralized_mlp-checkpoint50", "qupel-soft",
         "qupel-soft-mixed", "perfbench-qupel-10c", "perfbench-qupel-100c-mixed",
-        "perfbench-centralized-mlp-wide"]
+        "perfbench-centralized-mlp-wide", "qupel-300c"]
     assert {name for name, (command, _) in cases.items() if command == "compare"} == {"compare"}
     assert cases["qupel-batch8"][1]["hyper"]["batch_size"] == 8
     assert cases["qupel-ft0"][1]["hyper"]["fine_tune_start"] == 0
@@ -35,6 +35,9 @@ def test_standard_cases_cover_every_config_variant_and_workload():
     assert mixed["quantization"]["m_list"] == [8, 1, 4, 2, 8, 4, 1, 2, 8, 4]
     assert "m" not in mixed["quantization"] and mixed["hyper"]["batch_size"] == 8
     assert cases["perfbench-qupel-10c"][1]["seed"] == 4
+    scaled = cases["qupel-300c"][1]
+    assert (scaled["partition"]["clients"], scaled["dataset"]["per_class"]) == (300, 1500)
+    assert scaled["seed"] == 4
 
 
 def test_two_runs_of_one_case_give_equal_digests(tmp_path):

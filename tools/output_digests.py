@@ -16,8 +16,10 @@ the rest under ``run``), ``qupel.json`` with minibatches of 8 and with
 fine-tuning from step 0 (``qupel-ft0``, whose first step pins),
 ``centralized_mlp.json`` with a checkpoint every 50 steps, ``qupel.json`` in soft
 mode at sharpness 8 (``qupel-soft``) and again with m = 8, 1, 4, 2, 8, 4, 1, 2, 8, 4
-per client and minibatches of 8 (``qupel-soft-mixed``), and every perfbench
-workload at config seed 4 and its own step count.
+per client and minibatches of 8 (``qupel-soft-mixed``), every perfbench
+workload at config seed 4 and its own step count, and ``qupel-100c-mixed`` scaled
+to 300 clients with 1500 samples per class (``qupel-300c``), where clients share
+class sets.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ def standard_cases() -> dict[str, tuple[str, dict]]:
     bench = _perfbench()
     for name, workload in bench.WORKLOADS.items():
         cases[f"perfbench-{name}"] = ("run", bench.make_config(workload, 4, workload.steps))
+    scaled = cases["perfbench-qupel-100c-mixed"][1]
+    cases["qupel-300c"] = ("run", dict(scaled, partition=dict(scaled["partition"], clients=300),
+                                       dataset=dict(scaled["dataset"], per_class=1500)))
     return cases
 
 
