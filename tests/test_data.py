@@ -8,6 +8,7 @@ from qupel.data import (
     make_blobs,
     partition_noniid,
 )
+from qupel.experiments import BlobTask, build_clients
 from qupel.losses import LogisticLoss
 
 
@@ -88,6 +89,15 @@ class TestPartitionNonIid:
         ds = Dataset(feats, labels)
         with pytest.raises(ValueError, match="class"):
             partition_noniid(ds, n_clients=8, k=2, seed=0)
+
+    def test_filter_test_indices(self):
+        # build_clients filters the test split to each client's assigned classes
+        train, test = make_blobs(6, 3, 30, 0.4, seed=4)
+        part = partition_noniid(train, 3, 2, seed=8)
+        clients = build_clients(BlobTask(train=train, test=test), part, m_list=[4] * 3,
+                                seed=4, model="mlp", hidden=3)
+        for c, classes in zip(clients, part.assigned_classes):
+            assert set(c.test.labels.tolist()) <= set(int(k) for k in classes)
 
     def test_heterogeneity_dial(self):
         # smaller k gives smaller average pairwise label-set overlap, on average
